@@ -12,6 +12,7 @@ same verdict and the same witness as the single-worker search.
 from __future__ import annotations
 
 import enum
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from math import ceil
 from typing import Iterator, Mapping, Optional
 
 from .errors import FormatError, InputError
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, bits, induced_subgraph, mask_of
 from .patterns import (
     Arbitrary,
     Clique,
@@ -34,6 +35,7 @@ from .patterns import (
     pattern_num_edges,
     pattern_num_vertices,
 )
+from .symmetry import automorphisms
 
 __all__ = [
     "EdgeColouring",
@@ -179,13 +181,6 @@ def _find_clique_within(adj, mask: int, size: int) -> tuple[int, ...] | None:
     return None
 
 
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _pack_cliques(adj, n: int, used: int, count: int, t: int, lo: int = -1) -> tuple | None:
     """Lexicographically least packing of ``count`` disjoint t-cliques avoiding
     ``used``, as a tuple of vertex tuples, or None. Successive cliques are
@@ -203,7 +198,7 @@ def _pack_cliques(adj, n: int, used: int, count: int, t: int, lo: int = -1) -> t
                 return tuple(picked)
         return None
     for tpl in _cliques_within(adj, avail, t):
-        rest = _pack_cliques(adj, n, used | _mask_of(tpl), count - 1, t, tpl[0])
+        rest = _pack_cliques(adj, n, used | mask_of(tpl), count - 1, t, tpl[0])
         if rest is not None:
             return (tpl,) + rest
     return None
@@ -212,7 +207,7 @@ def _pack_cliques(adj, n: int, used: int, count: int, t: int, lo: int = -1) -> t
 def _kclique_then_pack(adj, n: int, used: int, k: int, count: int, t: int) -> tuple | None:
     avail = ((1 << n) - 1) & ~used
     for tpl in _cliques_within(adj, avail, k):
-        rest = _pack_cliques(adj, n, used | _mask_of(tpl), count, t)
+        rest = _pack_cliques(adj, n, used | mask_of(tpl), count, t)
         if rest is not None:
             return (tpl, rest)
     return None
@@ -220,7 +215,7 @@ def _kclique_then_pack(adj, n: int, used: int, k: int, count: int, t: int) -> tu
 
 def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> dict | None:
     """Complete a partial pattern-vertex to host-vertex monomorphism, or None."""
-    used = _mask_of(partial.values())
+    used = mask_of(partial.values())
     order = [a for a in range(pat.n) if a not in partial]
 
     def rec(assigned: dict, used: int, todo: list[int]) -> dict | None:
@@ -277,7 +272,7 @@ def _through_edge_checker(p: TargetPattern):
             if k >= 2:
                 uv = (1 << u) | (1 << v)
                 for tpl in _cliques_within(adj, adj[u] & adj[v], k - 2):
-                    smask = uv | _mask_of(tpl)
+                    smask = uv | mask_of(tpl)
                     for s in bits(smask):
                         if adj[s] & ~smask:
                             return True
@@ -293,11 +288,11 @@ def _through_edge_checker(p: TargetPattern):
             uv = (1 << u) | (1 << v)
             if k >= 2:
                 for tpl in _cliques_within(adj, adj[u] & adj[v], k - 2):
-                    if _pack_cliques(adj, n, uv | _mask_of(tpl), f, t) is not None:
+                    if _pack_cliques(adj, n, uv | mask_of(tpl), f, t) is not None:
                         return True
             if f >= 1 and t >= 2:
                 for tpl in _cliques_within(adj, adj[u] & adj[v], t - 2):
-                    if _kclique_then_pack(adj, n, uv | _mask_of(tpl), k, f - 1, t) is not None:
+                    if _kclique_then_pack(adj, n, uv | mask_of(tpl), k, f - 1, t) is not None:
                         return True
             return False
 
@@ -335,7 +330,7 @@ def _search_pattern(adj: tuple[int, ...], n: int, p: TargetPattern):
         return _find_clique_within(adj, full, p.k) if p.k <= n else None
     if isinstance(p, CliquePendant):
         for tpl in _cliques_within(adj, full, p.k):
-            smask = _mask_of(tpl)
+            smask = mask_of(tpl)
             for s in tpl:
                 ext = adj[s] & ~smask
                 if ext:
@@ -344,7 +339,7 @@ def _search_pattern(adj: tuple[int, ...], n: int, p: TargetPattern):
         return None
     if isinstance(p, CliquePlusCliques):
         for tpl in _cliques_within(adj, full, p.k):
-            rest = _pack_cliques(adj, n, _mask_of(tpl), p.f, p.t)
+            rest = _pack_cliques(adj, n, mask_of(tpl), p.f, p.t)
             if rest is not None:
                 return (tpl, rest)
         return None
@@ -408,7 +403,6 @@ class SearchOptions:
     max_nodes: int | None = None
     max_seconds: float | None = None
     workers: int = 1
-    orbit_pruning: bool = False
 
 
 _FOUND, _EXHAUSTED, _BUDGET = 0, 1, 2
@@ -440,11 +434,6 @@ def _dfs_search(
     blue_chk = _through_edge_checker(blue)
     sym = red == blue
     colours: list[Colour | None] = [None] * m
-    auts = None
-    eidx = None
-    if opts.orbit_pruning:
-        auts = [p for p in automorphisms(g) if any(p[i] != i for i in range(n))]
-        eidx = _edge_index(g)
 
     deadline = time.monotonic() + opts.max_seconds if opts.max_seconds is not None else None
     nodes = 0
@@ -472,26 +461,6 @@ def _dfs_search(
             badj[v] &= ~(1 << u)
         colours[i] = None
 
-    def dominated(i: int) -> bool:
-        # lex-leader pruning: some automorphism maps the assigned prefix to a
-        # strictly smaller colour string, so no completion of it is canonical
-        for perm in auts:
-            for pos in range(i + 1):
-                a, b = edges[pos]
-                x, y = perm[a], perm[b]
-                key = (x, y) if x < y else (y, x)
-                midx = eidx[key]
-                if midx > i:
-                    break
-                mc = colours[midx]
-                c = colours[pos]
-                if mc is c:
-                    continue
-                if mc is Colour.RED:  # mapped string smaller at first difference
-                    return True
-                break
-        return False
-
     for i, col in enumerate(prefix):
         if not place(i, col):
             return _EXHAUSTED, None, 0
@@ -510,10 +479,7 @@ def _dfs_search(
                 return _BUDGET
             if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
                 return _BUDGET
-            ok = place(i, col)
-            if ok and auts and dominated(i):
-                ok = False
-            if ok:
+            if place(i, col):
                 r = dfs(i + 1)
                 if r != _EXHAUSTED:
                     unplace(i)
@@ -565,7 +531,10 @@ def arrows(
         depth = min(m, max(1, (4 * opts.workers - 1).bit_length()))
         tasks = [(g, red, blue, replace(opts, workers=1), p) for p in _prefixes(depth, red == blue)]
         nodes = 0
-        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
+        # the split depends on opts.workers only, so results do not depend on
+        # the host; the pool never exceeds the CPU count
+        pool_size = min(opts.workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(_search_task, t) for t in tasks]
             try:
                 for fut in futures:
@@ -680,53 +649,3 @@ def ramsey_number(
         if verdict.outcome is Outcome.ARROW:
             return RamseyNumberReport(n, True, resolved, nodes)
         n += 1
-
-
-# -- automorphisms (for optional orbit pruning) -----------------------------------
-
-
-def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
-    """Vertex automorphisms of ``g`` as permutation tuples, found by
-    degree-refinement backtracking; at most ``limit`` are returned."""
-    n = g.n
-    if n == 0:
-        return [()]
-    colour = list(g.degrees())
-    while True:
-        sig = [
-            (colour[v], tuple(sorted(colour[u] for u in bits(g.adj[v]))))
-            for v in range(n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colour:
-            break
-        colour = new
-
-    out: list[tuple[int, ...]] = []
-    perm: list[int] = [-1] * n
-    used = [False] * n
-
-    def rec(v: int) -> None:
-        if len(out) >= limit:
-            return
-        if v == n:
-            out.append(tuple(perm))
-            return
-        for w in range(n):
-            if used[w] or colour[w] != colour[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != g.has_edge(perm[u], w):
-                    ok = False
-                    break
-            if ok:
-                perm[v] = w
-                used[w] = True
-                rec(v + 1)
-                used[w] = False
-                perm[v] = -1
-
-    rec(0)
-    return out

@@ -68,10 +68,26 @@ def _pattern(text: str):
     return parse_pattern(text, read_graph6=_load_graph)
 
 
+class _UsageError(Exception):
+    """A malformed setting that argparse cannot see, such as an environment
+    variable."""
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _options(args) -> SearchOptions:
     budget = getattr(args, "budget", None)
-    if budget is None and os.environ.get(BUDGET_ENV):
-        budget = float(os.environ[BUDGET_ENV])
+    text = os.environ.get(BUDGET_ENV)
+    if budget is None and text:
+        try:
+            budget = float(text)
+        except ValueError:
+            raise _UsageError(f"{BUDGET_ENV} must be a number of seconds, got {text!r}") from None
     return SearchOptions(
         max_nodes=getattr(args, "max_nodes", None),
         max_seconds=budget,
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=float, default=None, help="wall seconds")
             p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("arrow", help="decide arrowing for one graph")
     p.add_argument("graph")
@@ -443,6 +459,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(json.dumps({"error": "usage-error", "message": str(exc)}), file=sys.stderr)
+        return EXIT_USAGE
     except (InputError, FormatError, FileNotFoundError) as exc:
         print(json.dumps({"error": "input-error", "message": str(exc)}), file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .arrowing import EdgeColouring, _cliques_within, _edge_index
 from .errors import InputError
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 from .patterns import Clique, CliquePendant, Colour, TargetPattern
 
 __all__ = ["CnfInstance", "to_cnf", "decode_model", "to_dimacs", "solve_cnf"]
@@ -45,9 +45,7 @@ def _copies_edge_sets(g: Graph, p: TargetPattern) -> list[list[tuple[int, int]]]
         return out
     if isinstance(p, CliquePendant):
         for tpl in _cliques_within(g.adj, full, p.k):
-            smask = 0
-            for v in tpl:
-                smask |= 1 << v
+            smask = mask_of(tpl)
             base = list(combinations(tpl, 2))
             for s in tpl:
                 for w in bits(g.adj[s] & ~smask):

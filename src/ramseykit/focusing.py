@@ -21,6 +21,7 @@ from typing import Mapping
 from .arrowing import EdgeColouring, _cliques_within
 from .errors import InputError
 from .gadgets import BlockGraph, GadgetParams
+from .graphs import mask_of
 from .patterns import COLOUR_KEY, Colour
 
 __all__ = [
@@ -278,9 +279,7 @@ def iterated_focus(
         found = None
         for colour in (Colour.RED, Colour.BLUE):
             adj = chi.class_adj(colour)
-            mask = 0
-            for v in current[j]:
-                mask |= 1 << v
+            mask = mask_of(current[j])
             masked = tuple(row & mask for row in adj)
             for tpl in _cliques_within(masked, mask, t - 1):
                 found = (tpl, colour)

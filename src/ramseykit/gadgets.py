@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import EdgeColouring, SearchOptions, epsilon_arrows
+from .arrowing import EdgeColouring, SearchOptions, _to_fraction, epsilon_arrows
 from .errors import InfeasibleError, InputError
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -50,12 +50,6 @@ __all__ = [
     "blockgraph_to_json",
     "blockgraph_from_json",
 ]
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 # -- parameter schedule --------------------------------------------------------

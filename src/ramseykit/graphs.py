@@ -24,6 +24,8 @@ __all__ = [
     "hyper_girth",
     "hyper_alpha",
     "bits",
+    "mask_of",
+    "components",
 ]
 
 INFINITE = math.inf  # girth of a circuit-free hypergraph
@@ -35,6 +37,14 @@ def bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with the bits of ``vertices`` set; the inverse of ``bits``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 @dataclass(frozen=True)
@@ -208,6 +218,24 @@ def independence_number(g: Graph) -> int:
     return clique_number(g.complement())
 
 
+def components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, ordered by least vertex."""
+    out = []
+    left = (1 << g.n) - 1
+    while left:
+        comp = left & -left
+        frontier = comp
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        out.append(comp)
+        left &= ~comp
+    return out
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on ``vertices``, relabelled 0..k-1 in ascending label order."""
     vs = sorted(set(vertices))
@@ -327,12 +355,7 @@ def hyper_alpha(h: Hypergraph) -> int:
     Computed exactly as n minus the minimum transversal, by branch and bound
     over which vertex of the first unhit edge joins the transversal.
     """
-    masks = []
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        masks.append(mask)
+    masks = [mask_of(e) for e in h.edges]
     if not masks:
         return h.n
 

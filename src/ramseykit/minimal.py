@@ -2,10 +2,9 @@
 Ramsey-equivalence refutation by distinguishing witnesses.
 
 Graph enumeration is built in for up to 8 vertices: graphs are grown one
-vertex at a time and deduplicated by canonical form, defined as the
-lexicographically least column-major upper-triangle adjacency bitstring over
-all vertex permutations. Survey results only ever bound the smallest minimum
-degree from above within the searched order range; no claim is made beyond it.
+vertex at a time and deduplicated by the canonical form of ``symmetry``.
+Survey results only ever bound the smallest minimum degree from above within
+the searched order range; no claim is made beyond it.
 """
 from __future__ import annotations
 
@@ -18,8 +17,9 @@ from typing import Iterable, Iterator, Optional
 from .arrowing import Outcome, SearchOptions, arrows, find_pattern
 from .errors import InputError, Undecided
 from .formats import graph6_encode
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, components, induced_subgraph
 from .patterns import TargetPattern, pattern_graph, pattern_num_edges, pattern_text
+from .symmetry import canonical_graph, canonical_key
 
 __all__ = [
     "MinimalityReport",
@@ -37,116 +37,7 @@ __all__ = [
 _ENUM_LIMIT = 8  # built-in generation bound; larger orders need external streams
 
 
-# -- canonical forms and enumeration ------------------------------------------
-
-
-def _refinement(g: Graph) -> list[int]:
-    """Stable vertex classes under iterated degree refinement.
-
-    Class ids are ranks of the class signatures, so isomorphic graphs assign
-    identical id multisets and corresponding vertices get equal ids.
-    """
-    colour = list(g.degrees())
-    while True:
-        sig = [
-            (colour[v], tuple(sorted(colour[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colour:
-            return colour
-        colour = new
-
-
-def _canonical_columns(g: Graph) -> list[int]:
-    """Minimum column-major adjacency bitstring over the orderings that list
-    vertices grouped by ascending refinement class.
-
-    Restricting to class-grouped orderings keeps the form isomorphism
-    invariant (the classes are) while collapsing most tie branching. Column j
-    holds the adjacency of the vertex placed at position j toward positions
-    0..j-1, position 0 being the highest bit. Backtracking branches inside a
-    class only, prunes against the best completed string, and skips
-    interchangeable twin candidates.
-    """
-    n = g.n
-    if n == 0:
-        return []
-    adj = g.adj
-    colour = _refinement(g)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colour):
-        cells.setdefault(c, []).append(v)
-    pos_cell: list[list[int]] = []
-    for c in sorted(cells):
-        pos_cell.extend([cells[c]] * len(cells[c]))
-
-    best: list[int] | None = None
-    placed: list[int] = []
-
-    def column(v: int) -> int:
-        col = 0
-        row = adj[v]
-        for u in placed:
-            col = (col << 1) | ((row >> u) & 1)
-        return col
-
-    def rec(cols: list[int], used: int, tight: bool) -> None:
-        nonlocal best
-        j = len(placed)
-        if j == n:
-            if best is None or (not tight and cols < best):
-                best = list(cols)
-            return
-        options: dict[int, list[int]] = {}
-        for v in pos_cell[j]:
-            if (used >> v) & 1:
-                continue
-            options.setdefault(column(v), []).append(v)
-        for value in sorted(options):
-            now_tight = tight
-            if tight and best is not None:
-                if value > best[j]:
-                    break
-                now_tight = value == best[j]
-            reps: list[int] = []
-            for v in options[value]:
-                twin = any(
-                    (adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps
-                )
-                if not twin:
-                    reps.append(v)
-            for v in reps:
-                placed.append(v)
-                cols.append(value)
-                rec(cols, used | (1 << v), now_tight)
-                cols.pop()
-                placed.pop()
-
-    rec([], 0, tight=False)
-    assert best is not None
-    return best
-
-
-def canonical_key(g: Graph) -> tuple[int, int]:
-    """Hashable canonical invariant (n, packed bitstring); equal iff isomorphic."""
-    cols = _canonical_columns(g)
-    key = 0
-    for j, col in enumerate(cols):
-        key = (key << j) | col
-    return g.n, key
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of the isomorphism class of ``g``."""
-    cols = _canonical_columns(g)
-    edges = []
-    for j, col in enumerate(cols):
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                edges.append((i, j))
-    return Graph.from_edges(g.n, edges)
+# -- enumeration ----------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +58,6 @@ def _classes(n: int) -> tuple[Graph, ...]:
     return tuple(g for _k, g in sorted(out.items(), key=lambda kv: kv[0]))
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        fresh = g.adj[v] & ~seen
-        seen |= fresh
-        stack.extend(bits(fresh))
-    return seen == (1 << g.n) - 1
-
-
 def enumerate_graphs(n_max: int, connected_only: bool = False, min_n: int = 1) -> Iterator[Graph]:
     """All non-isomorphic graphs with min_n..n_max vertices, canonical
     representatives, ordered by vertex count and then canonical form."""
@@ -190,7 +68,7 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, min_n: int = 1) -
         )
     for n in range(min_n, n_max + 1):
         for g in _classes(n):
-            if connected_only and not _is_connected(g):
+            if connected_only and len(components(g)) > 1:
                 continue
             yield g
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Union
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, components
 
 __all__ = [
     "Colour",
@@ -184,20 +184,4 @@ def largest_component_size(p: TargetPattern) -> int:
         return p.k + 1
     if isinstance(p, CliquePlusCliques):
         return max(p.k, p.t if p.f else 0)
-    g = p.graph
-    seen: set[int] = set()
-    best = 0
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in range(g.n):
-                if g.has_edge(x, y) and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        best = max(best, len(comp))
-    return best
+    return max((c.bit_count() for c in components(p.graph)), default=0)

@@ -1,9 +1,11 @@
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from ramseykit import arrowing
 from ramseykit.arrowing import (
     EdgeColouring,
     Outcome,
@@ -24,6 +26,7 @@ from ramseykit.patterns import (
     CliquePendant,
     CliquePlusCliques,
     Colour,
+    largest_component_size,
     parse_pattern,
 )
 
@@ -219,18 +222,43 @@ class TestSearchModes:
             assert par.outcome is seq.outcome
             assert par.witness == seq.witness
 
-    def test_orbit_pruning_agrees(self):
-        for g in (Graph.complete(5), Graph.cycle(5), Graph.complete(6)):
-            plain = arrows(g, Clique(3), Clique(3))
-            pruned = arrows(g, Clique(3), Clique(3), SearchOptions(orbit_pruning=True))
-            assert plain.outcome is pruned.outcome
-            assert plain.witness == pruned.witness
-            assert pruned.nodes <= plain.nodes
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
+        # an inline executor records the pool size, so no process starts
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(arrowing.os, "cpu_count", lambda: 2)
+        for g in (Graph.complete(5), Graph.complete(6)):
+            seq = arrows(g, Clique(3), Clique(3))
+            par = arrows(g, Clique(3), Clique(3), SearchOptions(workers=64))
+            assert par.outcome is seq.outcome
+            assert par.witness == seq.witness
+        assert sizes == [2, 2]
 
     def test_automorphism_count(self):
         assert len(automorphisms(Graph.complete(4))) == 24
         assert len(automorphisms(Graph.cycle(5))) == 10
         assert len(automorphisms(Graph.path(3))) == 2
+        # 3-regular: refinement leaves one cell, so the backtrack does the work
+        assert len(automorphisms(Graph.petersen())) == 120
 
 
 class TestEpsilonArrows:
@@ -261,6 +289,15 @@ class TestRamseyNumber:
 
     def test_paths(self):
         assert ramsey_number(CliquePendant(1), CliquePendant(1)).n == 2
+
+    def test_arbitrary_target_agrees_with_clique(self):
+        triangle = Arbitrary(Graph.complete(3))
+        assert ramsey_number(triangle, triangle).n == ramsey_number(Clique(3), Clique(3)).n == 6
+
+    def test_largest_component_size(self):
+        p3_k2 = Graph.disjoint_union([Graph.path(3), Graph.complete(2)])
+        assert largest_component_size(Arbitrary(p3_k2)) == 3
+        assert largest_component_size(Arbitrary(Graph.empty(2))) == 1
 
     def test_budget(self):
         rep = ramsey_number(Clique(4), Clique(4), SearchOptions(max_seconds=0.5))

@@ -81,6 +81,20 @@ class TestRamseyCommand:
         assert code == 10
         assert json.loads(out)["decided"] is False
 
+    def test_env_var_budget_not_a_number(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "abc")
+        code = main(["ramsey", "--red", "K3", "--blue", "K3", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage-error"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, files, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--red", "K3", "--blue", "K3", "--workers", value])
+        assert exc.value.code == 2
+
 
 class TestFilePatterns:
     def test_arbitrary_pattern_from_file(self, files, capsys):

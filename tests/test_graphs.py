@@ -8,11 +8,14 @@ from ramseykit.errors import InputError
 from ramseykit.graphs import (
     Graph,
     Hypergraph,
+    bits,
     clique_number,
+    components,
     hyper_alpha,
     hyper_girth,
     independence_number,
     induced_subgraph,
+    mask_of,
 )
 
 from oracles import bfs_girth, brute_clique_number, brute_independence_number
@@ -113,6 +116,33 @@ class TestInducedSubgraph:
             g = random_graph(8, rng.random(), rng)
             s = [v for v in range(8) if rng.random() < 0.6]
             assert clique_number(induced_subgraph(g, s)) <= clique_number(g)
+
+
+class TestComponents:
+    def test_path_plus_edge(self):
+        g = Graph.disjoint_union([Graph.path(3), Graph.complete(2)])
+        assert components(g) == [0b00111, 0b11000]
+
+    def test_small_cases(self):
+        assert components(Graph.empty(0)) == []
+        assert components(Graph.empty(3)) == [0b001, 0b010, 0b100]
+        assert components(Graph.petersen()) == [(1 << 10) - 1]
+
+    def test_partition_closed_under_adjacency(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            g = random_graph(9, rng.random() * 0.4, rng)
+            comps = components(g)
+            assert sum(c.bit_count() for c in comps) == g.n
+            assert mask_of(v for c in comps for v in bits(c)) == (1 << g.n) - 1
+            for c in comps:
+                assert all(g.adj[v] & ~c == 0 for v in bits(c))
+            assert [min(bits(c)) for c in comps] == sorted(min(bits(c)) for c in comps)
+
+    def test_mask_of_inverts_bits(self):
+        assert mask_of([]) == 0
+        assert mask_of([0, 3, 5]) == 0b101001
+        assert list(bits(mask_of([7, 2, 4]))) == [2, 4, 7]
 
 
 class TestHyperGirth:

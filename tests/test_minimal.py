@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -5,6 +6,7 @@ import pytest
 
 from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import SearchOptions
+from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
 from ramseykit.minimal import (
     canonical_graph,
@@ -72,6 +74,20 @@ class TestEnumeration:
     def test_order_limit(self):
         with pytest.raises(InputError):
             list(enumerate_graphs(9))
+
+    def test_golden_canonical_forms(self):
+        # sha256 digests of the representatives and keys of all 1,252 graphs
+        # on at most 7 vertices; record order and graph6 text depend on both
+        graphs = list(enumerate_graphs(7))
+        assert len(graphs) == 1252
+        reps = "".join(f"{graph6_encode(g)}\n" for g in graphs)
+        keys = "".join(f"{canonical_key(g)}\n" for g in graphs)
+        assert hashlib.sha256(reps.encode()).hexdigest() == (
+            "44505f1d443943cf70f428d474c6dd835391e62b6e82452d06fa742e5998c87d"
+        )
+        assert hashlib.sha256(keys.encode()).hexdigest() == (
+            "931d1a1b2d484e9056fb669859fdcec61b941060929cdfd8d7e9561fd394161f"
+        )
 
 
 class TestIsMinimal:

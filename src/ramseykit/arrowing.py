@@ -3,11 +3,16 @@
 Determinism contract: the search assigns edges in sorted-pair (lexicographic)
 order, trying red before blue, and the first complete colouring containing no
 monochromatic target is the canonical witness. When both targets are equal the
-first edge is fixed red (colour-swap symmetry), which never changes the
-verdict and never changes the canonical witness. Budgets produce an explicit
-UNDECIDED outcome, never a guess. Parallel mode splits the tree on a colour
-prefix and reduces subtree results in lexicographic order, so it returns the
-same verdict and the same witness as the single-worker search.
+first edge is fixed red (colour-swap symmetry). A partial colouring is also
+pruned when, for a generator of Aut(G) from ``symmetry.generators`` or its
+inverse, the image colouring is lex-smaller at the first determined
+difference (lex-leader symmetry breaking). The surviving colourings are
+closed under Aut(G) and, for equal targets, under the colour swap, so their
+least member is no larger than any of its images: neither rule cuts it, and
+neither changes the verdict or the canonical witness. Budgets produce an
+explicit UNDECIDED outcome, never a guess. Parallel mode splits the tree on a
+colour prefix and reduces subtree results in lexicographic order, so it
+returns the same verdict and the same witness as the single-worker search.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from .patterns import (
     pattern_num_edges,
     pattern_num_vertices,
 )
-from .symmetry import automorphisms
+from .symmetry import automorphisms, generators
 
 __all__ = [
     "EdgeColouring",
@@ -414,81 +419,148 @@ def _edgeless_arrow(g: Graph, p: TargetPattern) -> bool:
     return pattern_num_edges(p) == 0 and pattern_num_vertices(p) <= g.n
 
 
+def _edge_perms(g: Graph) -> list[tuple[int, ...]]:
+    """The permutations of edge indices induced by the generators of Aut(g)
+    and their inverses, without the identity; ``pi[j]`` is the index of the
+    image of edge j."""
+    edges = g.edges()
+    # a local index: the shared _edge_index cache would keep one dict per
+    # searched graph alive
+    idx = {e: i for i, e in enumerate(edges)}
+    out: set[tuple[int, ...]] = set()
+    for sigma in generators(g):
+        pi = []
+        for u, v in edges:
+            a, b = sigma[u], sigma[v]
+            pi.append(idx[(a, b) if a < b else (b, a)])
+        inv = [0] * len(pi)
+        for j, k in enumerate(pi):
+            inv[k] = j
+        out.update((tuple(pi), tuple(inv)))
+    out.discard(tuple(range(len(edges))))
+    return sorted(out)
+
+
+_RED, _BLUE = 0, 1  # int colours of the search; red sorts first
+_COLOURS = (Colour.RED, Colour.BLUE)
+
+
 def _dfs_search(
     g: Graph,
     red: TargetPattern,
     blue: TargetPattern,
     opts: SearchOptions,
-    prefix: tuple[Colour, ...] = (),
+    prefix: tuple[int, ...] = (),
 ) -> tuple[int, tuple[Colour, ...] | None, int]:
-    """Core sequential search under a fixed colour prefix.
+    """Core sequential search under a fixed int colour prefix.
+
+    Edge i is placed red, then blue, after edges 0..i-1. A placement is cut
+    when it completes a monochromatic target, or when some edge permutation
+    ``pi`` from ``_edge_perms`` makes the colouring lex-larger than its image
+    ``col[pi[0]], col[pi[1]], ...`` at the first determined difference: no
+    completion is then the lex-least surviving colouring. The scan for each
+    permutation is incremental: it waits on the edge ``max(j, pi[j])`` where
+    it stopped, and placing edge i resumes only the scans waiting on i.
 
     Returns (status, witness colour tuple or None, nodes explored).
     """
     edges = g.edges()
     m = len(edges)
     n = g.n
-    radj = [0] * n
-    badj = [0] * n
-    red_chk = _through_edge_checker(red)
-    blue_chk = _through_edge_checker(blue)
+    adj = ([0] * n, [0] * n)  # red and blue adjacency, indexed by int colour
+    checks = (_through_edge_checker(red), _through_edge_checker(blue))
     sym = red == blue
-    colours: list[Colour | None] = [None] * m
-
+    col = [_RED] * m
+    max_nodes = opts.max_nodes
     deadline = time.monotonic() + opts.max_seconds if opts.max_seconds is not None else None
-    nodes = 0
 
-    def place(i: int, col: Colour) -> bool:
+    # watch[w] holds (pi, j): the scan of pi stopped at position j, w = max(j, pi[j])
+    watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
+    for pi in _edge_perms(g):
+        watch[pi[0]].append((pi, 0))
+    trail: list[tuple[list, list[int]] | None] = [None] * m
+
+    def advance(i: int) -> bool:
+        """Resume the scans waiting on edge i; False (state unchanged) when
+        one finds a lex-smaller image, else the undo record goes to trail[i]."""
+        pending = watch[i]
+        watch[i] = []
+        moved: list[int] = []
+        for pi, j in pending:
+            while True:
+                k = pi[j]
+                w = j if j > k else k
+                if w > i:
+                    watch[w].append((pi, j))
+                    moved.append(w)
+                    break
+                a, b = col[j], col[k]
+                if b < a:
+                    for w in reversed(moved):
+                        watch[w].pop()
+                    watch[i] = pending
+                    return False
+                if b > a:
+                    break
+                j += 1
+                if j == m:
+                    break
+        trail[i] = (pending, moved)
+        return True
+
+    def retreat(i: int) -> None:
+        pending, moved = trail[i]
+        for w in reversed(moved):
+            watch[w].pop()
+        watch[i] = pending
+        trail[i] = None
+
+    for i, c in enumerate(prefix):
         u, v = edges[i]
-        if col is Colour.RED:
-            radj[u] |= 1 << v
-            radj[v] |= 1 << u
-            ok = not red_chk(radj, u, v)
-        else:
-            badj[u] |= 1 << v
-            badj[v] |= 1 << u
-            ok = not blue_chk(badj, u, v)
-        colours[i] = col
-        return ok
-
-    def unplace(i: int) -> None:
-        u, v = edges[i]
-        if colours[i] is Colour.RED:
-            radj[u] &= ~(1 << v)
-            radj[v] &= ~(1 << u)
-        else:
-            badj[u] &= ~(1 << v)
-            badj[v] &= ~(1 << u)
-        colours[i] = None
-
-    for i, col in enumerate(prefix):
-        if not place(i, col):
+        a = adj[c]
+        a[u] |= 1 << v
+        a[v] |= 1 << u
+        col[i] = c
+        if checks[c](a, u, v) or (watch[i] and not advance(i)):
             return _EXHAUSTED, None, 0
 
-    witness: tuple[Colour, ...] | None = None
-
-    def dfs(i: int) -> int:
-        nonlocal nodes, witness
+    nodes = 0
+    start = len(prefix)
+    i, c = start, _RED
+    while True:
         if i == m:
-            witness = tuple(colours)  # canonical: first leaf in lex order
-            return _FOUND
-        cols = (Colour.RED,) if (i == 0 and sym) else (Colour.RED, Colour.BLUE)
-        for col in cols:
-            nodes += 1
-            if opts.max_nodes is not None and nodes > opts.max_nodes:
-                return _BUDGET
-            if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
-                return _BUDGET
-            if place(i, col):
-                r = dfs(i + 1)
-                if r != _EXHAUSTED:
-                    unplace(i)
-                    return r
-            unplace(i)
-        return _EXHAUSTED
-
-    status = dfs(len(prefix))
-    return status, witness, nodes
+            # canonical: the first leaf in lex order
+            return _FOUND, tuple(_COLOURS[x] for x in col), nodes
+        if c > _BLUE or (sym and i == 0 and c == _BLUE):
+            i -= 1
+            if i < start:
+                return _EXHAUSTED, None, nodes
+            if trail[i] is not None:
+                retreat(i)
+            c = col[i]
+            u, v = edges[i]
+            a = adj[c]
+            a[u] &= ~(1 << v)
+            a[v] &= ~(1 << u)
+            c += 1
+            continue
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            return _BUDGET, None, nodes
+        if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
+            return _BUDGET, None, nodes
+        u, v = edges[i]
+        a = adj[c]
+        a[u] |= 1 << v
+        a[v] |= 1 << u
+        col[i] = c
+        if not checks[c](a, u, v) and (not watch[i] or advance(i)):
+            i += 1
+            c = _RED
+            continue
+        a[u] &= ~(1 << v)
+        a[v] &= ~(1 << u)
+        c += 1
 
 
 def _search_task(args):
@@ -496,12 +568,12 @@ def _search_task(args):
     return _dfs_search(g, red, blue, opts, prefix)
 
 
-def _prefixes(depth: int, sym: bool) -> list[tuple[Colour, ...]]:
-    out: list[tuple[Colour, ...]] = [()]
+def _prefixes(depth: int, sym: bool) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [()]
     for level in range(depth):
         nxt = []
         for p in out:
-            cols = (Colour.RED,) if (level == 0 and sym) else (Colour.RED, Colour.BLUE)
+            cols = (_RED,) if (level == 0 and sym) else (_RED, _BLUE)
             for c in cols:
                 nxt.append(p + (c,))
         out = nxt

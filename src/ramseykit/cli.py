@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -80,14 +81,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(text: str, source: str = "--budget") -> float:
+    """Seconds of wall time: a finite number, at least 0. A NaN budget would
+    make every deadline comparison false and so switch the deadline off.
+
+    As the ``--budget`` type it raises ``_UsageError``, which argparse does
+    not catch, so a bad flag and a bad environment variable both end in the
+    JSON usage-error line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise _UsageError(f"{source} must be a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
 def _options(args) -> SearchOptions:
     budget = getattr(args, "budget", None)
     text = os.environ.get(BUDGET_ENV)
     if budget is None and text:
-        try:
-            budget = float(text)
-        except ValueError:
-            raise _UsageError(f"{BUDGET_ENV} must be a number of seconds, got {text!r}") from None
+        budget = _budget(text, BUDGET_ENV)
     return SearchOptions(
         max_nodes=getattr(args, "max_nodes", None),
         max_seconds=budget,
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, budget=True):
         p.add_argument("--no-timing", action="store_true", help="omit timing fields")
         if budget:
-            p.add_argument("--budget", type=float, default=None, help="wall seconds")
+            p.add_argument("--budget", type=_budget, default=None, help="wall seconds")
             p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
             p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -456,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(json.dumps({"error": "usage-error", "message": str(exc)}), file=sys.stderr)

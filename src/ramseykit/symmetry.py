@@ -4,17 +4,19 @@ automorphisms.
 The canonical form of a graph is the lexicographically least column-major
 upper-triangle adjacency bitstring over the vertex orderings that list
 vertices grouped by ascending refinement class; two graphs have equal forms
-iff they are isomorphic. Automorphisms are found by a backtrack that maps
-each vertex only into its own refinement class.
+iff they are isomorphic. A generating set of the automorphism group is found
+level by level, as nauty does, by a backtrack that maps each vertex only into
+its own refinement class; the whole group is its closure.
 """
 from __future__ import annotations
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 
 __all__ = [
     "refine",
     "canonical_key",
     "canonical_graph",
+    "generators",
     "automorphisms",
 ]
 
@@ -25,17 +27,22 @@ def refine(g: Graph) -> list[int]:
     Class ids are ranks of the class signatures, so isomorphic graphs assign
     identical id multisets and corresponding vertices get equal ids.
     """
-    colour = list(g.degrees())
+    return _refine([list(bits(row)) for row in g.adj], g.degrees())
+
+
+def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
+    """Refinement of the colouring ``colour`` of the graph with neighbour
+    lists ``nbrs``, with the ids ranked as in ``refine``."""
+    count = len(set(colour))
     while True:
-        sig = [
-            (colour[v], tuple(sorted(colour[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
+        sig = [(colour[v], tuple(sorted([colour[u] for u in nb]))) for v, nb in enumerate(nbrs)]
         ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colour:
+        colour = [ranks[s] for s in sig]
+        # no class split: the partition is stable, and ranking it once more
+        # would return these ids unchanged
+        if len(ranks) == count:
             return colour
-        colour = new
+        count = len(ranks)
 
 
 def _canonical_columns(g: Graph) -> list[int]:
@@ -128,30 +135,107 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
-def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
-    """Vertex automorphisms of ``g`` as permutation tuples, found by
-    degree-refinement backtracking; at most ``limit`` are returned."""
+def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int, ...] | None:
+    """The first automorphism, in backtrack order, that fixes ``0..v-1`` and
+    maps ``v`` to ``w``, or None when there is none.
+
+    The vertices after ``v`` are mapped one at a time, each into its own
+    refinement class (``cell[x]`` is the mask of x's class), in an order that
+    puts every vertex after as many of its neighbours as possible, so
+    adjacency to mapped vertices cuts the candidates early.
+    """
+    n, adj = g.n, g.adj
+    fixed = (1 << v) - 1
+    if adj[v] & fixed != adj[w] & fixed:
+        return None
+    perm = list(range(n))
+    perm[v] = w
+    order: list[int] = []
+    placed = fixed | (1 << v)
+    rest = list(range(v + 1, n))
+    while rest:
+        x = max(rest, key=lambda y: (adj[y] & placed).bit_count())
+        rest.remove(x)
+        order.append(x)
+        placed |= 1 << x
+
+    def rec(t: int, dom: int, img: int) -> bool:
+        if t == len(order):
+            return True
+        x = order[t]
+        target = mask_of(perm[u] for u in bits(adj[x] & dom))
+        for y in bits(cell[x] & ~img):
+            if adj[y] & img == target:
+                perm[x] = y
+                if rec(t + 1, dom | (1 << x), img | (1 << y)):
+                    return True
+        return False
+
+    if rec(0, fixed | (1 << v), fixed | (1 << w)):
+        return tuple(perm)
+    return None
+
+
+def generators(g: Graph) -> list[tuple[int, ...]]:
+    """A generating set of Aut(g) as vertex permutation tuples.
+
+    Level ``v`` works in the refinement of ``g`` with ``0..v-1``
+    individualised; every automorphism fixing ``0..v-1`` keeps its classes.
+    Levels run from the deepest non-discrete one to vertex 0. At level ``v``
+    the generators found so far fix ``0..v-1``; for every ``w > v`` in v's
+    class that is not yet in the orbit of ``v`` under them, the first
+    automorphism fixing ``0..v-1`` and mapping ``v`` to ``w`` is kept. By the
+    Schreier argument the kept permutations then generate the stabiliser of
+    ``0..v-1`` at every level, and at level 0 the whole group.
+    """
     n = g.n
-    colour = refine(g)
+    nbrs = [list(bits(row)) for row in g.adj]
+    levels: list[list[int]] = []
+    colour = _refine(nbrs, g.degrees())
+    while len(set(colour)) < n:  # a discrete level has a trivial stabiliser
+        levels.append(colour)
+        colour = list(colour)
+        colour[len(levels) - 1] = n  # individualise: ranks are below n
+        colour = _refine(nbrs, colour)
+    orbit = list(range(n))  # union-find over vertex orbits
+
+    def find(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
     out: list[tuple[int, ...]] = []
-    perm: list[int] = [-1] * n
-    used = [False] * n
-
-    def rec(v: int) -> None:
-        if len(out) >= limit:
-            return
-        if v == n:
-            out.append(tuple(perm))
-            return
-        for w in range(n):
-            if used[w] or colour[w] != colour[v]:
+    for v in range(len(levels) - 1, -1, -1):
+        colour = levels[v]
+        masks: dict[int, int] = {}
+        for x, c in enumerate(colour):
+            masks[c] = masks.get(c, 0) | (1 << x)
+        cell = [masks[c] for c in colour]
+        for w in bits(cell[v] >> (v + 1) << (v + 1)):
+            if find(w) == find(v):
                 continue
-            if any(g.has_edge(u, v) != g.has_edge(perm[u], w) for u in range(v)):
+            sigma = _first_automorphism(g, cell, v, w)
+            if sigma is None:
                 continue
-            perm[v] = w
-            used[w] = True
-            rec(v + 1)
-            used[w] = False
+            out.append(sigma)
+            for x in range(n):
+                orbit[find(x)] = find(sigma[x])
+    return out
 
-    rec(0)
+
+def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
+    """Vertex automorphisms of ``g`` as permutation tuples, the identity first:
+    the closure of ``generators(g)`` under composition, cut off at ``limit``."""
+    gens = generators(g)
+    out = [tuple(range(g.n))][:limit]
+    seen = set(out)
+    for p in out:  # grows while it is read: a breadth-first closure
+        for s in gens:
+            if len(out) >= limit:
+                return out
+            q = tuple(s[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
     return out

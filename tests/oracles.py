@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to compute expected test values.
 
 These deliberately avoid the library's algorithms: subsets are enumerated
-directly, girth is computed by per-vertex BFS, and arrowing is decided by
-checking every one of the 2^m colourings against precomputed copy masks.
+directly, girth is computed by per-vertex BFS, arrowing and witnesses are
+decided by checking every one of the 2^m colourings against precomputed copy
+masks, and automorphisms by trying every one of the n! vertex permutations.
 """
 from itertools import combinations
 
 from ramseykit.graphs import Graph
-from ramseykit.patterns import Clique, CliquePendant
+from ramseykit.patterns import Clique, CliquePendant, Colour
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -96,3 +97,57 @@ def naive_arrows(g: Graph, red, blue) -> bool:
             continue
         return False  # witness found
     return True
+
+
+def naive_witness(g: Graph, red, blue):
+    """The lex-first colouring, edges in sorted order and red before blue,
+    with no red copy of ``red`` and no blue copy of ``blue``; None if every
+    colouring has one."""
+    m = g.num_edges
+
+    def top_first(cm: int) -> int:  # edge i moves to bit m-1-i
+        return sum(1 << (m - 1 - i) for i in range(m) if (cm >> i) & 1)
+
+    red_masks = [top_first(cm) for cm in copy_edge_masks(g, red)]
+    blue_masks = [top_first(cm) for cm in copy_edge_masks(g, blue)]
+    full = (1 << m) - 1
+    # x is the set of blue edges with edge 0 as the top bit, so counting up
+    # walks the colourings in lex order
+    for x in range(1 << m):
+        reds = full & ~x
+        if any(cm & reds == cm for cm in red_masks):
+            continue
+        if any(cm & x == cm for cm in blue_masks):
+            continue
+        return tuple(
+            Colour.BLUE if (x >> (m - 1 - i)) & 1 else Colour.RED for i in range(m)
+        )
+    return None
+
+
+def preserves_adjacency(g: Graph, perm) -> bool:
+    """Is the vertex permutation ``perm`` an automorphism of ``g``?"""
+    return sorted(perm) == list(range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of the n! vertex permutations that preserve adjacency. A
+    permutation prefix that already breaks adjacency is dropped together
+    with its extensions, which keeps the Petersen graph's 10! in reach."""
+
+    def count(perm: list[int]) -> int:
+        v = len(perm)
+        if v == g.n:
+            return 1
+        total = 0
+        for w in range(g.n):
+            if w in perm:
+                continue
+            if all(g.has_edge(u, v) == g.has_edge(perm[u], w) for u in range(v)):
+                total += count(perm + [w])
+        return total
+
+    return count([])

@@ -20,6 +20,7 @@ from ramseykit.arrowing import (
 )
 from ramseykit.errors import InputError
 from ramseykit.graphs import Graph
+from ramseykit.minimal import enumerate_graphs
 from ramseykit.patterns import (
     Arbitrary,
     Clique,
@@ -29,8 +30,42 @@ from ramseykit.patterns import (
     largest_component_size,
     parse_pattern,
 )
+from ramseykit.symmetry import generators
 
-from oracles import naive_arrows
+from oracles import (
+    brute_automorphism_count,
+    naive_arrows,
+    naive_witness,
+    preserves_adjacency,
+)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run pool tasks inline, so no process starts; yields the pool sizes
+    asked for."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(arrowing, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
 
 
 def two_five_cycles() -> EdgeColouring:
@@ -222,36 +257,14 @@ class TestSearchModes:
             assert par.outcome is seq.outcome
             assert par.witness == seq.witness
 
-    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
-        # an inline executor records the pool size, so no process starts
-        sizes = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", InlineExecutor)
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch, inline_pool):
         monkeypatch.setattr(arrowing.os, "cpu_count", lambda: 2)
         for g in (Graph.complete(5), Graph.complete(6)):
             seq = arrows(g, Clique(3), Clique(3))
             par = arrows(g, Clique(3), Clique(3), SearchOptions(workers=64))
             assert par.outcome is seq.outcome
             assert par.witness == seq.witness
-        assert sizes == [2, 2]
+        assert inline_pool == [2, 2]
 
     def test_automorphism_count(self):
         assert len(automorphisms(Graph.complete(4))) == 24
@@ -259,6 +272,80 @@ class TestSearchModes:
         assert len(automorphisms(Graph.path(3))) == 2
         # 3-regular: refinement leaves one cell, so the backtrack does the work
         assert len(automorphisms(Graph.petersen())) == 120
+
+    def test_generators_match_brute_force(self):
+        assert len(generators(Graph.complete(6))) == 5
+        assert len(generators(Graph.petersen())) == 4
+        rng = random.Random(53)
+        corpus = [Graph.petersen()]
+        for g in enumerate_graphs(6):
+            # the canonical labelling and a shuffled one
+            relabel = list(range(g.n))
+            rng.shuffle(relabel)
+            shuffled = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges()])
+            corpus += [g, shuffled]
+        for g in corpus:
+            assert all(preserves_adjacency(g, s) for s in generators(g)), g.edges()
+            count = brute_automorphism_count(g)
+            assert len(automorphisms(g, limit=count + 1)) == count, g.edges()
+
+
+class TestWitnessDifferential:
+    """Verdicts and canonical witnesses equal the brute-force lex-first
+    colouring, with symmetry breaking on and off and with the prefix split."""
+
+    @pytest.fixture(params=["as-is", "no-symmetry", "inline-workers"])
+    def opts(self, request, monkeypatch, inline_pool):
+        if request.param == "no-symmetry":
+            monkeypatch.setattr(arrowing, "generators", lambda g: [])
+        return SearchOptions(workers=4 if request.param == "inline-workers" else 1)
+
+    @pytest.mark.parametrize(
+        "red, blue",
+        [
+            (Clique(3), Clique(3)),
+            (CliquePendant(3), CliquePendant(3)),
+            (Clique(3), CliquePendant(3)),
+        ],
+        ids=str,
+    )
+    def test_against_naive_witness(self, opts, red, blue):
+        for g in enumerate_graphs(6):
+            expected = naive_witness(g, red, blue)
+            verdict = arrows(g, red, blue, opts)
+            got = None if verdict.witness is None else verdict.witness.colours
+            assert verdict.outcome is (Outcome.ARROW if expected is None else Outcome.NOT_ARROW)
+            assert got == expected, g.edges()
+
+    def test_non_leader_prefix_is_exhausted_at_once(self):
+        # K4 edges 01, 02, 03 coloured red, blue, red: swapping vertices 2
+        # and 3 gives red, red, blue, which is lex-smaller
+        status, witness, nodes = arrowing._dfs_search(
+            Graph.complete(4), Clique(3), Clique(3), SearchOptions(), (0, 1, 0)
+        )
+        assert (status, witness, nodes) == (arrowing._EXHAUSTED, None, 0)
+
+    def test_real_pool_on_k8(self, monkeypatch):
+        par = arrows(Graph.complete(8), Clique(3), Clique(4), SearchOptions(workers=2))
+        monkeypatch.setattr(arrowing, "generators", lambda g: [])
+        plain = arrows(Graph.complete(8), Clique(3), Clique(4))
+        assert par.outcome is plain.outcome is Outcome.NOT_ARROW
+        assert par.witness == plain.witness
+
+
+class TestNodeCounts:
+    """Node counts repeat exactly; these bounds fail when symmetry breaking
+    stops pruning (without it: 29,196,464 and 1,259,744 nodes)."""
+
+    def test_k9_arrows_k3_k4(self):
+        verdict = arrows(Graph.complete(9), Clique(3), Clique(4))
+        assert verdict.outcome is Outcome.ARROW
+        assert verdict.nodes <= 20_000
+
+    def test_ramsey_k3_2k3(self):
+        rep = ramsey_number(Clique(3), CliquePlusCliques(3, 1, 3))
+        assert rep.n == 8
+        assert rep.nodes <= 10_000
 
 
 class TestEpsilonArrows:

@@ -89,6 +89,25 @@ class TestRamseyCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "usage-error"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5"])
+    def test_budget_not_finite_or_negative(self, files, capsys, monkeypatch, value):
+        # a NaN deadline compares false forever, so the search would never stop
+        for env, argv in ((value, []), (None, ["--budget", value])):
+            if env is None:
+                monkeypatch.delenv("RAMSEYKIT_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("RAMSEYKIT_BUDGET", env)
+            code = main(["ramsey", "--red", "K4", "--blue", "K4", "--no-timing"] + argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "usage-error"
+
+    def test_zero_budget_flag_is_valid(self, files, capsys):
+        code, out = run(capsys, ["ramsey", "--red", "K4", "--blue", "K4", "--no-timing", "--budget", "0"])
+        assert code == 10
+        assert json.loads(out)["decided"] is False
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, files, capsys, value):
         with pytest.raises(SystemExit) as exc:

@@ -10,16 +10,14 @@ difference (lex-leader symmetry breaking). The surviving colourings are
 closed under Aut(G) and, for equal targets, under the colour swap, so their
 least member is no larger than any of its images: neither rule cuts it, and
 neither changes the verdict or the canonical witness. Budgets produce an
-explicit UNDECIDED outcome, never a guess. Parallel mode splits the tree on a
-colour prefix and reduces subtree results in lexicographic order, so it
-returns the same verdict and the same witness as the single-worker search.
+explicit UNDECIDED outcome, never a guess. A time budget covers the whole
+call: functions that decide several instances give each one only the time
+that is left.
 """
 from __future__ import annotations
 
 import enum
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -407,7 +405,25 @@ class ArrowingVerdict:
 class SearchOptions:
     max_nodes: int | None = None
     max_seconds: float | None = None
-    workers: int = 1
+
+
+def _deadline(seconds: float | None) -> float | None:
+    """The ``time.monotonic()`` value ``seconds`` from now; None for no limit."""
+    return None if seconds is None else time.monotonic() + seconds
+
+
+def _time_left(opts: SearchOptions, deadline: float | None) -> SearchOptions | None:
+    """``opts`` for one inner call of a run that must end by ``deadline``:
+    ``max_seconds`` cut to the time left, or None once none is left. Without
+    a deadline, ``opts`` itself."""
+    if deadline is None:
+        return opts
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return None
+    if opts.max_seconds is not None and opts.max_seconds <= remaining:
+        return opts
+    return replace(opts, max_seconds=remaining)
 
 
 _FOUND, _EXHAUSTED, _BUDGET = 0, 1, 2
@@ -450,9 +466,8 @@ def _dfs_search(
     red: TargetPattern,
     blue: TargetPattern,
     opts: SearchOptions,
-    prefix: tuple[int, ...] = (),
 ) -> tuple[int, tuple[Colour, ...] | None, int]:
-    """Core sequential search under a fixed int colour prefix.
+    """Exhaustive search over the edges in order, on int colours.
 
     Edge i is placed red, then blue, after edges 0..i-1. A placement is cut
     when it completes a monochromatic target, or when some edge permutation
@@ -472,7 +487,7 @@ def _dfs_search(
     sym = red == blue
     col = [_RED] * m
     max_nodes = opts.max_nodes
-    deadline = time.monotonic() + opts.max_seconds if opts.max_seconds is not None else None
+    deadline = _deadline(opts.max_seconds)
 
     # watch[w] holds (pi, j): the scan of pi stopped at position j, w = max(j, pi[j])
     watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
@@ -515,25 +530,15 @@ def _dfs_search(
         watch[i] = pending
         trail[i] = None
 
-    for i, c in enumerate(prefix):
-        u, v = edges[i]
-        a = adj[c]
-        a[u] |= 1 << v
-        a[v] |= 1 << u
-        col[i] = c
-        if checks[c](a, u, v) or (watch[i] and not advance(i)):
-            return _EXHAUSTED, None, 0
-
     nodes = 0
-    start = len(prefix)
-    i, c = start, _RED
+    i, c = 0, _RED
     while True:
         if i == m:
             # canonical: the first leaf in lex order
             return _FOUND, tuple(_COLOURS[x] for x in col), nodes
         if c > _BLUE or (sym and i == 0 and c == _BLUE):
             i -= 1
-            if i < start:
+            if i < 0:
                 return _EXHAUSTED, None, nodes
             if trail[i] is not None:
                 retreat(i)
@@ -563,23 +568,6 @@ def _dfs_search(
         c += 1
 
 
-def _search_task(args):
-    g, red, blue, opts, prefix = args
-    return _dfs_search(g, red, blue, opts, prefix)
-
-
-def _prefixes(depth: int, sym: bool) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for level in range(depth):
-        nxt = []
-        for p in out:
-            cols = (_RED,) if (level == 0 and sym) else (_RED, _BLUE)
-            for c in cols:
-                nxt.append(p + (c,))
-        out = nxt
-    return out
-
-
 def arrows(
     g: Graph,
     red: TargetPattern,
@@ -597,33 +585,6 @@ def arrows(
 
     if _edgeless_arrow(g, red) or _edgeless_arrow(g, blue):
         return ArrowingVerdict(Outcome.ARROW, None, 0, time.monotonic() - start)
-
-    m = g.num_edges
-    if opts.workers > 1 and m >= 4:
-        depth = min(m, max(1, (4 * opts.workers - 1).bit_length()))
-        tasks = [(g, red, blue, replace(opts, workers=1), p) for p in _prefixes(depth, red == blue)]
-        nodes = 0
-        # the split depends on opts.workers only, so results do not depend on
-        # the host; the pool never exceeds the CPU count
-        pool_size = min(opts.workers, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(_search_task, t) for t in tasks]
-            try:
-                for fut in futures:
-                    status, wit, task_nodes = fut.result()
-                    nodes += task_nodes
-                    if status == _FOUND:
-                        witness = EdgeColouring(g, wit)
-                        return ArrowingVerdict(
-                            Outcome.NOT_ARROW, witness, nodes, time.monotonic() - start
-                        )
-                    if status == _BUDGET:
-                        return ArrowingVerdict(
-                            Outcome.UNDECIDED, None, nodes, time.monotonic() - start
-                        )
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        return ArrowingVerdict(Outcome.ARROW, None, nodes, time.monotonic() - start)
 
     status, wit, nodes = _dfs_search(g, red, blue, opts)
     elapsed = time.monotonic() - start
@@ -664,15 +625,15 @@ def epsilon_arrows(
     if not 0 < eps <= 1:
         raise InputError("eps must lie in (0, 1]")
     size = ceil(eps * f.n)
-    deadline = None
-    if opts is not None and opts.max_seconds is not None:
-        deadline = time.monotonic() + opts.max_seconds
+    opts = opts or SearchOptions()
+    deadline = _deadline(opts.max_seconds)
     checked = 0
     for subset in combinations(range(f.n), size):
-        if deadline is not None and time.monotonic() > deadline:
+        sub_opts = _time_left(opts, deadline)
+        if sub_opts is None:
             return EpsilonReport(None, size, None, checked)
         sub = induced_subgraph(f, subset)
-        verdict = arrows(sub, p, p, opts)
+        verdict = arrows(sub, p, p, sub_opts)
         checked += 1
         if verdict.outcome is Outcome.UNDECIDED:
             return EpsilonReport(None, size, None, checked)
@@ -702,17 +663,14 @@ def ramsey_number(
     Increments n starting from the largest component size of either pattern;
     on budget exhaustion reports the last resolved order."""
     opts = opts or SearchOptions()
-    deadline = time.monotonic() + opts.max_seconds if opts.max_seconds is not None else None
+    deadline = _deadline(opts.max_seconds)
     n = max(1, largest_component_size(red), largest_component_size(blue))
     nodes = 0
     resolved = n - 1
     while True:
-        sub_opts = opts
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return RamseyNumberReport(None, False, resolved, nodes)
-            sub_opts = replace(opts, max_seconds=remaining)
+        sub_opts = _time_left(opts, deadline)
+        if sub_opts is None:
+            return RamseyNumberReport(None, False, resolved, nodes)
         verdict = arrows(Graph.complete(n), red, blue, sub_opts)
         nodes += verdict.nodes
         if verdict.outcome is Outcome.UNDECIDED:

@@ -21,6 +21,8 @@ from . import cnf as cnfmod
 from .arrowing import (
     Outcome,
     SearchOptions,
+    _deadline,
+    _time_left,
     arrows,
     ramsey_number,
     read_colouring,
@@ -74,13 +76,6 @@ class _UsageError(Exception):
     variable."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _budget(text: str, source: str = "--budget") -> float:
     """Seconds of wall time: a finite number, at least 0. A NaN budget would
     make every deadline comparison false and so switch the deadline off.
@@ -105,7 +100,6 @@ def _options(args) -> SearchOptions:
     return SearchOptions(
         max_nodes=getattr(args, "max_nodes", None),
         max_seconds=budget,
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -161,6 +155,7 @@ def _cmd_minimal(args) -> int:
     g = _load_graph(args.graph)
     p = _pattern(args.pattern)
     opts = _options(args)
+    deadline = _deadline(opts.max_seconds)
     report = is_minimal(g, p, opts)
     payload = {
         "pattern": pattern_text(p),
@@ -171,7 +166,10 @@ def _cmd_minimal(args) -> int:
         "isolated_vertices": list(report.isolated_vertices),
     }
     if args.minimalize and report.decided and report.is_ramsey:
-        reduced = minimalize(g, p, opts)
+        rest = _time_left(opts, deadline)
+        if rest is None:
+            raise Undecided("budget spent before minimalization")
+        reduced = minimalize(g, p, rest)
         payload["minimalized_graph6"] = graph6_encode(reduced)
     _emit(payload, args)
     return EXIT_OK if report.decided else EXIT_UNDECIDED
@@ -183,11 +181,12 @@ def _cmd_survey(args) -> int:
     if args.graphs:
         lines = Path(args.graphs).read_text().splitlines()
         graphs = [graph6_decode(ln.strip()) for ln in lines if ln.strip()]
+    opts = _options(args)
     survey = degree_survey(
         p,
         args.nmax,
-        max_seconds=args.budget,
-        opts=_options(args),
+        max_seconds=opts.max_seconds,
+        opts=opts,
         graphs=graphs,
         r_value=args.r_value,
     )
@@ -199,9 +198,8 @@ def _cmd_survey(args) -> int:
 def _cmd_distinguish(args) -> int:
     h1 = _pattern(args.h1)
     h2 = _pattern(args.h2)
-    report = distinguish(
-        h1, h2, args.nmax, max_seconds=args.budget, opts=_options(args)
-    )
+    opts = _options(args)
+    report = distinguish(h1, h2, args.nmax, max_seconds=opts.max_seconds, opts=opts)
     payload = {
         "h1": pattern_text(h1),
         "h2": pattern_text(h2),
@@ -211,6 +209,8 @@ def _cmd_distinguish(args) -> int:
         "graphs_checked": report.graphs_checked,
     }
     _emit(payload, args)
+    if report.graph is None and not report.complete:
+        return EXIT_UNDECIDED
     return EXIT_OK
 
 
@@ -245,14 +245,19 @@ def _cmd_gadget(args) -> int:
         fs = [_load_graph(path) for path in args.blocks]
         r_value = args.r_value
         r_source = "supplied"
+        opts = _options(args)
+        deadline = _deadline(opts.max_seconds)
         if r_value is None:
-            rep = ramsey_number(Clique(args.k), Clique(args.k - args.t + 1), _options(args))
+            rep = ramsey_number(Clique(args.k), Clique(args.k - args.t + 1), opts)
             if not rep.decided:
                 raise Undecided("Ramsey number computation exceeded its budget")
             r_value = rep.n
             r_source = "computed"
         params = schedule_params(args.k, args.t, r_value, [f.n for f in fs], r_source)
-        bg = build_product(params, g0, fs, strict=args.strict, opts=_options(args))
+        rest = _time_left(opts, deadline)
+        if args.strict and rest is None:
+            raise Undecided("budget spent before the block certification")
+        bg = build_product(params, g0, fs, strict=args.strict, opts=rest)
         payload = {
             "gadget": "product",
             "k": args.k,
@@ -363,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=_budget, default=None, help="wall seconds")
             p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
-            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("arrow", help="decide arrowing for one graph")
     p.add_argument("graph")

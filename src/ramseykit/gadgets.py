@@ -21,7 +21,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import EdgeColouring, SearchOptions, _to_fraction, epsilon_arrows
+from .arrowing import (
+    EdgeColouring,
+    SearchOptions,
+    _deadline,
+    _time_left,
+    _to_fraction,
+    epsilon_arrows,
+)
 from .errors import InfeasibleError, InputError
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -442,9 +449,14 @@ def build_product(
                 f"block {j + 1} contains a K_{params.t}; blocks must be K_{params.t}-free"
             )
     if strict:
+        opts = opts or SearchOptions()
+        deadline = _deadline(opts.max_seconds)
         for j, f in enumerate(fs):
-            rep = epsilon_arrows(f, Clique(params.t - 1), params.eps_schedule[j], opts)
-            if rep.holds is None:
+            sub_opts = _time_left(opts, deadline)
+            rep = None if sub_opts is None else epsilon_arrows(
+                f, Clique(params.t - 1), params.eps_schedule[j], sub_opts
+            )
+            if rep is None or rep.holds is None:
                 raise InputError(
                     f"block {j + 1} shrink certification undecided within budget"
                 )

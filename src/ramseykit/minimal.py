@@ -9,12 +9,11 @@ the searched order range; no claim is made beyond it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .arrowing import Outcome, SearchOptions, arrows, find_pattern
+from .arrowing import Outcome, SearchOptions, _deadline, _time_left, arrows, find_pattern
 from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, components, induced_subgraph
@@ -91,8 +90,11 @@ def is_minimal(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
     """Check that ``g`` arrows ``p`` while no proper subgraph does.
 
     Edge deletions suffice by monotonicity; isolated vertices violate
-    vertex-minimality on their own.
+    vertex-minimality on their own. A time budget in ``opts`` covers all the
+    ``arrows`` calls together.
     """
+    opts = opts or SearchOptions()
+    deadline = _deadline(opts.max_seconds)
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
@@ -101,7 +103,10 @@ def is_minimal(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
         return MinimalityReport(g, p, True, False, False, None, isolated)
     failing = None
     for u, v in g.edges():
-        sub = arrows(g.without_edge(u, v), p, p, opts)
+        sub_opts = _time_left(opts, deadline)
+        if sub_opts is None:
+            return MinimalityReport(g, p, False, True, False, None, isolated)
+        sub = arrows(g.without_edge(u, v), p, p, sub_opts)
         if sub.outcome is Outcome.UNDECIDED:
             return MinimalityReport(g, p, False, True, False, None, isolated)
         if sub.outcome is Outcome.ARROW:
@@ -116,7 +121,10 @@ def minimalize(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
     whenever arrowing survives, then drop isolated vertices.
 
     One pass suffices: an edge whose deletion broke arrowing once can never
-    become deletable after further deletions (monotonicity)."""
+    become deletable after further deletions (monotonicity). A time budget in
+    ``opts`` covers all the ``arrows`` calls together."""
+    opts = opts or SearchOptions()
+    deadline = _deadline(opts.max_seconds)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
         raise Undecided("arrowing of the input graph undecided within budget")
@@ -126,8 +134,9 @@ def minimalize(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
     for u, v in g.edges():
         if not cur.has_edge(u, v):
             continue
-        sub = arrows(cur.without_edge(u, v), p, p, opts)
-        if sub.outcome is Outcome.UNDECIDED:
+        sub_opts = _time_left(opts, deadline)
+        sub = None if sub_opts is None else arrows(cur.without_edge(u, v), p, p, sub_opts)
+        if sub is None or sub.outcome is Outcome.UNDECIDED:
             raise Undecided(f"deletion of edge ({u}, {v}) undecided within budget")
         if sub.outcome is Outcome.ARROW:
             cur = cur.without_edge(u, v)
@@ -197,11 +206,13 @@ def degree_survey(
         lower_bound=2 * delta_h - 1,
         upper_bound=None if r_value is None else r_value - 1,
     )
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    opts = opts or SearchOptions()
+    deadline = _deadline(max_seconds)
     min_edges = 2 * pattern_num_edges(p) - 1
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:
-        if deadline is not None and time.monotonic() > deadline:
+        sub_opts = _time_left(opts, deadline)
+        if sub_opts is None:
             survey.complete = False
             break
         if g.n > n_max:
@@ -213,7 +224,7 @@ def degree_survey(
             continue  # a colouring can halve the edges, so arrowing is impossible
         if find_pattern(g, p) is None:
             continue  # the all-red colouring would already be a witness
-        report = is_minimal(g, p, opts)
+        report = is_minimal(g, p, sub_opts)
         if not report.decided:
             survey.complete = False
             continue
@@ -263,25 +274,28 @@ def distinguish(
     """
     if h1 == h2:
         return DistinguishReport(None, True, 0)
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    opts = opts or SearchOptions()
+    deadline = _deadline(max_seconds)
     checked = 0
     complete = True
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:
-        if deadline is not None and time.monotonic() > deadline:
+        sub_opts = _time_left(opts, deadline)
+        if sub_opts is None:
             complete = False
             break
         if g.n > n_max:
             continue
         checked += 1
-        v1 = arrows(g, h1, h1, opts)
+        v1 = arrows(g, h1, h1, sub_opts)
         if v1.outcome is Outcome.UNDECIDED:
             complete = False
             continue
         if v1.outcome is not Outcome.ARROW:
             continue
-        v2 = arrows(g, h2, h2, opts)
-        if v2.outcome is Outcome.UNDECIDED:
+        sub_opts = _time_left(opts, deadline)
+        v2 = None if sub_opts is None else arrows(g, h2, h2, sub_opts)
+        if v2 is None or v2.outcome is Outcome.UNDECIDED:
             complete = False
             continue
         if v2.outcome is Outcome.NOT_ARROW:

@@ -1,5 +1,4 @@
 import random
-from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,34 +37,6 @@ from oracles import (
     naive_witness,
     preserves_adjacency,
 )
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Run pool tasks inline, so no process starts; yields the pool sizes
-    asked for."""
-    sizes = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(arrowing, "ProcessPoolExecutor", InlineExecutor)
-    return sizes
 
 
 def two_five_cycles() -> EdgeColouring:
@@ -250,22 +221,6 @@ class TestOracleEquivalence:
 
 
 class TestSearchModes:
-    def test_parallel_agrees_with_sequential(self):
-        for g in (Graph.complete(5), Graph.complete(6)):
-            seq = arrows(g, Clique(3), Clique(3))
-            par = arrows(g, Clique(3), Clique(3), SearchOptions(workers=2))
-            assert par.outcome is seq.outcome
-            assert par.witness == seq.witness
-
-    def test_pool_is_capped_at_cpu_count(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(arrowing.os, "cpu_count", lambda: 2)
-        for g in (Graph.complete(5), Graph.complete(6)):
-            seq = arrows(g, Clique(3), Clique(3))
-            par = arrows(g, Clique(3), Clique(3), SearchOptions(workers=64))
-            assert par.outcome is seq.outcome
-            assert par.witness == seq.witness
-        assert inline_pool == [2, 2]
-
     def test_automorphism_count(self):
         assert len(automorphisms(Graph.complete(4))) == 24
         assert len(automorphisms(Graph.cycle(5))) == 10
@@ -292,13 +247,13 @@ class TestSearchModes:
 
 class TestWitnessDifferential:
     """Verdicts and canonical witnesses equal the brute-force lex-first
-    colouring, with symmetry breaking on and off and with the prefix split."""
+    colouring, with symmetry breaking on and off."""
 
-    @pytest.fixture(params=["as-is", "no-symmetry", "inline-workers"])
-    def opts(self, request, monkeypatch, inline_pool):
+    @pytest.fixture(params=["as-is", "no-symmetry"])
+    def opts(self, request, monkeypatch):
         if request.param == "no-symmetry":
             monkeypatch.setattr(arrowing, "generators", lambda g: [])
-        return SearchOptions(workers=4 if request.param == "inline-workers" else 1)
+        return SearchOptions()
 
     @pytest.mark.parametrize(
         "red, blue",
@@ -316,21 +271,6 @@ class TestWitnessDifferential:
             got = None if verdict.witness is None else verdict.witness.colours
             assert verdict.outcome is (Outcome.ARROW if expected is None else Outcome.NOT_ARROW)
             assert got == expected, g.edges()
-
-    def test_non_leader_prefix_is_exhausted_at_once(self):
-        # K4 edges 01, 02, 03 coloured red, blue, red: swapping vertices 2
-        # and 3 gives red, red, blue, which is lex-smaller
-        status, witness, nodes = arrowing._dfs_search(
-            Graph.complete(4), Clique(3), Clique(3), SearchOptions(), (0, 1, 0)
-        )
-        assert (status, witness, nodes) == (arrowing._EXHAUSTED, None, 0)
-
-    def test_real_pool_on_k8(self, monkeypatch):
-        par = arrows(Graph.complete(8), Clique(3), Clique(4), SearchOptions(workers=2))
-        monkeypatch.setattr(arrowing, "generators", lambda g: [])
-        plain = arrows(Graph.complete(8), Clique(3), Clique(4))
-        assert par.outcome is plain.outcome is Outcome.NOT_ARROW
-        assert par.witness == plain.witness
 
 
 class TestNodeCounts:
@@ -365,6 +305,26 @@ class TestEpsilonArrows:
     def test_eps_out_of_range(self):
         with pytest.raises(InputError):
             epsilon_arrows(Graph.cycle(5), Clique(2), 0)
+
+    def test_budget_covers_all_subsets(self, monkeypatch):
+        seen = []
+        real = arrowing.arrows
+
+        def spy(g, red, blue, opts=None):
+            seen.append(opts.max_seconds)
+            return real(g, red, blue, opts)
+
+        monkeypatch.setattr(arrowing, "arrows", spy)
+        # the 7 subsets of size 6 are all K6, which arrows K3
+        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), SearchOptions(max_seconds=60))
+        assert rep.holds is True and len(seen) == 7
+        assert seen[0] <= 60
+        assert all(b <= a for a, b in zip(seen, seen[1:]))
+        assert seen[-1] < seen[0]
+
+    def test_spent_budget_is_undecided(self):
+        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), SearchOptions(max_seconds=0))
+        assert rep.holds is None and rep.subsets_checked == 0
 
 
 class TestRamseyNumber:

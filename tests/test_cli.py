@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.arrowing import read_colouring
 from ramseykit.cli import main
 from ramseykit.formats import graph6_encode, read_hypergraph
@@ -108,12 +109,6 @@ class TestRamseyCommand:
         assert code == 10
         assert json.loads(out)["decided"] is False
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_workers_below_one_is_usage_error(self, files, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["ramsey", "--red", "K3", "--blue", "K3", "--workers", value])
-        assert exc.value.code == 2
-
 
 class TestFilePatterns:
     def test_arbitrary_pattern_from_file(self, files, capsys):
@@ -137,6 +132,24 @@ class TestMinimalCommand:
         doc = json.loads(out)
         assert doc["is_ramsey"] and doc["is_minimal"]
 
+    def test_minimalize_gets_only_the_time_left(self, files, capsys, monkeypatch):
+        seen = []
+        real = cli.minimalize
+
+        def spy(g, p, opts=None):
+            seen.append(opts.max_seconds)
+            return real(g, p, opts)
+
+        monkeypatch.setattr(cli, "minimalize", spy)
+        code, out = run(
+            capsys,
+            ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
+             "--budget", "60", "--no-timing"],
+        )
+        assert code == 0
+        assert json.loads(out)["minimalized_graph6"] == graph6_encode(Graph.complete(6))
+        assert len(seen) == 1 and seen[0] < 60
+
 
 class TestSurveyCommand:
     def test_single_edge(self, files, capsys):
@@ -145,6 +158,12 @@ class TestSurveyCommand:
         lines = [json.loads(ln) for ln in out.splitlines()]
         assert lines[0]["graph6"] == "A_"
         assert lines[-1]["summary"] and lines[-1]["min_delta"] == 1
+
+    def test_env_var_budget_caps_the_survey(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "0")
+        code, out = run(capsys, ["survey", "--pattern", "K3", "--nmax", "6"])
+        assert code == 10
+        assert json.loads(out.splitlines()[-1])["complete"] is False
 
 
 class TestDistinguishCommand:
@@ -155,6 +174,15 @@ class TestDistinguishCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["found"] and doc["graph6"] == "A_"
+
+    def test_spent_budget_without_a_graph_is_undecided(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "0")
+        code, out = run(
+            capsys, ["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "6", "--no-timing"]
+        )
+        assert code == 10
+        doc = json.loads(out)
+        assert not doc["found"] and not doc["complete"]
 
 
 class TestGadgetCommands:

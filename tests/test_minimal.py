@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from ramseykit import minimal
 from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import SearchOptions
 from ramseykit.formats import graph6_encode
@@ -199,3 +200,51 @@ class TestDistinguish:
         rep = distinguish(Clique(3), CliquePendant(3), 6)
         assert rep.graph is not None
         assert rep.graph.n == 6
+
+
+class TestSharedBudget:
+    """A time budget covers the whole call: each inner ``arrows`` call gets
+    no more than the budget and no more than the call before it, and the
+    last call gets less than the first."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        out = []
+        real = minimal.arrows
+
+        def spy(g, red, blue, opts=None):
+            out.append(opts.max_seconds)
+            return real(g, red, blue, opts)
+
+        monkeypatch.setattr(minimal, "arrows", spy)
+        return out
+
+    @staticmethod
+    def assert_shrinking(seen, budget):
+        assert seen and seen[0] <= budget
+        assert all(b <= a for a, b in zip(seen, seen[1:]))
+        assert seen[-1] < seen[0]
+
+    def test_is_minimal(self, seen):
+        rep = is_minimal(Graph.complete(6), Clique(3), SearchOptions(max_seconds=60))
+        assert rep.is_minimal and len(seen) == 16  # K6, then each of its 15 edges
+        self.assert_shrinking(seen, 60)
+
+    def test_minimalize(self, seen):
+        minimalize(Graph.complete(7), Clique(3), SearchOptions(max_seconds=60))
+        assert len(seen) > 2
+        self.assert_shrinking(seen, 60)
+
+    def test_survey_and_distinguish(self, seen):
+        degree_survey(Clique(3), 6, max_seconds=60)
+        self.assert_shrinking(seen, 60)
+        seen.clear()
+        distinguish(Clique(3), CliquePendant(3), 6, max_seconds=60)
+        self.assert_shrinking(seen, 60)
+
+    def test_spent_budget_is_undecided(self):
+        spent = SearchOptions(max_seconds=0)
+        assert not is_minimal(Graph.complete(6), Clique(3), spent).decided
+        with pytest.raises(Undecided):
+            minimalize(Graph.complete(7), Clique(3), spent)
+        assert not distinguish(Clique(3), CliquePendant(3), 6, max_seconds=0).complete

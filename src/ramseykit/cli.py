@@ -165,22 +165,31 @@ def _cmd_minimal(args) -> int:
         "failing_edge": list(report.failing_edge) if report.failing_edge else None,
         "isolated_vertices": list(report.isolated_vertices),
     }
+    decided = report.decided
     if args.minimalize and report.decided and report.is_ramsey:
+        # a minimalization cut by the budget keeps the decided report
         rest = _time_left(opts, deadline)
-        if rest is None:
-            raise Undecided("budget spent before minimalization")
-        reduced = minimalize(g, p, rest)
-        payload["minimalized_graph6"] = graph6_encode(reduced)
+        try:
+            reduced = None if rest is None else minimalize(g, p, rest)
+        except Undecided:
+            reduced = None
+        payload["minimalized_graph6"] = None if reduced is None else graph6_encode(reduced)
+        decided = reduced is not None
     _emit(payload, args)
-    return EXIT_OK if report.decided else EXIT_UNDECIDED
+    return EXIT_OK if decided else EXIT_UNDECIDED
+
+
+def _read_graph6_lines(path: str):
+    """The graphs of a graph6 file, decoded one non-blank line at a time."""
+    with open(path) as lines:
+        for line in lines:
+            if line.strip():
+                yield graph6_decode(line.strip())
 
 
 def _cmd_survey(args) -> int:
     p = _pattern(args.pattern)
-    graphs = None
-    if args.graphs:
-        lines = Path(args.graphs).read_text().splitlines()
-        graphs = [graph6_decode(ln.strip()) for ln in lines if ln.strip()]
+    graphs = _read_graph6_lines(args.graphs) if args.graphs else None
     opts = _options(args)
     survey = degree_survey(
         p,

@@ -2,7 +2,9 @@
 Ramsey-equivalence refutation by distinguishing witnesses.
 
 Graph enumeration is built in for up to 8 vertices: graphs are grown one
-vertex at a time and deduplicated by the canonical form of ``symmetry``.
+vertex at a time, once per orbit of the parent's automorphism group on the
+new vertex's neighbourhoods, and deduplicated by the canonical form of
+``symmetry``.
 Survey results only ever bound the smallest minimum degree from above within
 the searched order range; no claim is made beyond it.
 """
@@ -18,7 +20,7 @@ from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, components, induced_subgraph
 from .patterns import TargetPattern, pattern_graph, pattern_num_edges, pattern_text
-from .symmetry import canonical_graph, canonical_key
+from .symmetry import canonical_graph, canonical_key, graph_of_key, subset_orbit_reps
 
 __all__ = [
     "MinimalityReport",
@@ -41,20 +43,27 @@ _ENUM_LIMIT = 8  # built-in generation bound; larger orders need external stream
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[Graph, ...]:
+    """Canonical representatives of the graphs on ``n`` vertices, ascending by
+    canonical key.
+
+    Each class on ``n - 1`` vertices (a parent) gains a vertex ``n - 1``
+    joined to a subset S of its vertices, one S per orbit of Aut(parent) on
+    subsets. The classes are the same as with every S: for an automorphism
+    sigma of the parent, sigma extended to fix the new vertex maps the child
+    of S onto the child of sigma(S), and every graph on ``n`` vertices is a
+    child of the class of its first ``n - 1`` vertices.
+    """
     if n == 0:
         return ()
     if n == 1:
         return (Graph.empty(1),)
-    out: dict[tuple[int, int], Graph] = {}
+    keys: set[tuple[int, int]] = set()
     for parent in _classes(n - 1):
-        for subset in range(1 << (n - 1)):
+        for subset in subset_orbit_reps(parent):
             adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
             adj.append(subset)
-            child = Graph(n, tuple(adj))
-            key = canonical_key(child)
-            if key not in out:
-                out[key] = canonical_graph(child)
-    return tuple(g for _k, g in sorted(out.items(), key=lambda kv: kv[0]))
+            keys.add(canonical_key(Graph(n, tuple(adj))))
+    return tuple(graph_of_key(k) for k in sorted(keys))
 
 
 def enumerate_graphs(n_max: int, connected_only: bool = False, min_n: int = 1) -> Iterator[Graph]:

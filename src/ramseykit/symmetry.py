@@ -4,9 +4,12 @@ automorphisms.
 The canonical form of a graph is the lexicographically least column-major
 upper-triangle adjacency bitstring over the vertex orderings that list
 vertices grouped by ascending refinement class; two graphs have equal forms
-iff they are isomorphic. A generating set of the automorphism group is found
-level by level, as nauty does, by a backtrack that maps each vertex only into
-its own refinement class; the whole group is its closure.
+iff they are isomorphic. Its backtrack follows only the least next column and
+cuts a branch once its prefix exceeds the best string's; the packed key
+decodes back to the canonical graph. A generating set of the automorphism
+group is found level by level, as nauty does, by a backtrack that maps each
+vertex only into its own refinement class; the whole group is its closure,
+and its orbits on vertex subsets pick the extensions graph enumeration tries.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ __all__ = [
     "refine",
     "canonical_key",
     "canonical_graph",
+    "graph_of_key",
     "generators",
+    "subset_orbit_reps",
     "automorphisms",
 ]
 
@@ -52,9 +57,14 @@ def _canonical_columns(g: Graph) -> list[int]:
     Restricting to class-grouped orderings keeps the form isomorphism
     invariant (the classes are) while collapsing most tie branching. Column j
     holds the adjacency of the vertex placed at position j toward positions
-    0..j-1, position 0 being the highest bit. Backtracking branches inside a
-    class only, prunes against the best completed string, and skips
-    interchangeable twin candidates.
+    0..j-1, position 0 being the highest bit, and strings compare column by
+    column. A column depends only on the vertices placed before it, so only
+    the candidates with the least column can start the least string, and
+    the backtrack branches on those alone, skipping interchangeable twins.
+    A prefix that equals the best completed string's prefix is tight: a
+    tight branch whose column exceeds the best one is cut, and once a branch
+    has returned, the best string extends the current prefix, so the
+    remaining branches are tight.
     """
     n = g.n
     if n == 0:
@@ -68,55 +78,52 @@ def _canonical_columns(g: Graph) -> list[int]:
     for c in sorted(cells):
         pos_cell.extend([cells[c]] * len(cells[c]))
 
-    best: list[int] | None = None
+    best: list[int] = []  # empty until the first string is completed
     placed: list[int] = []
+    cols: list[int] = []
 
-    def column(v: int) -> int:
-        col = 0
-        row = adj[v]
-        for u in placed:
-            col = (col << 1) | ((row >> u) & 1)
-        return col
-
-    def rec(cols: list[int], used: int, tight: bool) -> None:
+    def rec(used: int, tight: bool) -> None:
         nonlocal best
         j = len(placed)
         if j == n:
-            if best is None or (not tight and cols < best):
+            if not tight:  # a strictly smaller prefix, or the first string
                 best = list(cols)
             return
         options: dict[int, list[int]] = {}
         for v in pos_cell[j]:
             if (used >> v) & 1:
                 continue
-            options.setdefault(column(v), []).append(v)
-        for value in sorted(options):
-            now_tight = tight
-            if tight and best is not None:
-                if value > best[j]:
-                    break
-                now_tight = value == best[j]
-            reps: list[int] = []
-            for v in options[value]:
-                twin = any(
-                    (adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps
-                )
-                if not twin:
-                    reps.append(v)
-            for v in reps:
-                placed.append(v)
-                cols.append(value)
-                rec(cols, used | (1 << v), now_tight)
-                cols.pop()
-                placed.pop()
+            col = 0
+            row = adj[v]
+            for u in placed:
+                col = (col << 1) | ((row >> u) & 1)
+            options.setdefault(col, []).append(v)
+        value = min(options)
+        if tight:
+            if value > best[j]:
+                return
+            tight = value == best[j]
+        cols.append(value)
+        reps: list[int] = []
+        for v in options[value]:
+            if any((adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps):
+                continue  # the transposition (v w) is an automorphism fixing the prefix
+            reps.append(v)
+            placed.append(v)
+            rec(used | (1 << v), tight)
+            placed.pop()
+            tight = True  # best now extends cols
+        cols.pop()
 
-    rec([], 0, tight=False)
-    assert best is not None
+    rec(0, tight=False)
     return best
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """Hashable canonical invariant (n, packed bitstring); equal iff isomorphic."""
+    """Hashable canonical invariant (n, packed bitstring); equal iff isomorphic.
+
+    Column j takes the next j bits, so the key determines the canonical
+    graph (``graph_of_key``)."""
     cols = _canonical_columns(g)
     key = 0
     for j, col in enumerate(cols):
@@ -124,15 +131,24 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return g.n, key
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of the isomorphism class of ``g``."""
-    cols = _canonical_columns(g)
-    edges = []
-    for j, col in enumerate(cols):
+def graph_of_key(key: tuple[int, int]) -> Graph:
+    """The graph whose canonical columns are packed in ``key``: vertex j is
+    adjacent to i < j when bit j-1-i of column j is set."""
+    n, packed = key
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = packed & ((1 << j) - 1)
+        packed >>= j
         for i in range(j):
             if (col >> (j - 1 - i)) & 1:
-                edges.append((i, j))
-    return Graph.from_edges(g.n, edges)
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The canonical representative of the isomorphism class of ``g``."""
+    return graph_of_key(canonical_key(g))
 
 
 def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int, ...] | None:
@@ -222,6 +238,39 @@ def generators(g: Graph) -> list[tuple[int, ...]]:
             for x in range(n):
                 orbit[find(x)] = find(sigma[x])
     return out
+
+
+def subset_orbit_reps(g: Graph) -> list[int]:
+    """The least vertex-subset mask of each orbit of Aut(g) on the subsets of
+    its vertices, ascending.
+
+    Masks are visited in ascending order; the first one not yet reached is
+    the least of its orbit, which is then walked under ``generators(g)``.
+    """
+    size = 1 << g.n
+    images = []
+    for sigma in generators(g):
+        image = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            image[m] = image[m ^ low] | (1 << sigma[low.bit_length() - 1])
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for m in range(size):
+        if seen[m]:
+            continue
+        reps.append(m)
+        seen[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
 
 def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:

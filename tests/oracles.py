@@ -3,9 +3,10 @@
 These deliberately avoid the library's algorithms: subsets are enumerated
 directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
-masks, and automorphisms by trying every one of the n! vertex permutations.
+masks, automorphisms by trying every one of the n! vertex permutations, and
+canonical forms by trying every class-grouped vertex ordering.
 """
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from ramseykit.graphs import Graph
 from ramseykit.patterns import Clique, CliquePendant, Colour
@@ -151,3 +152,36 @@ def brute_automorphism_count(g: Graph) -> int:
         return total
 
     return count([])
+
+
+def brute_canonical_columns(g: Graph, colour) -> list[int]:
+    """The least column string over every vertex ordering that lists the
+    vertices grouped by ascending ``colour`` class. Column j holds the
+    adjacency of the vertex at position j toward positions 0..j-1, position
+    0 in the highest bit."""
+    classes = [[v for v in range(g.n) if colour[v] == c] for c in sorted(set(colour))]
+
+    def columns(order):
+        return [
+            sum(g.has_edge(order[i], order[j]) << (j - 1 - i) for i in range(j))
+            for j in range(g.n)
+        ]
+
+    return min(
+        columns([v for part in parts for v in part])
+        for parts in product(*(permutations(cls) for cls in classes))
+    )
+
+
+def brute_subset_orbits(g: Graph) -> list[set[int]]:
+    """The orbits of Aut(g) on vertex-subset masks, each automorphism found
+    among all n! vertex permutations."""
+    auts = [p for p in permutations(range(g.n)) if preserves_adjacency(g, p)]
+    orbits, seen = [], set()
+    for m in range(1 << g.n):
+        if m in seen:
+            continue
+        orbit = {sum(1 << p[v] for v in range(g.n) if (m >> v) & 1) for p in auts}
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits

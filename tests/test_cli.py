@@ -5,9 +5,11 @@ import pytest
 from ramseykit import cli
 from ramseykit.arrowing import read_colouring
 from ramseykit.cli import main
+from ramseykit.errors import Undecided
 from ramseykit.formats import graph6_encode, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
+from ramseykit.minimal import enumerate_graphs
 
 
 @pytest.fixture
@@ -150,6 +152,25 @@ class TestMinimalCommand:
         assert json.loads(out)["minimalized_graph6"] == graph6_encode(Graph.complete(6))
         assert len(seen) == 1 and seen[0] < 60
 
+    @pytest.mark.parametrize("spent", [False, True])
+    def test_undecided_minimalization_keeps_the_report(self, files, capsys, monkeypatch, spent):
+        # minimalize raises, or the budget is spent before it would run
+        def undecided(g, p, opts=None):
+            raise Undecided("deletion of edge (0, 1) undecided within budget")
+
+        monkeypatch.setattr(cli, "minimalize", undecided)
+        if spent:
+            monkeypatch.setattr(cli, "_time_left", lambda opts, deadline: None)
+        code, out = run(
+            capsys,
+            ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
+             "--budget", "60", "--no-timing"],
+        )
+        assert code == 10
+        doc = json.loads(out)
+        assert doc["decided"] and doc["is_ramsey"] and doc["is_minimal"]
+        assert doc["minimalized_graph6"] is None
+
 
 class TestSurveyCommand:
     def test_single_edge(self, files, capsys):
@@ -158,6 +179,24 @@ class TestSurveyCommand:
         lines = [json.loads(ln) for ln in out.splitlines()]
         assert lines[0]["graph6"] == "A_"
         assert lines[-1]["summary"] and lines[-1]["min_delta"] == 1
+
+    def test_graphs_file_matches_the_enumeration(self, files, capsys):
+        path = files / "all6.g6"
+        path.write_text("".join(f"{graph6_encode(g)}\n\n" for g in enumerate_graphs(6)))
+        argv = ["survey", "--pattern", "K3", "--nmax", "6", "--no-timing"]
+        code, built_in = run(capsys, argv)
+        assert code == 0
+        code, streamed = run(capsys, argv + ["--graphs", str(path)])
+        assert code == 0
+        assert streamed == built_in
+
+    def test_graphs_file_is_read_lazily(self, files, capsys):
+        path = files / "bad.g6"
+        path.write_text("A_\n\nnot graph6 ~~~\n")
+        lines = cli._read_graph6_lines(str(path))
+        assert next(lines) == Graph.complete(2)
+        code, out = run(capsys, ["survey", "--pattern", "K2", "--nmax", "3", "--graphs", str(path)])
+        assert code == 3 and out == ""
 
     def test_env_var_budget_caps_the_survey(self, files, capsys, monkeypatch):
         monkeypatch.setenv("RAMSEYKIT_BUDGET", "0")

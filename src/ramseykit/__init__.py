@@ -2,11 +2,11 @@
 
 from .arrowing import (
     ArrowingVerdict,
+    Budget,
     EdgeColouring,
     EpsilonReport,
     Outcome,
     RamseyNumberReport,
-    SearchOptions,
     arrows,
     epsilon_arrows,
     find_mono,

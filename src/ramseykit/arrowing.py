@@ -10,15 +10,15 @@ difference (lex-leader symmetry breaking). The surviving colourings are
 closed under Aut(G) and, for equal targets, under the colour swap, so their
 least member is no larger than any of its images: neither rule cuts it, and
 neither changes the verdict or the canonical witness. Budgets produce an
-explicit UNDECIDED outcome, never a guess. A time budget covers the whole
-call: functions that decide several instances give each one only the time
-that is left.
+explicit UNDECIDED outcome, never a guess. One ``Budget`` (a wall-clock
+deadline and a count of search nodes) is made by the caller and passed down
+unchanged, so it caps every search of a computation together.
 """
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -38,13 +38,13 @@ from .patterns import (
     pattern_num_edges,
     pattern_num_vertices,
 )
-from .symmetry import automorphisms, generators
+from .symmetry import generators
 
 __all__ = [
     "EdgeColouring",
     "Outcome",
     "ArrowingVerdict",
-    "SearchOptions",
+    "Budget",
     "find_mono",
     "find_pattern",
     "arrows",
@@ -54,7 +54,6 @@ __all__ = [
     "RamseyNumberReport",
     "write_colouring",
     "read_colouring",
-    "automorphisms",
 ]
 
 
@@ -401,29 +400,23 @@ class ArrowingVerdict:
             raise InputError("witness present exactly for NOT_ARROW verdicts")
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+class Budget:
+    """The resources of one computation: a ``time.monotonic()`` deadline,
+    fixed when the budget is made, and the number of search nodes left
+    (None: no limit). A caller makes one and passes the same object to every
+    search, and each search charges the nodes it explored, so the limits hold
+    for the computation as a whole."""
 
+    __slots__ = ("deadline", "nodes_left")
 
-def _deadline(seconds: float | None) -> float | None:
-    """The ``time.monotonic()`` value ``seconds`` from now; None for no limit."""
-    return None if seconds is None else time.monotonic() + seconds
+    def __init__(self, seconds: float | None = None, nodes: int | None = None):
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.nodes_left = nodes
 
-
-def _time_left(opts: SearchOptions, deadline: float | None) -> SearchOptions | None:
-    """``opts`` for one inner call of a run that must end by ``deadline``:
-    ``max_seconds`` cut to the time left, or None once none is left. Without
-    a deadline, ``opts`` itself."""
-    if deadline is None:
-        return opts
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        return None
-    if opts.max_seconds is not None and opts.max_seconds <= remaining:
-        return opts
-    return replace(opts, max_seconds=remaining)
+    def spent(self) -> bool:
+        return (self.nodes_left is not None and self.nodes_left <= 0) or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        )
 
 
 _FOUND, _EXHAUSTED, _BUDGET = 0, 1, 2
@@ -465,7 +458,7 @@ def _dfs_search(
     g: Graph,
     red: TargetPattern,
     blue: TargetPattern,
-    opts: SearchOptions,
+    budget: Budget,
 ) -> tuple[int, tuple[Colour, ...] | None, int]:
     """Exhaustive search over the edges in order, on int colours.
 
@@ -477,6 +470,8 @@ def _dfs_search(
     permutation is incremental: it waits on the edge ``max(j, pi[j])`` where
     it stopped, and placing edge i resumes only the scans waiting on i.
 
+    Explores at most ``budget.nodes_left`` nodes and stops soon after
+    ``budget.deadline``; the node that would pass a limit is not explored.
     Returns (status, witness colour tuple or None, nodes explored).
     """
     edges = g.edges()
@@ -486,8 +481,8 @@ def _dfs_search(
     checks = (_through_edge_checker(red), _through_edge_checker(blue))
     sym = red == blue
     col = [_RED] * m
-    max_nodes = opts.max_nodes
-    deadline = _deadline(opts.max_seconds)
+    max_nodes = budget.nodes_left
+    deadline = budget.deadline
 
     # watch[w] holds (pi, j): the scan of pi stopped at position j, w = max(j, pi[j])
     watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
@@ -551,9 +546,9 @@ def _dfs_search(
             continue
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            return _BUDGET, None, nodes
+            return _BUDGET, None, nodes - 1
         if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
-            return _BUDGET, None, nodes
+            return _BUDGET, None, nodes - 1
         u, v = edges[i]
         a = adj[c]
         a[u] |= 1 << v
@@ -572,21 +567,26 @@ def arrows(
     g: Graph,
     red: TargetPattern,
     blue: TargetPattern,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
 ) -> ArrowingVerdict:
     """Decide whether every red/blue colouring of E(g) contains a red copy of
     ``red`` or a blue copy of ``blue``.
 
-    NOT_ARROW verdicts carry the canonical witness colouring; exceeding the
-    node or time budget yields UNDECIDED.
+    NOT_ARROW verdicts carry the canonical witness colouring. A budget that
+    is spent on entry or runs out during the search yields UNDECIDED; the
+    nodes explored are charged to ``opts``.
     """
-    opts = opts or SearchOptions()
+    budget = opts or Budget()
+    if budget.spent():
+        return ArrowingVerdict(Outcome.UNDECIDED, None, 0, 0.0)
     start = time.monotonic()
 
     if _edgeless_arrow(g, red) or _edgeless_arrow(g, blue):
         return ArrowingVerdict(Outcome.ARROW, None, 0, time.monotonic() - start)
 
-    status, wit, nodes = _dfs_search(g, red, blue, opts)
+    status, wit, nodes = _dfs_search(g, red, blue, budget)
+    if budget.nodes_left is not None:
+        budget.nodes_left -= nodes
     elapsed = time.monotonic() - start
     if status == _FOUND:
         return ArrowingVerdict(Outcome.NOT_ARROW, EdgeColouring(g, wit), nodes, elapsed)
@@ -616,7 +616,7 @@ def epsilon_arrows(
     f: Graph,
     p: TargetPattern,
     eps,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
 ) -> EpsilonReport:
     """Check that every induced subgraph on ceil(eps * n) vertices arrows ``p``
     in both colours. Supersets inherit arrowing by monotonicity, so only the
@@ -625,15 +625,12 @@ def epsilon_arrows(
     if not 0 < eps <= 1:
         raise InputError("eps must lie in (0, 1]")
     size = ceil(eps * f.n)
-    opts = opts or SearchOptions()
-    deadline = _deadline(opts.max_seconds)
+    budget = opts or Budget()
     checked = 0
     for subset in combinations(range(f.n), size):
-        sub_opts = _time_left(opts, deadline)
-        if sub_opts is None:
+        if budget.spent():
             return EpsilonReport(None, size, None, checked)
-        sub = induced_subgraph(f, subset)
-        verdict = arrows(sub, p, p, sub_opts)
+        verdict = arrows(induced_subgraph(f, subset), p, p, budget)
         checked += 1
         if verdict.outcome is Outcome.UNDECIDED:
             return EpsilonReport(None, size, None, checked)
@@ -656,22 +653,17 @@ class RamseyNumberReport:
 def ramsey_number(
     red: TargetPattern,
     blue: TargetPattern,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
 ) -> RamseyNumberReport:
     """Smallest n such that the complete graph on n vertices arrows the pair.
 
     Increments n starting from the largest component size of either pattern;
     on budget exhaustion reports the last resolved order."""
-    opts = opts or SearchOptions()
-    deadline = _deadline(opts.max_seconds)
     n = max(1, largest_component_size(red), largest_component_size(blue))
     nodes = 0
     resolved = n - 1
     while True:
-        sub_opts = _time_left(opts, deadline)
-        if sub_opts is None:
-            return RamseyNumberReport(None, False, resolved, nodes)
-        verdict = arrows(Graph.complete(n), red, blue, sub_opts)
+        verdict = arrows(Graph.complete(n), red, blue, opts)
         nodes += verdict.nodes
         if verdict.outcome is Outcome.UNDECIDED:
             return RamseyNumberReport(None, False, resolved, nodes)

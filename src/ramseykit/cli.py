@@ -19,10 +19,8 @@ from pathlib import Path
 
 from . import cnf as cnfmod
 from .arrowing import (
+    Budget,
     Outcome,
-    SearchOptions,
-    _deadline,
-    _time_left,
     arrows,
     ramsey_number,
     read_colouring,
@@ -92,15 +90,14 @@ def _budget(text: str, source: str = "--budget") -> float:
     return value
 
 
-def _options(args) -> SearchOptions:
-    budget = getattr(args, "budget", None)
+def _options(args) -> Budget:
+    """The one budget of the command: ``--budget`` (or ``RAMSEYKIT_BUDGET``)
+    seconds from now and ``--max-nodes`` search nodes for all its searches."""
+    seconds = getattr(args, "budget", None)
     text = os.environ.get(BUDGET_ENV)
-    if budget is None and text:
-        budget = _budget(text, BUDGET_ENV)
-    return SearchOptions(
-        max_nodes=getattr(args, "max_nodes", None),
-        max_seconds=budget,
-    )
+    if seconds is None and text:
+        seconds = _budget(text, BUDGET_ENV)
+    return Budget(seconds=seconds, nodes=getattr(args, "max_nodes", None))
 
 
 def _emit(payload: dict, args) -> None:
@@ -121,10 +118,11 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _cmd_arrow(args) -> int:
+    budget = _options(args)
     g = _load_graph(args.graph)
     red = _pattern(args.red)
     blue = _pattern(args.blue)
-    verdict = arrows(g, red, blue, _options(args))
+    verdict = arrows(g, red, blue, budget)
     payload = _verdict_payload(verdict)
     if verdict.witness is not None and args.witness:
         Path(args.witness).write_text(write_colouring(verdict.witness))
@@ -136,9 +134,10 @@ def _cmd_arrow(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    budget = _options(args)
     red = _pattern(args.red)
     blue = _pattern(args.blue)
-    report = ramsey_number(red, blue, _options(args))
+    report = ramsey_number(red, blue, budget)
     payload = {
         "red": pattern_text(red),
         "blue": pattern_text(blue),
@@ -152,11 +151,10 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
+    budget = _options(args)
     g = _load_graph(args.graph)
     p = _pattern(args.pattern)
-    opts = _options(args)
-    deadline = _deadline(opts.max_seconds)
-    report = is_minimal(g, p, opts)
+    report = is_minimal(g, p, budget)
     payload = {
         "pattern": pattern_text(p),
         "decided": report.decided,
@@ -168,9 +166,8 @@ def _cmd_minimal(args) -> int:
     decided = report.decided
     if args.minimalize and report.decided and report.is_ramsey:
         # a minimalization cut by the budget keeps the decided report
-        rest = _time_left(opts, deadline)
         try:
-            reduced = None if rest is None else minimalize(g, p, rest)
+            reduced = minimalize(g, p, budget)
         except Undecided:
             reduced = None
         payload["minimalized_graph6"] = None if reduced is None else graph6_encode(reduced)
@@ -188,27 +185,20 @@ def _read_graph6_lines(path: str):
 
 
 def _cmd_survey(args) -> int:
+    budget = _options(args)
     p = _pattern(args.pattern)
     graphs = _read_graph6_lines(args.graphs) if args.graphs else None
-    opts = _options(args)
-    survey = degree_survey(
-        p,
-        args.nmax,
-        max_seconds=opts.max_seconds,
-        opts=opts,
-        graphs=graphs,
-        r_value=args.r_value,
-    )
+    survey = degree_survey(p, args.nmax, opts=budget, graphs=graphs, r_value=args.r_value)
     for line in survey.iter_json_lines():
         print(line)
     return EXIT_OK if survey.complete else EXIT_UNDECIDED
 
 
 def _cmd_distinguish(args) -> int:
+    budget = _options(args)
     h1 = _pattern(args.h1)
     h2 = _pattern(args.h2)
-    opts = _options(args)
-    report = distinguish(h1, h2, args.nmax, max_seconds=opts.max_seconds, opts=opts)
+    report = distinguish(h1, h2, args.nmax, opts=budget)
     payload = {
         "h1": pattern_text(h1),
         "h2": pattern_text(h2),
@@ -250,23 +240,19 @@ def _cmd_gadget(args) -> int:
         bg = build_pendant_gadget(args.k, copies)
         return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
     if args.kind == "product":
+        budget = _options(args)
         g0 = _load_graph(args.g0)
         fs = [_load_graph(path) for path in args.blocks]
         r_value = args.r_value
         r_source = "supplied"
-        opts = _options(args)
-        deadline = _deadline(opts.max_seconds)
         if r_value is None:
-            rep = ramsey_number(Clique(args.k), Clique(args.k - args.t + 1), opts)
+            rep = ramsey_number(Clique(args.k), Clique(args.k - args.t + 1), budget)
             if not rep.decided:
                 raise Undecided("Ramsey number computation exceeded its budget")
             r_value = rep.n
             r_source = "computed"
         params = schedule_params(args.k, args.t, r_value, [f.n for f in fs], r_source)
-        rest = _time_left(opts, deadline)
-        if args.strict and rest is None:
-            raise Undecided("budget spent before the block certification")
-        bg = build_product(params, g0, fs, strict=args.strict, opts=rest)
+        bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
         payload = {
             "gadget": "product",
             "k": args.k,
@@ -375,8 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, budget=True):
         p.add_argument("--no-timing", action="store_true", help="omit timing fields")
         if budget:
-            p.add_argument("--budget", type=_budget, default=None, help="wall seconds")
-            p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
+            p.add_argument("--budget", type=_budget, default=None,
+                           help="wall seconds for the whole command")
+            p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
+                           help="search nodes for the whole command")
 
     p = sub.add_parser("arrow", help="decide arrowing for one graph")
     p.add_argument("graph")

@@ -21,15 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import (
-    EdgeColouring,
-    SearchOptions,
-    _deadline,
-    _time_left,
-    _to_fraction,
-    epsilon_arrows,
-)
-from .errors import InfeasibleError, InputError
+from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows
+from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
@@ -425,7 +418,7 @@ def build_product(
     g0: Graph,
     fs: Sequence[Graph],
     strict: bool = False,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
 ) -> BlockGraph:
     """Product instance under ``params``.
 
@@ -434,6 +427,8 @@ def build_product(
     every block against its scheduled shrink factor (block j must arrow
     K_{t-1} on every ceil(eps_j * v) vertices), which is usually only
     feasible for tiny blocks; relaxed mode skips only that certification.
+    The certifications share the budget ``opts``; one that it leaves
+    undecided raises ``Undecided``.
     """
     if len(fs) != g0.n or params.n0 != g0.n:
         raise InputError("template order, block count, and schedule must agree")
@@ -449,17 +444,10 @@ def build_product(
                 f"block {j + 1} contains a K_{params.t}; blocks must be K_{params.t}-free"
             )
     if strict:
-        opts = opts or SearchOptions()
-        deadline = _deadline(opts.max_seconds)
         for j, f in enumerate(fs):
-            sub_opts = _time_left(opts, deadline)
-            rep = None if sub_opts is None else epsilon_arrows(
-                f, Clique(params.t - 1), params.eps_schedule[j], sub_opts
-            )
-            if rep is None or rep.holds is None:
-                raise InputError(
-                    f"block {j + 1} shrink certification undecided within budget"
-                )
+            rep = epsilon_arrows(f, Clique(params.t - 1), params.eps_schedule[j], opts)
+            if rep.holds is None:
+                raise Undecided(f"block {j + 1} shrink certification undecided within budget")
             if not rep.holds:
                 raise InputError(
                     f"block {j + 1} fails its shrink certification: subsets of "

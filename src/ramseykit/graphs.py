@@ -3,7 +3,7 @@
 Vertices are always the integers ``0..n-1`` with no gaps. Graphs are
 immutable; adjacency is stored as one bitmask per vertex, which keeps the
 exact clique and independence routines usable up to the 64-vertex design
-limit. All functions here are pure and safe to call from concurrent workers.
+limit. All functions here are pure.
 """
 from __future__ import annotations
 

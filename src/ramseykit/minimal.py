@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .arrowing import Outcome, SearchOptions, _deadline, _time_left, arrows, find_pattern
+from .arrowing import Budget, Outcome, arrows, find_pattern
 from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, components, induced_subgraph
@@ -95,15 +95,12 @@ class MinimalityReport:
     isolated_vertices: tuple[int, ...]
 
 
-def is_minimal(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) -> MinimalityReport:
+def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
     """Check that ``g`` arrows ``p`` while no proper subgraph does.
 
     Edge deletions suffice by monotonicity; isolated vertices violate
-    vertex-minimality on their own. A time budget in ``opts`` covers all the
-    ``arrows`` calls together.
+    vertex-minimality on their own. Every ``arrows`` call shares ``opts``.
     """
-    opts = opts or SearchOptions()
-    deadline = _deadline(opts.max_seconds)
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
@@ -112,10 +109,7 @@ def is_minimal(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
         return MinimalityReport(g, p, True, False, False, None, isolated)
     failing = None
     for u, v in g.edges():
-        sub_opts = _time_left(opts, deadline)
-        if sub_opts is None:
-            return MinimalityReport(g, p, False, True, False, None, isolated)
-        sub = arrows(g.without_edge(u, v), p, p, sub_opts)
+        sub = arrows(g.without_edge(u, v), p, p, opts)
         if sub.outcome is Outcome.UNDECIDED:
             return MinimalityReport(g, p, False, True, False, None, isolated)
         if sub.outcome is Outcome.ARROW:
@@ -125,15 +119,13 @@ def is_minimal(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
     return MinimalityReport(g, p, True, True, minimal, failing, isolated)
 
 
-def minimalize(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) -> Graph:
+def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     """Greedy minimal Ramsey subgraph: delete edges in lexicographic order
     whenever arrowing survives, then drop isolated vertices.
 
     One pass suffices: an edge whose deletion broke arrowing once can never
-    become deletable after further deletions (monotonicity). A time budget in
-    ``opts`` covers all the ``arrows`` calls together."""
-    opts = opts or SearchOptions()
-    deadline = _deadline(opts.max_seconds)
+    become deletable after further deletions (monotonicity). Every ``arrows``
+    call shares ``opts``."""
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
         raise Undecided("arrowing of the input graph undecided within budget")
@@ -143,9 +135,8 @@ def minimalize(g: Graph, p: TargetPattern, opts: SearchOptions | None = None) ->
     for u, v in g.edges():
         if not cur.has_edge(u, v):
             continue
-        sub_opts = _time_left(opts, deadline)
-        sub = None if sub_opts is None else arrows(cur.without_edge(u, v), p, p, sub_opts)
-        if sub is None or sub.outcome is Outcome.UNDECIDED:
+        sub = arrows(cur.without_edge(u, v), p, p, opts)
+        if sub.outcome is Outcome.UNDECIDED:
             raise Undecided(f"deletion of edge ({u}, {v}) undecided within budget")
         if sub.outcome is Outcome.ARROW:
             cur = cur.without_edge(u, v)
@@ -195,8 +186,7 @@ def degree_survey(
     p: TargetPattern,
     n_max: int,
     *,
-    max_seconds: float | None = None,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
     graphs: Iterable[Graph] | None = None,
     r_value: int | None = None,
 ) -> DegreeSurvey:
@@ -205,7 +195,8 @@ def degree_survey(
 
     ``graphs`` overrides the built-in enumeration (for externally generated
     graph6 streams). ``r_value``, when supplied, records the upper bound
-    r(H) - 1 next to the always-available lower bound 2*delta(H) - 1.
+    r(H) - 1 next to the always-available lower bound 2*delta(H) - 1. The
+    survey stops, incomplete, once the budget ``opts`` is spent.
     """
     hgraph = pattern_graph(p)
     delta_h = min(hgraph.degrees()) if hgraph.n else 0
@@ -215,13 +206,11 @@ def degree_survey(
         lower_bound=2 * delta_h - 1,
         upper_bound=None if r_value is None else r_value - 1,
     )
-    opts = opts or SearchOptions()
-    deadline = _deadline(max_seconds)
+    budget = opts or Budget()
     min_edges = 2 * pattern_num_edges(p) - 1
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:
-        sub_opts = _time_left(opts, deadline)
-        if sub_opts is None:
+        if budget.spent():
             survey.complete = False
             break
         if g.n > n_max:
@@ -233,7 +222,7 @@ def degree_survey(
             continue  # a colouring can halve the edges, so arrowing is impossible
         if find_pattern(g, p) is None:
             continue  # the all-red colouring would already be a witness
-        report = is_minimal(g, p, sub_opts)
+        report = is_minimal(g, p, budget)
         if not report.decided:
             survey.complete = False
             continue
@@ -272,39 +261,36 @@ def distinguish(
     h2: TargetPattern,
     n_max: int,
     *,
-    max_seconds: float | None = None,
-    opts: SearchOptions | None = None,
+    opts: Budget | None = None,
     graphs: Iterable[Graph] | None = None,
 ) -> DistinguishReport:
     """Search for a graph that arrows ``h1`` but not ``h2``.
 
     A returned graph refutes Ramsey-equivalence of the two patterns; absence
-    within the searched range proves nothing.
+    within the searched range proves nothing. The search stops, incomplete,
+    once the budget ``opts`` is spent.
     """
     if h1 == h2:
         return DistinguishReport(None, True, 0)
-    opts = opts or SearchOptions()
-    deadline = _deadline(max_seconds)
+    budget = opts or Budget()
     checked = 0
     complete = True
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:
-        sub_opts = _time_left(opts, deadline)
-        if sub_opts is None:
+        if budget.spent():
             complete = False
             break
         if g.n > n_max:
             continue
         checked += 1
-        v1 = arrows(g, h1, h1, sub_opts)
+        v1 = arrows(g, h1, h1, budget)
         if v1.outcome is Outcome.UNDECIDED:
             complete = False
             continue
         if v1.outcome is not Outcome.ARROW:
             continue
-        sub_opts = _time_left(opts, deadline)
-        v2 = None if sub_opts is None else arrows(g, h2, h2, sub_opts)
-        if v2 is None or v2.outcome is Outcome.UNDECIDED:
+        v2 = arrows(g, h2, h2, budget)
+        if v2.outcome is Outcome.UNDECIDED:
             complete = False
             continue
         if v2.outcome is Outcome.NOT_ARROW:

@@ -13,9 +13,9 @@ from math import ceil
 import pytest
 
 from ramseykit.arrowing import (
+    Budget,
     EdgeColouring,
     Outcome,
-    SearchOptions,
     arrows,
     find_mono,
     ramsey_number,
@@ -310,6 +310,6 @@ def test_criterion_10_minimality_and_survey():
     ok &= all(r["delta"] >= 2 for r in paw.records)
     ok &= time.time() - t0 < 1800
     # budget flags honored: a zero budget flags the survey incomplete
-    cut = degree_survey(CliquePendant(3), 8, max_seconds=0.0)
+    cut = degree_survey(CliquePendant(3), 8, opts=Budget(seconds=0))
     ok &= not cut.complete
     report(10, "minimality-and-survey", ok, t0)

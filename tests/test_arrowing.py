@@ -6,11 +6,10 @@ import pytest
 
 from ramseykit import arrowing
 from ramseykit.arrowing import (
+    Budget,
     EdgeColouring,
     Outcome,
-    SearchOptions,
     arrows,
-    automorphisms,
     embedding_vertices,
     epsilon_arrows,
     find_mono,
@@ -29,7 +28,7 @@ from ramseykit.patterns import (
     largest_component_size,
     parse_pattern,
 )
-from ramseykit.symmetry import generators
+from ramseykit.symmetry import automorphisms, generators
 
 from oracles import (
     brute_automorphism_count,
@@ -147,10 +146,24 @@ class TestArrows:
 
     def test_budget_gives_undecided(self):
         verdict = arrows(
-            Graph.complete(6), Clique(3), Clique(3), SearchOptions(max_nodes=5)
+            Graph.complete(6), Clique(3), Clique(3), Budget(nodes=5)
         )
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.witness is None
+        assert verdict.nodes <= 5
+
+    @pytest.mark.parametrize("limit", [{"seconds": 0}, {"nodes": 0}], ids=["seconds", "nodes"])
+    def test_spent_budget_explores_nothing(self, limit):
+        verdict = arrows(Graph.complete(6), Clique(3), Clique(3), Budget(**limit))
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert verdict.nodes == 0
+
+    def test_nodes_are_charged_to_the_budget(self):
+        budget = Budget(nodes=10**9)
+        first = arrows(Graph.complete(6), Clique(3), Clique(3), budget)
+        second = arrows(Graph.complete(5), Clique(3), Clique(3), budget)
+        assert first.nodes > 0 and second.nodes > 0
+        assert budget.nodes_left == 10**9 - first.nodes - second.nodes
 
     def test_canonical_witness_is_deterministic(self):
         a = arrows(Graph.complete(5), Clique(3), Clique(3))
@@ -253,7 +266,7 @@ class TestWitnessDifferential:
     def opts(self, request, monkeypatch):
         if request.param == "no-symmetry":
             monkeypatch.setattr(arrowing, "generators", lambda g: [])
-        return SearchOptions()
+        return Budget()
 
     @pytest.mark.parametrize(
         "red, blue",
@@ -311,19 +324,18 @@ class TestEpsilonArrows:
         real = arrowing.arrows
 
         def spy(g, red, blue, opts=None):
-            seen.append(opts.max_seconds)
+            seen.append(opts)
             return real(g, red, blue, opts)
 
         monkeypatch.setattr(arrowing, "arrows", spy)
+        budget = Budget(seconds=60, nodes=10**9)
         # the 7 subsets of size 6 are all K6, which arrows K3
-        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), SearchOptions(max_seconds=60))
+        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), budget)
         assert rep.holds is True and len(seen) == 7
-        assert seen[0] <= 60
-        assert all(b <= a for a, b in zip(seen, seen[1:]))
-        assert seen[-1] < seen[0]
+        assert all(b is budget for b in seen)
 
     def test_spent_budget_is_undecided(self):
-        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), SearchOptions(max_seconds=0))
+        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), Budget(seconds=0))
         assert rep.holds is None and rep.subsets_checked == 0
 
 
@@ -347,7 +359,7 @@ class TestRamseyNumber:
         assert largest_component_size(Arbitrary(Graph.empty(2))) == 1
 
     def test_budget(self):
-        rep = ramsey_number(Clique(4), Clique(4), SearchOptions(max_seconds=0.5))
+        rep = ramsey_number(Clique(4), Clique(4), Budget(seconds=0.5))
         assert not rep.decided
         assert rep.n is None
         assert rep.checked_up_to >= 4

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ramseykit import cli
-from ramseykit.arrowing import read_colouring
+from ramseykit import cli, minimal
+from ramseykit.arrowing import Budget, read_colouring
 from ramseykit.cli import main
 from ramseykit.errors import Undecided
 from ramseykit.formats import graph6_encode, read_hypergraph
@@ -135,14 +135,18 @@ class TestMinimalCommand:
         assert doc["is_ramsey"] and doc["is_minimal"]
 
     def test_minimalize_gets_only_the_time_left(self, files, capsys, monkeypatch):
+        # the report and the minimalization share the command's one budget
         seen = []
-        real = cli.minimalize
 
-        def spy(g, p, opts=None):
-            seen.append(opts.max_seconds)
-            return real(g, p, opts)
+        def recording(real):
+            def spy(g, p, opts=None):
+                seen.append(opts)
+                return real(g, p, opts)
 
-        monkeypatch.setattr(cli, "minimalize", spy)
+            return spy
+
+        monkeypatch.setattr(cli, "is_minimal", recording(cli.is_minimal))
+        monkeypatch.setattr(cli, "minimalize", recording(cli.minimalize))
         code, out = run(
             capsys,
             ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
@@ -150,17 +154,25 @@ class TestMinimalCommand:
         )
         assert code == 0
         assert json.loads(out)["minimalized_graph6"] == graph6_encode(Graph.complete(6))
-        assert len(seen) == 1 and seen[0] < 60
+        assert len(seen) == 2 and isinstance(seen[0], Budget) and seen[1] is seen[0]
 
     @pytest.mark.parametrize("spent", [False, True])
     def test_undecided_minimalization_keeps_the_report(self, files, capsys, monkeypatch, spent):
-        # minimalize raises, or the budget is spent before it would run
-        def undecided(g, p, opts=None):
-            raise Undecided("deletion of edge (0, 1) undecided within budget")
-
-        monkeypatch.setattr(cli, "minimalize", undecided)
+        # the budget is spent before minimalize would run, or minimalize raises
         if spent:
-            monkeypatch.setattr(cli, "_time_left", lambda opts, deadline: None)
+            real = cli.is_minimal
+
+            def decide_then_spend(g, p, opts=None):
+                report = real(g, p, opts)
+                opts.nodes_left = 0
+                return report
+
+            monkeypatch.setattr(cli, "is_minimal", decide_then_spend)
+        else:
+            def undecided(g, p, opts=None):
+                raise Undecided("deletion of edge (0, 1) undecided within budget")
+
+            monkeypatch.setattr(cli, "minimalize", undecided)
         code, out = run(
             capsys,
             ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
@@ -170,6 +182,30 @@ class TestMinimalCommand:
         doc = json.loads(out)
         assert doc["decided"] and doc["is_ramsey"] and doc["is_minimal"]
         assert doc["minimalized_graph6"] is None
+
+    def test_max_nodes_caps_the_whole_command(self, files, capsys, monkeypatch):
+        # K7: the report takes 1,002 nodes and the minimalization 6,424 more,
+        # at most 1,631 in one search
+        path = files / "K7.g6"
+        path.write_text(graph6_encode(Graph.complete(7)) + "\n")
+        nodes = []
+        real = minimal.arrows
+
+        def spy(g, red, blue, opts=None):
+            verdict = real(g, red, blue, opts)
+            nodes.append(verdict.nodes)
+            return verdict
+
+        monkeypatch.setattr(minimal, "arrows", spy)
+        code, out = run(
+            capsys,
+            ["minimal", str(path), "--pattern", "K3", "--minimalize",
+             "--max-nodes", "5000", "--no-timing"],
+        )
+        assert code == 10
+        doc = json.loads(out)
+        assert doc["decided"] and doc["minimalized_graph6"] is None
+        assert sum(nodes) <= 5000
 
 
 class TestSurveyCommand:
@@ -224,6 +260,21 @@ class TestDistinguishCommand:
         assert not doc["found"] and not doc["complete"]
 
 
+class TestBudgetThatNeverFires:
+    @pytest.mark.parametrize(
+        "argv",
+        [["survey", "--pattern", "K3.K2", "--nmax", "6"], ["ramsey", "--red", "K3", "--blue", "K4"]],
+        ids=["survey", "ramsey"],
+    )
+    def test_output_is_unchanged(self, capsys, argv):
+        argv = argv + ["--no-timing"]
+        code, plain = run(capsys, argv)
+        assert code == 0
+        code, budgeted = run(capsys, argv + ["--budget", "600", "--max-nodes", "100000000"])
+        assert code == 0
+        assert budgeted == plain
+
+
 class TestGadgetCommands:
     def test_g0_and_colour_and_check(self, files, capsys):
         out_json = files / "g0.json"
@@ -268,6 +319,18 @@ class TestGadgetCommands:
         doc = json.loads(out)
         assert doc["status"] == "ok" and doc["verified"]
         assert doc["J"] == [1, 2, 3, 4, 5]
+
+    def test_strict_product_out_of_budget_is_undecided(self, files, capsys):
+        blocks = [str(files / "C5.g6")] * 5
+        code = main(
+            ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
+             "--g0", str(files / "C5.g6"), "--blocks", *blocks, "--strict",
+             "--max-nodes", "0", "-o", str(files / "prod.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 10
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "undecided"
 
     def test_hypergraph_success(self, files, capsys):
         out_file = files / "h.txt"

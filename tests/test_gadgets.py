@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from ramseykit import gadgets
-from ramseykit.arrowing import EpsilonReport, SearchOptions, find_mono
-from ramseykit.errors import InfeasibleError, InputError
+from ramseykit.arrowing import Budget, EpsilonReport, find_mono
+from ramseykit.errors import InfeasibleError, InputError, Undecided
 from ramseykit.gadgets import (
     ColouringKind,
     assemble_product,
@@ -265,17 +265,17 @@ class TestProduct:
         seen = []
 
         def certify(f, p, eps, opts=None):
-            seen.append(opts.max_seconds)
+            seen.append(opts)
             return EpsilonReport(True, f.n, None, 1)
 
         monkeypatch.setattr(gadgets, "epsilon_arrows", certify)
         fs = [Graph.cycle(5)] * 5
-        build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=SearchOptions(max_seconds=60))
-        assert len(seen) == 5 and seen[0] <= 60
-        assert all(b <= a for a, b in zip(seen, seen[1:]))
-        assert seen[-1] < seen[0]
-        with pytest.raises(InputError, match="undecided within budget"):
-            build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=SearchOptions(max_seconds=0))
+        budget = Budget(seconds=60, nodes=10**9)
+        build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=budget)
+        assert len(seen) == 5 and all(b is budget for b in seen)
+        monkeypatch.undo()
+        with pytest.raises(Undecided, match="undecided within budget"):
+            build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=Budget(seconds=0))
 
     def test_sidecar_round_trip(self):
         bg = build_product(self.params(), Graph.cycle(5), [Graph.cycle(5)] * 5)

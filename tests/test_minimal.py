@@ -6,7 +6,7 @@ import pytest
 
 from ramseykit import minimal
 from ramseykit.errors import InputError, Undecided
-from ramseykit.arrowing import SearchOptions
+from ramseykit.arrowing import Budget
 from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
 from ramseykit.minimal import (
@@ -164,7 +164,7 @@ class TestIsMinimal:
         assert rep.isolated_vertices == (6,)
 
     def test_undecided_propagates(self):
-        rep = is_minimal(Graph.complete(6), Clique(3), SearchOptions(max_nodes=3))
+        rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=3))
         assert not rep.decided
 
 
@@ -192,7 +192,7 @@ class TestMinimalize:
 
     def test_undecided_raises(self):
         with pytest.raises(Undecided):
-            minimalize(Graph.complete(6), Clique(3), SearchOptions(max_nodes=3))
+            minimalize(Graph.complete(6), Clique(3), Budget(nodes=3))
 
 
 class TestDegreeSurvey:
@@ -232,7 +232,7 @@ class TestDegreeSurvey:
         assert '"summary": true' in lines[-1].replace('"summary":true', '"summary": true')
 
     def test_budget_marks_incomplete(self):
-        survey = degree_survey(Clique(3), 6, max_seconds=0.0)
+        survey = degree_survey(Clique(3), 6, opts=Budget(seconds=0))
         assert not survey.complete
 
 
@@ -254,9 +254,8 @@ class TestDistinguish:
 
 
 class TestSharedBudget:
-    """A time budget covers the whole call: each inner ``arrows`` call gets
-    no more than the budget and no more than the call before it, and the
-    last call gets less than the first."""
+    """The caller's one ``Budget`` reaches every inner ``arrows`` call, and
+    each call charges its nodes to it, so the limits cover the whole call."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -264,38 +263,47 @@ class TestSharedBudget:
         real = minimal.arrows
 
         def spy(g, red, blue, opts=None):
-            out.append(opts.max_seconds)
-            return real(g, red, blue, opts)
+            verdict = real(g, red, blue, opts)
+            out.append((opts, verdict.nodes))
+            return verdict
 
         monkeypatch.setattr(minimal, "arrows", spy)
         return out
 
     @staticmethod
-    def assert_shrinking(seen, budget):
-        assert seen and seen[0] <= budget
-        assert all(b <= a for a, b in zip(seen, seen[1:]))
-        assert seen[-1] < seen[0]
+    def assert_shared(seen, budget):
+        assert seen and all(b is budget for b, _ in seen)
 
     def test_is_minimal(self, seen):
-        rep = is_minimal(Graph.complete(6), Clique(3), SearchOptions(max_seconds=60))
+        budget = Budget(seconds=60, nodes=10**9)
+        rep = is_minimal(Graph.complete(6), Clique(3), budget)
         assert rep.is_minimal and len(seen) == 16  # K6, then each of its 15 edges
-        self.assert_shrinking(seen, 60)
+        self.assert_shared(seen, budget)
 
     def test_minimalize(self, seen):
-        minimalize(Graph.complete(7), Clique(3), SearchOptions(max_seconds=60))
+        budget = Budget(seconds=60, nodes=10**9)
+        minimalize(Graph.complete(7), Clique(3), budget)
         assert len(seen) > 2
-        self.assert_shrinking(seen, 60)
+        self.assert_shared(seen, budget)
 
     def test_survey_and_distinguish(self, seen):
-        degree_survey(Clique(3), 6, max_seconds=60)
-        self.assert_shrinking(seen, 60)
+        budget = Budget(seconds=60, nodes=10**9)
+        degree_survey(Clique(3), 6, opts=budget)
+        self.assert_shared(seen, budget)
         seen.clear()
-        distinguish(Clique(3), CliquePendant(3), 6, max_seconds=60)
-        self.assert_shrinking(seen, 60)
+        distinguish(Clique(3), CliquePendant(3), 6, opts=budget)
+        self.assert_shared(seen, budget)
+
+    def test_node_cap_covers_all_calls(self, seen):
+        # each call fits in 165 nodes, all of them together do not
+        rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=165))
+        assert not rep.decided
+        assert len(seen) > 1
+        assert sum(nodes for _, nodes in seen) <= 165
 
     def test_spent_budget_is_undecided(self):
-        spent = SearchOptions(max_seconds=0)
+        spent = Budget(seconds=0)
         assert not is_minimal(Graph.complete(6), Clique(3), spent).decided
         with pytest.raises(Undecided):
             minimalize(Graph.complete(7), Clique(3), spent)
-        assert not distinguish(Clique(3), CliquePendant(3), 6, max_seconds=0).complete
+        assert not distinguish(Clique(3), CliquePendant(3), 6, opts=spent).complete

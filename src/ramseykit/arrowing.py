@@ -9,7 +9,12 @@ inverse, the image colouring is lex-smaller at the first determined
 difference (lex-leader symmetry breaking). The surviving colourings are
 closed under Aut(G) and, for equal targets, under the colour swap, so their
 least member is no larger than any of its images: neither rule cuts it, and
-neither changes the verdict or the canonical witness. Budgets produce an
+neither changes the verdict or the canonical witness. A placement of edge uv
+is cut when it completes a copy of its colour's target. Every placement is
+checked, so the class minus uv never holds a copy, and the through-edge
+checks use that: they look only for copies through uv, and the CliquePendant
+check reads degrees before it searches for a clique. The canonical witness
+is checked once more in full before it is returned. Budgets produce an
 explicit UNDECIDED outcome, never a guess. One ``Budget`` (a wall-clock
 deadline and a count of search nodes) is made by the caller and passed down
 unchanged, so it caps every search of a computation together.
@@ -147,8 +152,17 @@ def read_colouring(text: str) -> EdgeColouring:
 
 
 def _has_clique_within(adj: tuple[int, ...], mask: int, size: int) -> bool:
-    if size <= 0:
-        return True
+    """Does ``mask`` hold a clique on ``size`` vertices?"""
+    if size <= 1:
+        return size <= 0 or mask != 0
+    if size == 2:
+        m = mask
+        while m:
+            b = m & -m
+            if adj[b.bit_length() - 1] & mask:
+                return True
+            m ^= b
+        return False
     if mask.bit_count() < size:
         return False
     while mask:
@@ -251,8 +265,28 @@ def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> dict 
 
 def _through_edge_checker(p: TargetPattern):
     """Build ``check(adj, u, v) -> bool``: does the colour class whose adjacency
-    is ``adj`` (edge (u,v) already included) contain a copy of ``p`` that uses
-    the edge (u,v)?"""
+    is ``adj`` (edge (u,v) already included) contain a copy of ``p``?
+
+    Precondition: the class minus the edge (u,v) holds no copy of ``p``, so
+    every copy the check can find uses (u,v). The search keeps this true by
+    induction: the empty class holds no copy, and every edge it places
+    passes this check. The other checks look for the copies through (u,v)
+    in any class; the CliquePendant check is exact only under the
+    precondition.
+
+    CliquePendant(k), K_k with one pendant edge. In a class with no K_k·K_2,
+    every K_k is a whole component, since a K_k vertex with a neighbour
+    outside it would carry a pendant. Let N(x) be the old neighbourhood of
+    x (without the new edge) and C = N(u) & N(v). A copy through uv either
+      (a) has uv as its pendant edge: u (or v) lies in an old K_k, which is
+          its whole old component, so |N(u)| = k - 1 and N(u) is a clique;
+    or
+      (b) has uv inside its K_k = {u, v} + T, with T a K_{k-2} inside C.
+          If |N(u)| >= k - 1, u has a neighbour outside the K_k, so any T
+          will do; likewise for v. Otherwise |N(u)|, |N(v)| <= k - 2 force
+          N(u) = N(v) = C = T, and the one candidate K_k needs a pendant at
+          a vertex of C.
+    """
     if isinstance(p, Clique):
         k = p.k
         if k == 1:
@@ -267,17 +301,25 @@ def _through_edge_checker(p: TargetPattern):
         k = p.k
 
         def check_pendant(adj, u, v):
-            if _has_clique_within(adj, adj[u] & ~(1 << v), k - 1):
-                return True
-            if _has_clique_within(adj, adj[v] & ~(1 << u), k - 1):
-                return True
-            if k >= 2:
-                uv = (1 << u) | (1 << v)
-                for tpl in _cliques_within(adj, adj[u] & adj[v], k - 2):
-                    smask = uv | mask_of(tpl)
-                    for s in bits(smask):
-                        if adj[s] & ~smask:
-                            return True
+            nu = adj[u] & ~(1 << v)
+            nv = adj[v] & ~(1 << u)
+            du = nu.bit_count()
+            dv = nv.bit_count()
+            common = nu & nv
+            if du >= k - 1 or dv >= k - 1:
+                # (b) with any T, else (a)
+                return (
+                    _has_clique_within(adj, common, k - 2)
+                    or (du == k - 1 and _has_clique_within(adj, nu, k - 1))
+                    or (dv == k - 1 and _has_clique_within(adj, nv, k - 1))
+                )
+            # (a) needs a degree of k - 1; in (b), T = C is the one candidate
+            if not _has_clique_within(adj, common, k - 2):
+                return False
+            outside = ~(common | (1 << u) | (1 << v))
+            for s in bits(common):
+                if adj[s] & outside:
+                    return True
             return False
 
         return check_pendant
@@ -470,8 +512,17 @@ def _dfs_search(
     permutation is incremental: it waits on the edge ``max(j, pi[j])`` where
     it stopped, and placing edge i resumes only the scans waiting on i.
 
-    Explores at most ``budget.nodes_left`` nodes and stops soon after
-    ``budget.deadline``; the node that would pass a limit is not explored.
+    Invariant: neither colour class holds a copy of its target. It holds
+    for the empty classes, and a placement survives only when the checker
+    finds no copy, so before each placement the class minus the new edge
+    holds no copy, as ``_through_edge_checker`` requires. At a leaf both
+    classes are searched in full once more, and a copy raises RuntimeError
+    instead of returning a wrong witness.
+
+    The budget is checked once after the generators of Aut(g), which run
+    before the first node. Explores at most ``budget.nodes_left`` nodes and
+    stops soon after ``budget.deadline``; the node that would pass a limit
+    is not explored.
     Returns (status, witness colour tuple or None, nodes explored).
     """
     edges = g.edges()
@@ -488,6 +539,8 @@ def _dfs_search(
     watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
     for pi in _edge_perms(g):
         watch[pi[0]].append((pi, 0))
+    if budget.spent():  # the generators ran outside the search's own checks
+        return _BUDGET, None, 0
     trail: list[tuple[list, list[int]] | None] = [None] * m
 
     def advance(i: int) -> bool:
@@ -529,7 +582,13 @@ def _dfs_search(
     i, c = 0, _RED
     while True:
         if i == m:
-            # canonical: the first leaf in lex order
+            # canonical: the first leaf in lex order; a copy here means a
+            # through-edge check broke its contract
+            if (
+                _search_pattern(adj[_RED], n, red) is not None
+                or _search_pattern(adj[_BLUE], n, blue) is not None
+            ):
+                raise RuntimeError("search witness contains a monochromatic target")
             return _FOUND, tuple(_COLOURS[x] for x in col), nodes
         if c > _BLUE or (sym and i == 0 and c == _BLUE):
             i -= 1

@@ -71,6 +71,16 @@ class Graph:
                     raise InputError(f"adjacency is not symmetric at ({u}, {v})")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph with adjacency ``adj``, built without the checks of
+        ``__post_init__``. Only for internal builders whose ``adj`` is
+        symmetric, loop-free and in range by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:

@@ -62,7 +62,7 @@ def _classes(n: int) -> tuple[Graph, ...]:
         for subset in subset_orbit_reps(parent):
             adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
             adj.append(subset)
-            keys.add(canonical_key(Graph(n, tuple(adj))))
+            keys.add(canonical_key(Graph._trusted(n, tuple(adj))))
     return tuple(graph_of_key(k) for k in sorted(keys))
 
 

@@ -133,7 +133,9 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 
 def graph_of_key(key: tuple[int, int]) -> Graph:
     """The graph whose canonical columns are packed in ``key``: vertex j is
-    adjacent to i < j when bit j-1-i of column j is set."""
+    adjacent to i < j when bit j-1-i of column j is set. The adjacency is
+    symmetric and loop-free by construction, so the graph skips validation;
+    ``key`` must come from ``canonical_key``."""
     n, packed = key
     adj = [0] * n
     for j in range(n - 1, 0, -1):
@@ -143,7 +145,7 @@ def graph_of_key(key: tuple[int, int]) -> Graph:
             if (col >> (j - 1 - i)) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:

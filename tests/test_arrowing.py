@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from ramseykit.arrowing import (
     ramsey_number,
 )
 from ramseykit.errors import InputError
+from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph
 from ramseykit.minimal import enumerate_graphs
 from ramseykit.patterns import (
@@ -32,6 +34,7 @@ from ramseykit.symmetry import automorphisms, generators
 
 from oracles import (
     brute_automorphism_count,
+    copy_edge_masks,
     naive_arrows,
     naive_witness,
     preserves_adjacency,
@@ -165,6 +168,25 @@ class TestArrows:
         assert first.nodes > 0 and second.nodes > 0
         assert budget.nodes_left == 10**9 - first.nodes - second.nodes
 
+    def test_deadline_is_checked_after_the_generators(self, monkeypatch):
+        budget = Budget(seconds=600)
+        real = arrowing.generators
+
+        def generators_that_use_up_the_time(g):
+            budget.deadline = time.monotonic() - 1
+            return real(g)
+
+        monkeypatch.setattr(arrowing, "generators", generators_that_use_up_the_time)
+        verdict = arrows(Graph.complete(5), Clique(3), Clique(3), budget)
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert verdict.nodes == 0
+
+    def test_witness_with_a_copy_raises(self, monkeypatch):
+        # a checker that never sees a copy lets the all-red colouring through
+        monkeypatch.setattr(arrowing, "_through_edge_checker", lambda p: lambda adj, u, v: False)
+        with pytest.raises(RuntimeError):
+            arrows(Graph.complete(6), Clique(3), Clique(3))
+
     def test_canonical_witness_is_deterministic(self):
         a = arrows(Graph.complete(5), Clique(3), Clique(3))
         b = arrows(Graph.complete(5), Clique(3), Clique(3))
@@ -258,6 +280,25 @@ class TestSearchModes:
             assert len(automorphisms(g, limit=count + 1)) == count, g.edges()
 
 
+class TestThroughEdgeChecker:
+    """On every class that meets the checker's precondition, G - uv with no
+    copy of the target, the check answers whether G holds a copy."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [Clique(k) for k in range(1, 5)] + [CliquePendant(k) for k in range(1, 5)],
+        ids=str,
+    )
+    def test_matches_copy_masks(self, p):
+        check = arrowing._through_edge_checker(p)
+        for g in enumerate_graphs(6):
+            has_copy = bool(copy_edge_masks(g, p))
+            for u, v in g.edges():
+                if copy_edge_masks(g.without_edge(u, v), p):
+                    continue
+                assert check(g.adj, u, v) is has_copy, (g.edges(), u, v)
+
+
 class TestWitnessDifferential:
     """Verdicts and canonical witnesses equal the brute-force lex-first
     colouring, with symmetry breaking on and off."""
@@ -274,6 +315,8 @@ class TestWitnessDifferential:
             (Clique(3), Clique(3)),
             (CliquePendant(3), CliquePendant(3)),
             (Clique(3), CliquePendant(3)),
+            (CliquePendant(2), CliquePendant(2)),
+            (CliquePendant(4), Clique(3)),
         ],
         ids=str,
     )
@@ -299,6 +342,13 @@ class TestNodeCounts:
         rep = ramsey_number(Clique(3), CliquePlusCliques(3, 1, 3))
         assert rep.n == 8
         assert rep.nodes <= 10_000
+
+    def test_pendant_gadget_arrows_k3_k2(self):
+        # the k = 3 pendant gadget of the paper, 17 vertices and |Aut| = 200
+        gadget = build_pendant_gadget(3, [build_g0(3, Graph.cycle(5))] * 2).graph
+        verdict = arrows(gadget, CliquePendant(3), CliquePendant(3))
+        assert verdict.outcome is Outcome.ARROW
+        assert verdict.nodes <= 32_485
 
 
 class TestEpsilonArrows:

@@ -713,15 +713,20 @@ def ramsey_number(
     red: TargetPattern,
     blue: TargetPattern,
     opts: Budget | None = None,
+    *,
+    n_max: int | None = None,
 ) -> RamseyNumberReport:
     """Smallest n such that the complete graph on n vertices arrows the pair.
 
     Increments n starting from the largest component size of either pattern;
-    on budget exhaustion reports the last resolved order."""
+    on budget exhaustion, or after order ``n_max`` when given, reports the
+    last resolved order. Every resolved order is below the Ramsey number."""
     n = max(1, largest_component_size(red), largest_component_size(blue))
     nodes = 0
     resolved = n - 1
     while True:
+        if n_max is not None and n > n_max:
+            return RamseyNumberReport(None, False, resolved, nodes)
         verdict = arrows(Graph.complete(n), red, blue, opts)
         nodes += verdict.nodes
         if verdict.outcome is Outcome.UNDECIDED:

@@ -19,6 +19,7 @@ __all__ = [
     "Graph",
     "Hypergraph",
     "clique_number",
+    "colourable",
     "independence_number",
     "induced_subgraph",
     "hyper_girth",
@@ -192,6 +193,56 @@ def _colour_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]
             order.append(v)
             bounds.append(colour)
     return order, bounds
+
+
+def colourable(g: Graph, c: int) -> bool:
+    """Whether ``g`` has a proper vertex colouring with at most ``c`` colours.
+
+    Exact backtrack over bitmask colour classes. The next vertex is the most
+    constrained one: the fewest colours left open to it. A vertex opens a new
+    class only as the next unused one, so colourings that differ by a renaming
+    of colours are tried once. A branch succeeds as soon as its uncoloured
+    vertices are no more than its unused colours, each taking a fresh one.
+    """
+    adj = g.adj
+    classes = [0] * max(c, 0)
+
+    def place(left: int, used: int) -> bool:
+        if left.bit_count() <= c - used:
+            return True
+        best, best_free, best_count = 0, 0, c + 1
+        q = left
+        while q:
+            b = q & -q
+            q ^= b
+            nbrs = adj[b.bit_length() - 1]
+            free = count = 0
+            for k in range(used):
+                if not classes[k] & nbrs:
+                    free |= 1 << k
+                    count += 1
+            if used < c:
+                count += 1
+            if count < best_count:
+                if count == 0:
+                    return False
+                best, best_free, best_count = b, free, count
+        left ^= best
+        while best_free:
+            k = (best_free & -best_free).bit_length() - 1
+            best_free &= best_free - 1
+            classes[k] |= best
+            if place(left, used):
+                return True
+            classes[k] ^= best
+        if used < c:
+            classes[used] = best
+            if place(left, used + 1):
+                return True
+            classes[used] = 0
+        return False
+
+    return place((1 << g.n) - 1, 0)
 
 
 def clique_number(g: Graph) -> int:

@@ -7,6 +7,17 @@ new vertex's neighbourhoods, and deduplicated by the canonical form of
 ``symmetry``.
 Survey results only ever bound the smallest minimum degree from above within
 the searched order range; no claim is made beyond it.
+
+The survey and ``distinguish`` read only verdicts, so they drop a graph
+without a search when its chromatic number already decides it (Burr, Erdős
+& Lovász 1976): if G arrows H then chi(G) >= R(w, w) with w = omega(H).
+Proof: if chi(G) < R(w, w), the complete graph K_{chi(G)} has a colouring
+with no monochromatic K_w. Pull it back along a proper colouring of G: the
+edge uv takes the colour of the edge between the colours of u and v. The
+vertices of a K_w in G have distinct colours, so a monochromatic K_w in G
+would give one in K_{chi(G)}. The pulled-back colouring thus has no
+monochromatic K_w, and no monochromatic H, which contains a K_w.
+``minimalize`` and ``is_minimal`` search every graph they are given.
 """
 from __future__ import annotations
 
@@ -15,11 +26,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .arrowing import Budget, Outcome, arrows, find_pattern
+from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
-from .graphs import Graph, components, induced_subgraph
-from .patterns import TargetPattern, pattern_graph, pattern_num_edges, pattern_text
+from .graphs import Graph, clique_number, colourable, components, induced_subgraph
+from .patterns import Clique, TargetPattern, pattern_graph, pattern_num_edges, pattern_text
 from .symmetry import canonical_graph, canonical_key, graph_of_key, subset_orbit_reps
 
 __all__ = [
@@ -144,6 +155,24 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
 
 
+# -- the chromatic prefilter ----------------------------------------------------
+
+
+def _chromatic_floor(p: TargetPattern, n_max: int, budget: Budget) -> int:
+    """A lower bound on chi(G) for every graph G on at most ``n_max``
+    vertices that arrows ``p``: R(w, w) for w = omega(p), or one more than the
+    largest order known to lie below it.
+
+    R is sought on complete graphs up to ``min(n_max, _ENUM_LIMIT)`` vertices
+    only, so the cost stays small when R(w, w) is out of reach (R(4, 4) = 18);
+    a budget spent on the way leaves a smaller, still valid, bound. The
+    searches share ``budget``.
+    """
+    w = clique_number(pattern_graph(p))
+    r = ramsey_number(Clique(w), Clique(w), budget, n_max=min(n_max, _ENUM_LIMIT))
+    return r.n if r.decided else r.checked_up_to + 1
+
+
 # -- degree survey --------------------------------------------------------------
 
 _SURVEY_CAVEAT = (
@@ -197,6 +226,11 @@ def degree_survey(
     graph6 streams). ``r_value``, when supplied, records the upper bound
     r(H) - 1 next to the always-available lower bound 2*delta(H) - 1. The
     survey stops, incomplete, once the budget ``opts`` is spent.
+
+    A graph with chi(G) < R(omega(H), omega(H)) is counted in
+    ``graphs_checked`` and skipped without a search: a good colouring of
+    K_{chi(G)} pulled back along a proper colouring of G shows that G does
+    not arrow H (see the module docstring).
     """
     hgraph = pattern_graph(p)
     delta_h = min(hgraph.degrees()) if hgraph.n else 0
@@ -208,6 +242,7 @@ def degree_survey(
     )
     budget = opts or Budget()
     min_edges = 2 * pattern_num_edges(p) - 1
+    chi_floor = _chromatic_floor(p, n_max, budget)
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:
         if budget.spent():
@@ -222,6 +257,8 @@ def degree_survey(
             continue  # a colouring can halve the edges, so arrowing is impossible
         if find_pattern(g, p) is None:
             continue  # the all-red colouring would already be a witness
+        if colourable(g, chi_floor - 1):
+            continue  # chi(G) < R(omega(H), omega(H)): G does not arrow H
         report = is_minimal(g, p, budget)
         if not report.decided:
             survey.complete = False
@@ -269,10 +306,16 @@ def distinguish(
     A returned graph refutes Ramsey-equivalence of the two patterns; absence
     within the searched range proves nothing. The search stops, incomplete,
     once the budget ``opts`` is spent.
+
+    A graph with chi(G) < R(omega(h1), omega(h1)) is counted in
+    ``graphs_checked`` and skipped without a search: a good colouring of
+    K_{chi(G)} pulled back along a proper colouring of G shows that G does
+    not arrow ``h1`` (see the module docstring).
     """
     if h1 == h2:
         return DistinguishReport(None, True, 0)
     budget = opts or Budget()
+    chi_floor = _chromatic_floor(h1, n_max, budget)
     checked = 0
     complete = True
     source = graphs if graphs is not None else enumerate_graphs(n_max)
@@ -283,6 +326,8 @@ def distinguish(
         if g.n > n_max:
             continue
         checked += 1
+        if colourable(g, chi_floor - 1):
+            continue  # chi(G) < R(omega(h1), omega(h1)): G does not arrow h1
         v1 = arrows(g, h1, h1, budget)
         if v1.outcome is Outcome.UNDECIDED:
             complete = False

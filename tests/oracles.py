@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: subsets are enumerated
 directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
-masks, automorphisms by trying every one of the n! vertex permutations, and
+masks, chromatic numbers by trying every assignment of colours to vertices,
+automorphisms by trying every one of the n! vertex permutations, and
 canonical forms by trying every class-grouped vertex ordering.
 """
 from itertools import combinations, permutations, product
@@ -19,6 +20,18 @@ def brute_clique_number(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
                 return size
     return best
+
+
+def brute_chromatic_number(g: Graph) -> int:
+    """Least c for which some assignment of c colours to the vertices, out of
+    all c^n, gives every edge two different colours."""
+    edges = g.edges()
+    c = 0
+    while not any(
+        all(col[u] != col[v] for u, v in edges) for col in product(range(c), repeat=g.n)
+    ):
+        c += 1
+    return c
 
 
 def brute_independence_number(g: Graph) -> int:

@@ -10,6 +10,7 @@ from ramseykit.graphs import (
     Hypergraph,
     bits,
     clique_number,
+    colourable,
     components,
     hyper_alpha,
     hyper_girth,
@@ -18,7 +19,9 @@ from ramseykit.graphs import (
     mask_of,
 )
 
-from oracles import bfs_girth, brute_clique_number, brute_independence_number
+from ramseykit.minimal import enumerate_graphs
+
+from oracles import bfs_girth, brute_chromatic_number, brute_clique_number, brute_independence_number
 
 FANO = Hypergraph.from_edges(
     7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -71,6 +74,43 @@ class TestCliqueNumber:
         rng = random.Random(97)
         g = random_graph(24, 0.5, rng)
         assert clique_number(g) == independence_number(g.complement())
+
+
+def chromatic_number(g: Graph) -> int:
+    c = 0
+    while not colourable(g, c):
+        c += 1
+    return c
+
+
+def grotzsch() -> Graph:
+    """The Mycielskian of C5: 11 vertices, triangle-free, chromatic number 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
+class TestColourable:
+    def test_matches_brute_force(self):
+        for g in enumerate_graphs(6):
+            chi = brute_chromatic_number(g)
+            for c in range(g.n + 1):
+                assert colourable(g, c) == (chi <= c), (g.edges(), c)
+
+    def test_named_graphs(self):
+        assert chromatic_number(Graph.cycle(5)) == 3
+        assert chromatic_number(Graph.petersen()) == 3
+        assert [chromatic_number(Graph.complete(n)) for n in range(9)] == list(range(9))
+        g = grotzsch()
+        assert clique_number(g) == 2
+        assert chromatic_number(g) == 4
+
+    def test_small_cases(self):
+        assert colourable(Graph.empty(0), 0)
+        assert not colourable(Graph.empty(1), 0)
+        assert colourable(Graph.empty(5), 1)
+        assert not colourable(Graph.empty(0), -1)
 
 
 class TestIndependenceNumber:

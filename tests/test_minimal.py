@@ -4,12 +4,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ramseykit import minimal
+from ramseykit import arrowing, minimal
 from ramseykit.errors import InputError, Undecided
-from ramseykit.arrowing import Budget
+from ramseykit.arrowing import Budget, Outcome, arrows, ramsey_number
 from ramseykit.formats import graph6_encode
-from ramseykit.graphs import Graph
+from ramseykit.graphs import Graph, colourable
 from ramseykit.minimal import (
+    MinimalityReport,
     canonical_graph,
     canonical_key,
     degree_survey,
@@ -307,3 +308,87 @@ class TestSharedBudget:
         with pytest.raises(Undecided):
             minimalize(Graph.complete(7), Clique(3), spent)
         assert not distinguish(Clique(3), CliquePendant(3), 6, opts=spent).complete
+
+
+class TestChromaticPrefilter:
+    """Surveys and ``distinguish`` skip a graph G with chi(G) < R(w, w),
+    w = omega(H): such a G never arrows H (Burr, Erdős & Lovász)."""
+
+    def test_rule_agrees_with_search(self):
+        r = ramsey_number(Clique(3), Clique(3)).n
+        assert r == 6
+        skipped = 0
+        for g in enumerate_graphs(7):
+            if colourable(g, r - 1):
+                skipped += 1
+                for p in (Clique(3), CliquePendant(3)):
+                    assert arrows(g, p, p).outcome is Outcome.NOT_ARROW, g.edges()
+        assert skipped == 1244  # all but the 8 graphs with chi >= 6
+
+    def test_filter_on_and_off_agree(self, monkeypatch):
+        runs = {}
+        for on in (True, False):
+            if not on:
+                monkeypatch.setattr(minimal, "colourable", lambda g, c: False)
+            runs[on] = (
+                [list(degree_survey(p, 7).iter_json_lines()) for p in (Clique(3), CliquePendant(3))],
+                distinguish(Clique(3), CliquePendant(3), 6),
+                distinguish(Clique(2), Clique(3), 3),
+            )
+        assert runs[True] == runs[False]
+
+    def test_filter_skips_searches(self, monkeypatch):
+        calls = []
+        real = minimal.is_minimal
+
+        def spy(g, p, opts=None):
+            calls.append(g)
+            return real(g, p, opts)
+
+        monkeypatch.setattr(minimal, "is_minimal", spy)
+        survey = degree_survey(CliquePendant(3), 7)
+        assert survey.graphs_checked == 1252
+        assert len(calls) == 7  # the graphs on <= 7 vertices with chi >= 6 and a K3.K2
+
+    def test_degree_check_still_fires(self, monkeypatch):
+        # K6 plus a pendant vertex has chi = 6, so it passes the filter; called
+        # minimal, its delta = 1 is below the bound 2 * delta(K3) - 1 = 3
+        def every_graph_minimal(g, p, opts=None):
+            return MinimalityReport(g, p, True, True, True, None, ())
+
+        monkeypatch.setattr(minimal, "is_minimal", every_graph_minimal)
+        with pytest.raises(RuntimeError, match="below the lower bound"):
+            degree_survey(Clique(3), 7)
+
+    def test_ramsey_number_shares_the_budget(self, monkeypatch):
+        hosts = []
+        real = arrowing.arrows
+
+        def spy(g, red, blue, opts=None):
+            hosts.append((g, opts))
+            return real(g, red, blue, opts)
+
+        monkeypatch.setattr(arrowing, "arrows", spy)
+        for run in (
+            lambda budget: degree_survey(CliquePendant(3), 6, opts=budget),
+            lambda budget: distinguish(CliquePendant(3), Clique(3), 6, opts=budget),
+        ):
+            hosts.clear()
+            budget = Budget(seconds=60, nodes=10**9)
+            run(budget)
+            assert [g.n for g, _ in hosts] == [3, 4, 5, 6]  # R(3, 3) = 6 from K3 up
+            assert all(g == Graph.complete(g.n) and b is budget for g, b in hosts)
+
+    def test_ramsey_number_stops_at_the_survey_order(self):
+        # R(4, 4) = 18 is out of reach; the complete graphs up to K_nmax show
+        # that no graph in range arrows K4, and every one is skipped
+        survey = degree_survey(Clique(4), 6, opts=Budget(seconds=60))
+        assert survey.complete and not survey.records
+        r = ramsey_number(Clique(4), Clique(4), n_max=6)
+        assert (r.n, r.decided, r.checked_up_to) == (None, False, 6)
+
+    def test_undecided_ramsey_number_leaves_the_survey_incomplete(self):
+        assert not ramsey_number(Clique(3), Clique(3), Budget(nodes=1)).decided
+        survey = degree_survey(Clique(3), 6, opts=Budget(nodes=1))
+        assert not survey.complete
+        assert survey.graphs_checked == 0 and not survey.records

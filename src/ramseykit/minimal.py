@@ -3,8 +3,12 @@ Ramsey-equivalence refutation by distinguishing witnesses.
 
 Graph enumeration is built in for up to 8 vertices: graphs are grown one
 vertex at a time, once per orbit of the parent's automorphism group on the
-new vertex's neighbourhoods, and deduplicated by the canonical form of
-``symmetry``.
+new vertex's neighbourhoods. A child is kept only when its new vertex lies in
+its top refinement class, the one with the largest id from
+``symmetry.refine``; every graph is such a child of some parent (McKay's
+canonical augmentation, J. Algorithms 1998, with the top class in place of
+the canonically last orbit). The few duplicates left, from top classes of
+more than one vertex, are removed by the canonical form of ``symmetry``.
 Survey results only ever bound the smallest minimum degree from above within
 the searched order range; no claim is made beyond it.
 
@@ -29,9 +33,9 @@ from typing import Iterable, Iterator, Optional
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
-from .graphs import Graph, clique_number, colourable, components, induced_subgraph
+from .graphs import Graph, clique_number, colourable, components, induced_subgraph, mask_of
 from .patterns import Clique, TargetPattern, pattern_graph, pattern_num_edges, pattern_text
-from .symmetry import canonical_graph, canonical_key, graph_of_key, subset_orbit_reps
+from .symmetry import canonical_graph, canonical_key, graph_of_key, refine, subset_orbit_reps
 
 __all__ = [
     "MinimalityReport",
@@ -63,6 +67,18 @@ def _classes(n: int) -> tuple[Graph, ...]:
     sigma of the parent, sigma extended to fix the new vertex maps the child
     of S onto the child of sigma(S), and every graph on ``n`` vertices is a
     child of the class of its first ``n - 1`` vertices.
+
+    A child is canonicalised only when vertex ``n - 1`` lies in its top
+    refinement class, the class with the largest id from ``refine``. This
+    loses no class: take a graph X on ``n`` vertices and a vertex x in X's
+    top class. X - x is isomorphic to some parent P, so up to Aut(P), X is
+    the child of P's orbit representative S, with ``n - 1`` playing the
+    part of x. Refinement ids are isomorphism invariant, so that child
+    passes the test. Class ids refine the degree order, so the top class
+    holds only vertices of maximum degree, and a child whose new vertex has
+    a smaller degree fails before it is refined. A top class of more than
+    one vertex can still pass two children of one class; the key set
+    removes them.
     """
     if n == 0:
         return ()
@@ -70,10 +86,21 @@ def _classes(n: int) -> tuple[Graph, ...]:
         return (Graph.empty(1),)
     keys: set[tuple[int, int]] = set()
     for parent in _classes(n - 1):
+        degrees = parent.degrees()
+        top = max(degrees)
+        top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
         for subset in subset_orbit_reps(parent):
+            # the child's maximum degree beside the new vertex's: top + 1
+            # when the subset meets a parent vertex of degree top
+            if top + (subset & top_mask != 0) > subset.bit_count():
+                continue
             adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
             adj.append(subset)
-            keys.add(canonical_key(Graph._trusted(n, tuple(adj))))
+            child = Graph._trusted(n, tuple(adj))
+            colour = refine(child)
+            if colour[n - 1] != max(colour):
+                continue
+            keys.add(canonical_key(child, colour))
     return tuple(graph_of_key(k) for k in sorted(keys))
 
 

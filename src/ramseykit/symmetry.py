@@ -10,6 +10,9 @@ decodes back to the canonical graph. A generating set of the automorphism
 group is found level by level, as nauty does, by a backtrack that maps each
 vertex only into its own refinement class; the whole group is its closure,
 and its orbits on vertex subsets pick the extensions graph enumeration tries.
+Enumeration canonicalises only the extensions whose new vertex lies in the
+top refinement class, which every graph has for some extension: class ids
+are isomorphism invariant.
 """
 from __future__ import annotations
 
@@ -30,7 +33,10 @@ def refine(g: Graph) -> list[int]:
     """Stable vertex classes under iterated degree refinement.
 
     Class ids are ranks of the class signatures, so isomorphic graphs assign
-    identical id multisets and corresponding vertices get equal ids.
+    identical id multisets and corresponding vertices get equal ids. A
+    signature starts with the vertex's previous id, so a vertex of larger
+    degree gets a larger id, and the top class holds only maximum-degree
+    vertices.
     """
     return _refine([list(bits(row)) for row in g.adj], g.degrees())
 
@@ -50,9 +56,10 @@ def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
         count = len(ranks)
 
 
-def _canonical_columns(g: Graph) -> list[int]:
+def _canonical_columns(g: Graph, colour: list[int] | None = None) -> list[int]:
     """Minimum column-major adjacency bitstring over the orderings that list
-    vertices grouped by ascending refinement class.
+    vertices grouped by ascending refinement class. ``colour``, when given,
+    must be ``refine(g)``.
 
     Restricting to class-grouped orderings keeps the form isomorphism
     invariant (the classes are) while collapsing most tie branching. Column j
@@ -70,7 +77,8 @@ def _canonical_columns(g: Graph) -> list[int]:
     if n == 0:
         return []
     adj = g.adj
-    colour = refine(g)
+    if colour is None:
+        colour = refine(g)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colour):
         cells.setdefault(c, []).append(v)
@@ -119,12 +127,13 @@ def _canonical_columns(g: Graph) -> list[int]:
     return best
 
 
-def canonical_key(g: Graph) -> tuple[int, int]:
+def canonical_key(g: Graph, colour: list[int] | None = None) -> tuple[int, int]:
     """Hashable canonical invariant (n, packed bitstring); equal iff isomorphic.
 
     Column j takes the next j bits, so the key determines the canonical
-    graph (``graph_of_key``)."""
-    cols = _canonical_columns(g)
+    graph (``graph_of_key``). A caller that has already refined ``g`` passes
+    ``colour=refine(g)`` so that the refinement is not computed twice."""
+    cols = _canonical_columns(g, colour)
     key = 0
     for j, col in enumerate(cols):
         key = (key << j) | col

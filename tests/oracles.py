@@ -5,12 +5,15 @@ directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
 masks, chromatic numbers by trying every assignment of colours to vertices,
 automorphisms by trying every one of the n! vertex permutations, and
-canonical forms by trying every class-grouped vertex ordering.
+canonical forms by trying every class-grouped vertex ordering. The one
+exception is the unfiltered enumeration, which deduplicates by the library's
+canonical key so that it tests only which children enumeration tries.
 """
 from itertools import combinations, permutations, product
 
 from ramseykit.graphs import Graph
 from ramseykit.patterns import Clique, CliquePendant, Colour
+from ramseykit.symmetry import canonical_key, graph_of_key
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -198,3 +201,19 @@ def brute_subset_orbits(g: Graph) -> list[set[int]]:
         seen |= orbit
         orbits.append(orbit)
     return orbits
+
+
+def unfiltered_classes(n_max: int) -> list[tuple[Graph, ...]]:
+    """Canonical representatives of the graphs on 0..n_max vertices, each
+    order ascending by canonical key: every subset of every parent's vertices
+    is tried as the new vertex's neighbourhood, deduplicated by
+    ``canonical_key``."""
+    levels = [(), (Graph.empty(1),)]
+    for n in range(2, n_max + 1):
+        keys = set()
+        for parent in levels[-1]:
+            for subset in range(1 << (n - 1)):
+                adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
+                keys.add(canonical_key(Graph(n, tuple(adj + [subset]))))
+        levels.append(tuple(graph_of_key(k) for k in sorted(keys)))
+    return levels[: n_max + 1]

@@ -22,7 +22,7 @@ from ramseykit.minimal import (
 from ramseykit.patterns import Clique, CliquePendant
 from ramseykit.symmetry import _canonical_columns, graph_of_key, refine, subset_orbit_reps
 
-from oracles import brute_canonical_columns, brute_subset_orbits
+from oracles import brute_canonical_columns, brute_subset_orbits, unfiltered_classes
 
 
 def labellings(n_max: int, seed: int):
@@ -87,15 +87,51 @@ class TestEnumeration:
                 hit = [m for m in reps if m in orbit]
                 assert hit == [min(orbit)], g.edges()
 
+    # the count tests run before the cold enumeration below, which clears
+    # the cache, so that n = 8 is shared with the acceptance survey
+    def test_class_counts(self):
+        # the number of isomorphism classes of simple graphs by order (OEIS A000088)
+        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+        for n, count in expected.items():
+            assert sum(1 for _ in enumerate_graphs(n, min_n=n)) == count
+
+    def test_connected_counts(self):
+        # connected graphs by order (OEIS A001349)
+        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+        for n, count in expected.items():
+            got = sum(1 for _ in enumerate_graphs(n, min_n=n, connected_only=True))
+            assert got == count
+
+    def test_matches_unfiltered_enumeration(self):
+        # every subset of every parent, deduplicated: neither the orbit
+        # choice nor the top-class test drops a class or moves a representative
+        for n, expected in enumerate(unfiltered_classes(7)):
+            assert minimal._classes(n) == expected, n
+
+    def test_top_refinement_class_has_maximum_degree(self):
+        # the degree pre-check in _classes rests on this: class ids refine
+        # the degree order, so the top class holds only max-degree vertices.
+        # Every labelled graph on at most 6 vertices, so that the check does
+        # not depend on the enumeration it guards
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if (m >> i) & 1])
+                colour = refine(g)
+                top = [v for v in range(n) if colour[v] == max(colour)]
+                assert all(g.degree(v) == max(g.degrees()) for v in top), g.edges()
+
     def test_one_canonical_form_per_extension_orbit(self, monkeypatch):
-        # one child per orbit of Aut(parent) on subsets: 5,758 canonical
-        # forms up to 7 vertices, against 11,290 with every subset
+        # only children whose new vertex lies in their top refinement class
+        # are canonicalised: 1,253 canonical forms up to 7 vertices for 1,252
+        # classes, against 5,758 with one child per orbit of Aut(parent) on
+        # subsets and 11,290 with every subset
         calls = []
         real = minimal.canonical_key
 
-        def spy(g):
+        def spy(g, *args):
             calls.append(g.n)
-            return real(g)
+            return real(g, *args)
 
         monkeypatch.setattr(minimal, "canonical_key", spy)
         minimal._classes.cache_clear()
@@ -103,19 +139,7 @@ class TestEnumeration:
             assert len(minimal._classes(7)) == 1044
         finally:
             minimal._classes.cache_clear()
-        assert len(calls) <= 6000
-
-    def test_class_counts(self):
-        # the number of isomorphism classes of simple graphs by order
-        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-        for n, count in expected.items():
-            assert sum(1 for _ in enumerate_graphs(n, min_n=n)) == count
-
-    def test_connected_counts(self):
-        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-        for n, count in expected.items():
-            got = sum(1 for _ in enumerate_graphs(n, min_n=n, connected_only=True))
-            assert got == count
+        assert len(calls) <= 1253
 
     def test_no_duplicates(self):
         seen = set()

@@ -425,7 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r-value", type=int, default=None, dest="r_value")
     g.add_argument("--g0", required=True, help="template graph file")
     g.add_argument("--blocks", nargs="+", required=True, help="block graph files")
-    g.add_argument("--strict", action="store_true")
+    g.add_argument(
+        "--strict",
+        action="store_true",
+        help="certify every block against its shrink factor; fails for blocks "
+        "of at most 2^(r_value + k - 1) vertices, which are certified on "
+        "single vertices",
+    )
     g.add_argument("-o", "--out", required=True)
     common(g)
     g.set_defaults(func=_cmd_gadget)

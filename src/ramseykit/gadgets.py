@@ -425,8 +425,12 @@ def build_product(
     Always enforces the clique-freeness preconditions: the template must be
     K_{k-1}-free and every block K_t-free. ``strict`` additionally certifies
     every block against its scheduled shrink factor (block j must arrow
-    K_{t-1} on every ceil(eps_j * v) vertices), which is usually only
-    feasible for tiny blocks; relaxed mode skips only that certification.
+    K_{t-1} on every ceil(eps_j * v) vertices); relaxed mode skips only that
+    certification. Every eps_j is at most 2^-h with h = r_value + k - 1 >= 5,
+    so a block of at most 2^h vertices is certified on single vertices,
+    which arrow nothing: ``strict`` fails for every block small enough to
+    search (``schedule_params(4, 3, 4, [v] * 5)`` gives ceil(eps_j * v) = 1
+    for v = 5, 10 and 20) and can pass only for far larger blocks.
     The certifications share the budget ``opts``; one that it leaves
     undecided raises ``Undecided``.
     """

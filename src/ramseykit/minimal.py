@@ -21,7 +21,13 @@ edge uv takes the colour of the edge between the colours of u and v. The
 vertices of a K_w in G have distinct colours, so a monochromatic K_w in G
 would give one in K_{chi(G)}. The pulled-back colouring thus has no
 monochromatic K_w, and no monochromatic H, which contains a K_w.
-``minimalize`` and ``is_minimal`` search every graph they are given.
+
+``is_minimal`` and ``minimalize`` search one edge deletion per orbit of
+Aut(G) on the edges (``symmetry.edge_orbits``): an automorphism sigma maps
+G - e onto G - sigma(e), so every edge of an orbit has the same verdict.
+``minimalize`` keeps a whole orbit once one deletion from it breaks
+arrowing; by monotonicity the later, smaller graphs cannot arrow without
+those edges either.
 """
 from __future__ import annotations
 
@@ -35,7 +41,14 @@ from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, clique_number, colourable, components, induced_subgraph, mask_of
 from .patterns import Clique, TargetPattern, pattern_graph, pattern_num_edges, pattern_text
-from .symmetry import canonical_graph, canonical_key, graph_of_key, refine, subset_orbit_reps
+from .symmetry import (
+    canonical_graph,
+    canonical_key,
+    edge_orbits,
+    graph_of_key,
+    refine,
+    subset_orbit_reps,
+)
 
 __all__ = [
     "MinimalityReport",
@@ -137,7 +150,12 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
     """Check that ``g`` arrows ``p`` while no proper subgraph does.
 
     Edge deletions suffice by monotonicity; isolated vertices violate
-    vertex-minimality on their own. Every ``arrows`` call shares ``opts``.
+    vertex-minimality on their own. One deletion is searched per orbit of
+    Aut(g) on the edges, the orbit's least edge: for an automorphism sigma,
+    g - sigma(e) is isomorphic to g - e, so the whole orbit shares its
+    verdict. The orbits are searched in the order of their least edges, so
+    the first one whose deletion arrows gives the least such edge of ``g``,
+    ``failing_edge``. Every ``arrows`` call shares ``opts``.
     """
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     verdict = arrows(g, p, p, opts)
@@ -146,7 +164,8 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
     if verdict.outcome is Outcome.NOT_ARROW:
         return MinimalityReport(g, p, True, False, False, None, isolated)
     failing = None
-    for u, v in g.edges():
+    for orbit in edge_orbits(g):
+        u, v = orbit[0]
         sub = arrows(g.without_edge(u, v), p, p, opts)
         if sub.outcome is Outcome.UNDECIDED:
             return MinimalityReport(g, p, False, True, False, None, isolated)
@@ -162,7 +181,13 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     whenever arrowing survives, then drop isolated vertices.
 
     One pass suffices: an edge whose deletion broke arrowing once can never
-    become deletable after further deletions (monotonicity). Every ``arrows``
+    become deletable after further deletions (monotonicity). The same
+    argument spares searches. When ``cur - e`` does not arrow, neither does
+    ``cur - e2`` for any e2 in the orbit of e under Aut(cur), which is
+    isomorphic to it, and every later graph ``cur2`` is a subgraph of
+    ``cur``, so ``cur2 - e2`` does not arrow either: the whole orbit is kept
+    without a search. The orbits are those of the current graph; they are
+    computed again, when next needed, after each deletion. Every ``arrows``
     call shares ``opts``."""
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
@@ -170,14 +195,21 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     if verdict.outcome is Outcome.NOT_ARROW:
         raise InputError("minimalize requires a graph that arrows the pattern")
     cur = g
+    orbits = None  # edge orbits of Aut(cur), None until needed
+    kept: set[tuple[int, int]] = set()
     for u, v in g.edges():
-        if not cur.has_edge(u, v):
+        if not cur.has_edge(u, v) or (u, v) in kept:
             continue
         sub = arrows(cur.without_edge(u, v), p, p, opts)
         if sub.outcome is Outcome.UNDECIDED:
             raise Undecided(f"deletion of edge ({u}, {v}) undecided within budget")
         if sub.outcome is Outcome.ARROW:
             cur = cur.without_edge(u, v)
+            orbits = None
+            continue
+        if orbits is None:
+            orbits = edge_orbits(cur)
+        kept.update(next(orbit for orbit in orbits if (u, v) in orbit))
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
     return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
 

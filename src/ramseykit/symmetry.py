@@ -9,7 +9,9 @@ cuts a branch once its prefix exceeds the best string's; the packed key
 decodes back to the canonical graph. A generating set of the automorphism
 group is found level by level, as nauty does, by a backtrack that maps each
 vertex only into its own refinement class; the whole group is its closure,
-and its orbits on vertex subsets pick the extensions graph enumeration tries.
+and its orbits on vertex subsets pick the extensions graph enumeration tries,
+while its orbits on edges let minimality checks search one edge deletion per
+orbit.
 Enumeration canonicalises only the extensions whose new vertex lies in the
 top refinement class, which every graph has for some extension: class ids
 are isomorphism invariant.
@@ -25,6 +27,7 @@ __all__ = [
     "graph_of_key",
     "generators",
     "subset_orbit_reps",
+    "edge_orbits",
     "automorphisms",
 ]
 
@@ -282,6 +285,32 @@ def subset_orbit_reps(g: Graph) -> list[int]:
                     seen[y] = 1
                     stack.append(y)
     return reps
+
+
+def edge_orbits(g: Graph) -> list[list[tuple[int, int]]]:
+    """The orbits of Aut(g) on the edges of ``g``, each ascending, listed by
+    least edge.
+
+    Edges are visited in ascending order; the first one not yet reached is
+    the least of its orbit, which is then walked under ``generators(g)``.
+    """
+    gens = generators(g)
+    reached: set[tuple[int, int]] = set()
+    orbits = []
+    for e in g.edges():
+        if e in reached:
+            continue
+        reached.add(e)
+        orbit = [e]
+        for u, v in orbit:  # grows while it is read
+            for sigma in gens:
+                a, b = sigma[u], sigma[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in reached:
+                    reached.add(image)
+                    orbit.append(image)
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:

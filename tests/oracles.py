@@ -5,13 +5,18 @@ directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
 masks, chromatic numbers by trying every assignment of colours to vertices,
 automorphisms by trying every one of the n! vertex permutations, and
-canonical forms by trying every class-grouped vertex ordering. The one
-exception is the unfiltered enumeration, which deduplicates by the library's
-canonical key so that it tests only which children enumeration tries.
+canonical forms by trying every class-grouped vertex ordering. Two
+exceptions lean on the library on purpose, so that each tests one choice
+only: the unfiltered enumeration deduplicates by the library's canonical
+key, testing which children enumeration tries, and the per-edge minimality
+checks call the library's ``arrows`` once for every edge deletion, testing
+which deletions the library searches.
 """
 from itertools import combinations, permutations, product
 
-from ramseykit.graphs import Graph
+from ramseykit.arrowing import Outcome, arrows
+from ramseykit.graphs import Graph, induced_subgraph
+from ramseykit.minimal import MinimalityReport
 from ramseykit.patterns import Clique, CliquePendant, Colour
 from ramseykit.symmetry import canonical_key, graph_of_key
 
@@ -201,6 +206,43 @@ def brute_subset_orbits(g: Graph) -> list[set[int]]:
         seen |= orbit
         orbits.append(orbit)
     return orbits
+
+
+def brute_edge_orbits(g: Graph) -> set[frozenset]:
+    """The orbits of Aut(g) on the edges of ``g``, each automorphism found
+    among all n! vertex permutations."""
+    auts = [p for p in permutations(range(g.n)) if preserves_adjacency(g, p)]
+    return {
+        frozenset(tuple(sorted((p[u], p[v]))) for p in auts) for u, v in g.edges()
+    }
+
+
+def _decided_arrows(g: Graph, p) -> bool:
+    verdict = arrows(g, p, p)
+    assert verdict.outcome is not Outcome.UNDECIDED
+    return verdict.outcome is Outcome.ARROW
+
+
+def per_edge_is_minimal(g: Graph, p) -> MinimalityReport:
+    """The minimality report from one search per edge deletion, in edge
+    order: ``failing_edge`` is the first edge whose deletion still arrows."""
+    isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
+    if not _decided_arrows(g, p):
+        return MinimalityReport(g, p, True, False, False, None, isolated)
+    failing = next((e for e in g.edges() if _decided_arrows(g.without_edge(*e), p)), None)
+    return MinimalityReport(g, p, True, True, failing is None and not isolated, failing, isolated)
+
+
+def per_edge_minimalize(g: Graph, p) -> Graph:
+    """Delete the edges of ``g`` in edge order, searching each deletion from
+    the current graph, whenever arrowing survives; then drop the isolated
+    vertices."""
+    cur = g
+    for e in g.edges():
+        if _decided_arrows(cur.without_edge(*e), p):
+            cur = cur.without_edge(*e)
+    keep = [v for v in range(cur.n) if cur.degree(v) > 0]
+    return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
 
 
 def unfiltered_classes(n_max: int) -> list[tuple[Graph, ...]]:

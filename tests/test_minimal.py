@@ -8,6 +8,7 @@ from ramseykit import arrowing, minimal
 from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import Budget, Outcome, arrows, ramsey_number
 from ramseykit.formats import graph6_encode
+from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph, colourable
 from ramseykit.minimal import (
     MinimalityReport,
@@ -20,9 +21,23 @@ from ramseykit.minimal import (
     minimalize,
 )
 from ramseykit.patterns import Clique, CliquePendant
-from ramseykit.symmetry import _canonical_columns, graph_of_key, refine, subset_orbit_reps
+from ramseykit.symmetry import (
+    _canonical_columns,
+    automorphisms,
+    edge_orbits,
+    graph_of_key,
+    refine,
+    subset_orbit_reps,
+)
 
-from oracles import brute_canonical_columns, brute_subset_orbits, unfiltered_classes
+from oracles import (
+    brute_canonical_columns,
+    brute_edge_orbits,
+    brute_subset_orbits,
+    per_edge_is_minimal,
+    per_edge_minimalize,
+    unfiltered_classes,
+)
 
 
 def labellings(n_max: int, seed: int):
@@ -220,6 +235,76 @@ class TestMinimalize:
             minimalize(Graph.complete(6), Clique(3), Budget(nodes=3))
 
 
+def pendant_gadget() -> Graph:
+    """The paper's k = 3 pendant gadget: 17 vertices, 50 edges, |Aut| = 200."""
+    return build_pendant_gadget(3, [build_g0(3, Graph.cycle(5))] * 2).graph
+
+
+class TestEdgeOrbits:
+    @staticmethod
+    def group_orbits(g):
+        auts = automorphisms(g)
+        return {frozenset(tuple(sorted((a[u], a[v]))) for a in auts) for u, v in g.edges()}
+
+    @staticmethod
+    def assert_ordered(orbits):
+        assert all(orbit == sorted(orbit) for orbit in orbits)
+        assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+
+    @pytest.mark.parametrize("g", [Graph.complete(n) for n in range(2, 7)] + [Graph.petersen()])
+    def test_edge_transitive_graphs_have_one_orbit(self, g):
+        orbits = edge_orbits(g)
+        assert orbits == [g.edges()]
+        assert {frozenset(o) for o in orbits} == self.group_orbits(g)
+
+    def test_path(self):
+        assert edge_orbits(Graph.path(4)) == [[(0, 1), (2, 3)], [(1, 2)]]
+
+    def test_pendant_gadget(self):
+        g = pendant_gadget()
+        orbits = edge_orbits(g)
+        self.assert_ordered(orbits)
+        assert {frozenset(o) for o in orbits} == self.group_orbits(g)
+
+    def test_matches_brute_force(self):
+        for g in labellings(5, seed=11):
+            orbits = edge_orbits(g)
+            self.assert_ordered(orbits)
+            assert {frozenset(o) for o in orbits} == brute_edge_orbits(g)
+
+
+class TestOrbitSharing:
+    """``is_minimal`` and ``minimalize`` search one deletion per edge orbit
+    and give what one search per edge gives."""
+
+    @pytest.mark.parametrize("p", [Clique(3), CliquePendant(3)])
+    def test_matches_per_edge_search(self, p):
+        arrowing_graphs = 0
+        for g in labellings(7, seed=12):
+            rep = is_minimal(g, p)
+            assert rep == per_edge_is_minimal(g, p)
+            if rep.is_ramsey:
+                arrowing_graphs += 1
+                assert minimalize(g, p) == per_edge_minimalize(g, p)
+        assert arrowing_graphs == {Clique(3): 16, CliquePendant(3): 6}[p]
+
+    def test_pendant_gadget_counts(self, monkeypatch):
+        seen = []
+        real = minimal.arrows
+
+        def spy(g, red, blue, opts=None):
+            verdict = real(g, red, blue, opts)
+            seen.append(verdict.nodes)
+            return verdict
+
+        monkeypatch.setattr(minimal, "arrows", spy)
+        out = minimalize(pendant_gadget(), CliquePendant(3))
+        assert graph6_encode(out) == "P~~nNe??G@_F?N?M_FG@x_G?"
+        # one search per edge would be 51 calls and 1,627,811 nodes
+        assert len(seen) <= 11
+        assert sum(seen) <= 807_697
+
+
 class TestDegreeSurvey:
     def test_single_edge_pattern(self):
         survey = degree_survey(Clique(2), 3)
@@ -302,7 +387,7 @@ class TestSharedBudget:
     def test_is_minimal(self, seen):
         budget = Budget(seconds=60, nodes=10**9)
         rep = is_minimal(Graph.complete(6), Clique(3), budget)
-        assert rep.is_minimal and len(seen) == 16  # K6, then each of its 15 edges
+        assert rep.is_minimal and len(seen) == 2  # K6, then one edge of its one edge orbit
         self.assert_shared(seen, budget)
 
     def test_minimalize(self, seen):

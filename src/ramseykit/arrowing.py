@@ -140,9 +140,14 @@ def read_colouring(text: str) -> EdgeColouring:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError(f"bad colouring line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"bad colouring line: {ln!r}") from None
         key = (u, v) if u < v else (v, u)
+        if key in colours:
+            raise FormatError(f"edge {key} is coloured twice")
+        edges.append((u, v))
         colours[key] = Colour.from_letter(parts[2])
     g = Graph.from_edges(n, edges)
     return EdgeColouring.from_mapping(g, colours)
@@ -189,12 +194,6 @@ def _cliques_within(adj, mask: int, size: int, prefix: tuple = ()) -> Iterator[t
         v = b.bit_length() - 1
         mask ^= b
         yield from _cliques_within(adj, mask & adj[v], size - 1, prefix + (v,))
-
-
-def _find_clique_within(adj, mask: int, size: int) -> tuple[int, ...] | None:
-    for tpl in _cliques_within(adj, mask, size):
-        return tpl
-    return None
 
 
 def _pack_cliques(adj, n: int, used: int, count: int, t: int, lo: int = -1) -> tuple | None:
@@ -371,7 +370,7 @@ def _search_pattern(adj: tuple[int, ...], n: int, p: TargetPattern):
     """
     full = (1 << n) - 1
     if isinstance(p, Clique):
-        return _find_clique_within(adj, full, p.k) if p.k <= n else None
+        return next(_cliques_within(adj, full, p.k), None) if p.k <= n else None
     if isinstance(p, CliquePendant):
         for tpl in _cliques_within(adj, full, p.k):
             smask = mask_of(tpl)
@@ -403,22 +402,6 @@ def find_pattern(g: Graph, p: TargetPattern):
 def find_mono(c: EdgeColouring, p: TargetPattern, colour: Colour):
     """Embedding of ``p`` into the given colour class of ``c``, or None."""
     return _search_pattern(c.class_adj(colour), c.graph.n, p)
-
-
-def embedding_vertices(p: TargetPattern, emb) -> set[int]:
-    """All host vertices used by an embedding returned from find_mono."""
-    if isinstance(p, Clique):
-        return set(emb)
-    if isinstance(p, CliquePendant):
-        tpl, _s, w = emb
-        return set(tpl) | {w}
-    if isinstance(p, CliquePlusCliques):
-        tpl, rest = emb
-        out = set(tpl)
-        for t in rest:
-            out |= set(t)
-        return out
-    return set(emb)
 
 
 # -- the arrowing search --------------------------------------------------------
@@ -507,10 +490,15 @@ def _dfs_search(
     Edge i is placed red, then blue, after edges 0..i-1. A placement is cut
     when it completes a monochromatic target, or when some edge permutation
     ``pi`` from ``_edge_perms`` makes the colouring lex-larger than its image
-    ``col[pi[0]], col[pi[1]], ...`` at the first determined difference: no
-    completion is then the lex-least surviving colouring. The scan for each
-    permutation is incremental: it waits on the edge ``max(j, pi[j])`` where
-    it stopped, and placing edge i resumes only the scans waiting on i.
+    ``col[pi[0]], col[pi[1]], ...`` at the first determined difference. The
+    scan of ``pi`` reads its moved pairs (j, pi[j]) in ascending j (fixed
+    positions compare equal), and the list is kept in ``scans[w]`` for each
+    distinct w = max(j, pi[j]); placing edge i rescans the lists in
+    ``scans[i]`` from their start. This cuts exactly what a rescan of every
+    ``pi`` at every node would: the parent passed every scan, and a scan's
+    result changes only when the pair where it stopped becomes determined,
+    which is when its edge w is placed. So the search keeps no state beyond
+    ``col`` and the two adjacencies.
 
     Invariant: neither colour class holds a copy of its target. It holds
     for the empty classes, and a placement survives only when the checker
@@ -535,48 +523,13 @@ def _dfs_search(
     max_nodes = budget.nodes_left
     deadline = budget.deadline
 
-    # watch[w] holds (pi, j): the scan of pi stopped at position j, w = max(j, pi[j])
-    watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
+    scans: list[list[list[tuple[int, int]]]] = [[] for _ in range(m)]
     for pi in _edge_perms(g):
-        watch[pi[0]].append((pi, 0))
+        pairs = [(j, k) for j, k in enumerate(pi) if j != k]
+        for w in {max(j, k) for j, k in pairs}:
+            scans[w].append(pairs)
     if budget.spent():  # the generators ran outside the search's own checks
         return _BUDGET, None, 0
-    trail: list[tuple[list, list[int]] | None] = [None] * m
-
-    def advance(i: int) -> bool:
-        """Resume the scans waiting on edge i; False (state unchanged) when
-        one finds a lex-smaller image, else the undo record goes to trail[i]."""
-        pending = watch[i]
-        watch[i] = []
-        moved: list[int] = []
-        for pi, j in pending:
-            while True:
-                k = pi[j]
-                w = j if j > k else k
-                if w > i:
-                    watch[w].append((pi, j))
-                    moved.append(w)
-                    break
-                a, b = col[j], col[k]
-                if b < a:
-                    for w in reversed(moved):
-                        watch[w].pop()
-                    watch[i] = pending
-                    return False
-                if b > a:
-                    break
-                j += 1
-                if j == m:
-                    break
-        trail[i] = (pending, moved)
-        return True
-
-    def retreat(i: int) -> None:
-        pending, moved = trail[i]
-        for w in reversed(moved):
-            watch[w].pop()
-        watch[i] = pending
-        trail[i] = None
 
     nodes = 0
     i, c = 0, _RED
@@ -594,8 +547,6 @@ def _dfs_search(
             i -= 1
             if i < 0:
                 return _EXHAUSTED, None, nodes
-            if trail[i] is not None:
-                retreat(i)
             c = col[i]
             u, v = edges[i]
             a = adj[c]
@@ -613,7 +564,19 @@ def _dfs_search(
         a[u] |= 1 << v
         a[v] |= 1 << u
         col[i] = c
-        if not checks[c](a, u, v) and (not watch[i] or advance(i)):
+        ok = not checks[c](a, u, v)
+        if ok:
+            for pairs in scans[i]:
+                for j, k in pairs:
+                    if j > i or k > i:
+                        break
+                    x, y = col[j], col[k]
+                    if x != y:
+                        ok = y > x
+                        break
+                if not ok:
+                    break
+        if ok:
             i += 1
             c = _RED
             continue

@@ -246,15 +246,7 @@ def iterated_focus(
         (i + 1, j + 1) for i, j in bg.g0.edges() if i + 1 in jset and j + 1 in jset
     )
     for i, j in template_pairs:
-        bc = BipartiteColouring.from_mapping(
-            current[i],
-            current[j],
-            {
-                (x, y): chi.colour_of(x, y)
-                for x in current[i]
-                for y in current[j]
-            },
-        )
+        bc = BipartiteColouring.between(chi, current[i], current[j])
         focused = focus_block(bc)
         current[i] = focused.a_prime
         current[j] = focused.b_prime
@@ -278,13 +270,9 @@ def iterated_focus(
     for j in j_set:
         found = None
         for colour in (Colour.RED, Colour.BLUE):
-            adj = chi.class_adj(colour)
-            mask = mask_of(current[j])
-            masked = tuple(row & mask for row in adj)
-            for tpl in _cliques_within(masked, mask, t - 1):
+            tpl = next(_cliques_within(chi.class_adj(colour), mask_of(current[j]), t - 1), None)
+            if tpl is not None:
                 found = (tpl, colour)
-                break
-            if found:
                 break
         if found is None:
             return FocusFailure(j, current[j], t - 1)

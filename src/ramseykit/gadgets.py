@@ -292,51 +292,29 @@ def plant_copies(f0: Graph, hg: Hypergraph) -> Graph:
 
 def build_g0(k: int, f: Graph | None = None) -> BlockGraph:
     """Core gadget: a K_k block H joined completely to k-2 pairwise completely
-    joined copies of the seed block ``f``; for k = 2 a single edge suffices.
+    joined copies F1..F(k-2) of the seed block ``f``, which is the product
+    over the template K_{k-2}; for k = 2 a single edge.
 
-    Requires the seed block to be K_k-free for k >= 3.
+    Requires a non-empty, K_k-free seed block for k >= 3.
     """
     if k < 2:
         raise InputError("k must be at least 2")
-    if k == 2:
-        g = Graph.from_edges(2, [(0, 1)])
-        return BlockGraph(
-            graph=g,
-            blocks={"H": (0, 1)},
-            special={},
-            provenance="build_g0",
-            meta={"k": 2, "copies": 0},
-        )
-    if f is None or f.n == 0:
-        raise InputError("k >= 3 needs a non-empty seed block")
-    if clique_number(f) >= k:
-        raise InputError(
-            f"seed block contains a K_{k}; it must be K_{k}-free"
-        )
-    copies = k - 2
-    n = k + copies * f.n
-    edges = list(combinations(range(k), 2))
-    blocks: dict = {"H": tuple(range(k))}
-    offsets = []
-    for i in range(copies):
-        off = k + i * f.n
-        offsets.append(off)
-        blocks[f"F{i + 1}"] = tuple(range(off, off + f.n))
-        edges += [(off + a, off + b) for a, b in f.edges()]
-    for i, j in combinations(range(copies), 2):
-        for a in range(f.n):
-            for b in range(f.n):
-                edges.append((offsets[i] + a, offsets[j] + b))
-    for hvertex in range(k):
-        for off in offsets:
-            edges += [(hvertex, off + a) for a in range(f.n)]
-    g = Graph.from_edges(n, edges)
+    meta: dict = {"k": k, "copies": k - 2}
+    if k >= 3:
+        if f is None or f.n == 0:
+            raise InputError("k >= 3 needs a non-empty seed block")
+        if clique_number(f) >= k:
+            raise InputError(
+                f"seed block contains a K_{k}; it must be K_{k}-free"
+            )
+        meta["seed_graph6"] = graph6_encode(f)
+    g, blocks = assemble_product(k, Graph.complete(k - 2), [f] * (k - 2))
     return BlockGraph(
         graph=g,
-        blocks=blocks,
+        blocks={("H" if name == "V_H" else "F" + name[1:]): vs for name, vs in blocks.items()},
         special={},
         provenance="build_g0",
-        meta={"k": k, "copies": copies, "seed_graph6": graph6_encode(f)},
+        meta=meta,
     )
 
 

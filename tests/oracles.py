@@ -3,18 +3,21 @@
 These deliberately avoid the library's algorithms: subsets are enumerated
 directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
-masks, chromatic numbers by trying every assignment of colours to vertices,
-automorphisms by trying every one of the n! vertex permutations, and
-canonical forms by trying every class-grouped vertex ordering. Two
+masks, search trees by a plain recursion that rescans every permutation at
+every node, chromatic numbers by trying every assignment of colours to
+vertices, automorphisms by trying every one of the n! vertex permutations,
+and canonical forms by trying every class-grouped vertex ordering. Three
 exceptions lean on the library on purpose, so that each tests one choice
 only: the unfiltered enumeration deduplicates by the library's canonical
-key, testing which children enumeration tries, and the per-edge minimality
+key, testing which children enumeration tries; the per-edge minimality
 checks call the library's ``arrows`` once for every edge deletion, testing
-which deletions the library searches.
+which deletions the library searches; and the reference search takes its
+edge permutations from ``arrowing._edge_perms``, testing which nodes the
+library's search cuts with them.
 """
 from itertools import combinations, permutations, product
 
-from ramseykit.arrowing import Outcome, arrows
+from ramseykit.arrowing import Outcome, _edge_perms, arrows
 from ramseykit.graphs import Graph, induced_subgraph
 from ramseykit.minimal import MinimalityReport
 from ramseykit.patterns import Clique, CliquePendant, Colour
@@ -145,6 +148,51 @@ def naive_witness(g: Graph, red, blue):
             Colour.BLUE if (x >> (m - 1 - i)) & 1 else Colour.RED for i in range(m)
         )
     return None
+
+
+def reference_search(g: Graph, red, blue):
+    """The library's search tree, written plainly: edges in order, red
+    before blue, edge 0 red only when the targets coincide; a placement is
+    cut when it completes a copy from ``copy_edge_masks``, or when some
+    permutation from ``arrowing._edge_perms`` maps the colouring to a
+    lex-smaller one, every permutation scanned from position 0 to the first
+    position where either side is undetermined or the two colours differ.
+    Returns (nodes, witness), the witness None when the search exhausts."""
+    m = g.num_edges
+    masks = (copy_edge_masks(g, red), copy_edge_masks(g, blue))
+    perms = _edge_perms(g)
+    col: list[Colour] = []
+    nodes = 0
+
+    def lex_smaller_image() -> bool:
+        for pi in perms:
+            for j in range(m):
+                if j >= len(col) or pi[j] >= len(col):
+                    break
+                if col[pi[j]] is not col[j]:
+                    if col[pi[j]] is Colour.RED:
+                        return True
+                    break
+        return False
+
+    def extend() -> bool:
+        nonlocal nodes
+        if len(col) == m:
+            return True
+        colours = (Colour.RED,) if red == blue and not col else (Colour.RED, Colour.BLUE)
+        for c in colours:
+            nodes += 1
+            col.append(c)
+            mine = sum(1 << i for i, x in enumerate(col) if x is c)
+            copies = masks[c is Colour.BLUE]
+            if not any(cm & mine == cm for cm in copies) and not lex_smaller_image():
+                if extend():
+                    return True
+            col.pop()
+        return False
+
+    found = extend()
+    return nodes, tuple(col) if found else None
 
 
 def preserves_adjacency(g: Graph, perm) -> bool:

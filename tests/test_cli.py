@@ -332,6 +332,23 @@ class TestGadgetCommands:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "undecided"
 
+    @pytest.mark.parametrize("bad_line", ["x 1 r", "1 0 b"], ids=["not-an-int", "twice"])
+    def test_bad_colouring_is_input_error(self, files, capsys, bad_line):
+        prod = files / "prod.json"
+        col = files / "g2.txt"
+        run(
+            capsys,
+            ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
+             "--g0", str(files / "C5.g6"), "--blocks", *[str(files / "C5.g6")] * 5,
+             "-o", str(prod), "--no-timing"],
+        )
+        run(capsys, ["colour", str(prod), "--kind", "g2", "-o", str(col)])
+        # a valid colouring of every edge (0 1 among them) plus one bad line
+        col.write_text(col.read_text() + bad_line + "\n")
+        code = main(["focus", str(prod), str(col)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "input-error"
+
     def test_hypergraph_success(self, files, capsys):
         out_file = files / "h.txt"
         code, out = run(

@@ -138,3 +138,11 @@ class TestColouringFormat:
     def test_header_required(self):
         with pytest.raises(FormatError):
             read_colouring("0 1 r\n")
+
+    def test_non_integer_vertex_rejected(self):
+        with pytest.raises(FormatError):
+            read_colouring("n 3\nx 1 r\n")
+
+    def test_edge_listed_twice_rejected(self):
+        with pytest.raises(FormatError):
+            read_colouring("n 2\n0 1 r\n1 0 b\n")

@@ -1,23 +1,41 @@
-"""Exact two-colour arrowing decisions with symmetry-broken exhaustive search.
+"""Exact two-colour arrowing decisions by exhaustive search with forced-colour
+propagation and symmetry breaking.
 
-Determinism contract: the search assigns edges in sorted-pair (lexicographic)
-order, trying red before blue, and the first complete colouring containing no
-monochromatic target is the canonical witness. When both targets are equal the
-first edge is fixed red (colour-swap symmetry). A partial colouring is also
-pruned when, for a generator of Aut(G) from ``symmetry.generators`` or its
-inverse, the image colouring is lex-smaller at the first determined
-difference (lex-leader symmetry breaking). The surviving colourings are
-closed under Aut(G) and, for equal targets, under the colour swap, so their
-least member is no larger than any of its images: neither rule cuts it, and
-neither changes the verdict or the canonical witness. A placement of edge uv
-is cut when it completes a copy of its colour's target. Every placement is
-checked, so the class minus uv never holds a copy, and the through-edge
-checks use that: they look only for copies through uv, and the CliquePendant
-check reads degrees before it searches for a clique. The canonical witness
-is checked once more in full before it is returned. Budgets produce an
-explicit UNDECIDED outcome, never a guess. One ``Budget`` (a wall-clock
-deadline and a count of search nodes) is made by the caller and passed down
-unchanged, so it caps every search of a computation together.
+Determinism contract: the canonical witness is the least colouring, edges in
+sorted-pair (lexicographic) order and red before blue, that contains no
+monochromatic target (a good colouring). The search finds it as its first
+leaf. A colour of an uncoloured edge is forbidden when placing the edge in it
+completes a copy of that colour's target; after every placement the search
+gives every edge with one colour forbidden the other colour, until nothing
+changes (forced-colour propagation, the unit propagation of Davis, Logemann
+& Loveland), and backtracks when an edge has both colours forbidden. It then
+branches on the least uncoloured edge, red first. The witness survives
+because:
+  - every good colouring that extends a partial colouring gives each forced
+    edge its forced colour, so propagation cuts only colourings that are not
+    good;
+  - every edge below the branching edge is already coloured, so the leaves
+    of the red subtree all come before those of the blue subtree;
+  - the propagation fixpoint does not depend on the order of the scan, since
+    a larger colour class only forbids more, so the tree and its node count
+    are well defined.
+When both targets are equal the first edge is fixed red (colour-swap
+symmetry); nothing is forced at the root then, because equal targets forbid
+red and blue together. A partial colouring is also pruned when, for a
+generator of Aut(G) from ``symmetry.generators`` or its inverse, the image
+colouring is lex-smaller at the first position where either side is
+uncoloured or the two differ (lex-leader symmetry breaking). The good
+colourings are closed under Aut(G) and, for equal targets, under the colour
+swap, so their least member is no larger than any of its images: neither
+rule cuts it, and neither changes the verdict or the canonical witness.
+Every placement is checked, so a colour class minus the edge uv just placed
+never holds a copy, and the through-edge checks use that: they look only
+for copies through uv, and the CliquePendant check reads degrees before it
+searches for a clique. The canonical witness is checked once more in full
+before it is returned. Budgets produce an explicit UNDECIDED outcome, never
+a guess. One ``Budget`` (a wall-clock deadline and a count of search nodes)
+is made by the caller and passed down unchanged, so it caps every search of
+a computation together.
 """
 from __future__ import annotations
 
@@ -475,7 +493,8 @@ def _edge_perms(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-_RED, _BLUE = 0, 1  # int colours of the search; red sorts first
+# int colours of the search, red sorting first; _FREE marks an uncoloured edge
+_RED, _BLUE, _FREE = 0, 1, 2
 _COLOURS = (Colour.RED, Colour.BLUE)
 
 
@@ -485,104 +504,144 @@ def _dfs_search(
     blue: TargetPattern,
     budget: Budget,
 ) -> tuple[int, tuple[Colour, ...] | None, int]:
-    """Exhaustive search over the edges in order, on int colours.
+    """Exhaustive search with forced-colour propagation, on int colours.
 
-    Edge i is placed red, then blue, after edges 0..i-1. A placement is cut
-    when it completes a monochromatic target, or when some edge permutation
-    ``pi`` from ``_edge_perms`` makes the colouring lex-larger than its image
-    ``col[pi[0]], col[pi[1]], ...`` at the first determined difference. The
-    scan of ``pi`` reads its moved pairs (j, pi[j]) in ascending j (fixed
-    positions compare equal), and the list is kept in ``scans[w]`` for each
-    distinct w = max(j, pi[j]); placing edge i rescans the lists in
-    ``scans[i]`` from their start. This cuts exactly what a rescan of every
-    ``pi`` at every node would: the parent passed every scan, and a scan's
-    result changes only when the pair where it stopped becomes determined,
-    which is when its edge w is placed. So the search keeps no state beyond
-    ``col`` and the two adjacencies.
+    ``col[e]`` is the colour of edge e, or ``_FREE`` while it is uncoloured.
+    Placing edge uv in colour c is forbidden when it completes a copy of c's
+    target, which the ``_through_edge_checker`` of c decides. After every
+    placement, and once at the root, ``propagate`` scans every uncoloured
+    edge again and again until nothing changes: an edge with one colour
+    forbidden gets the other one, and an edge with both forbidden is a
+    conflict. Forbidding is monotone (a larger class only completes more
+    copies), so the fixpoint, and whether it has a conflict, does not depend
+    on the order of the scan. A node is one branching placement that was
+    tried: the least uncoloured edge, red, then blue; forced colours are not
+    nodes. When the targets are equal, edge 0 is only red (colour swap); at
+    the root equal targets forbid red and blue together, so nothing is
+    forced there and edge 0 is the first branching edge.
 
-    Invariant: neither colour class holds a copy of its target. It holds
-    for the empty classes, and a placement survives only when the checker
-    finds no copy, so before each placement the class minus the new edge
-    holds no copy, as ``_through_edge_checker`` requires. At a leaf both
-    classes are searched in full once more, and a copy raises RuntimeError
-    instead of returning a wrong witness.
+    A node is cut on a conflict, or when some edge permutation ``pi`` from
+    ``_edge_perms`` maps the colouring to a lex-smaller one: the scan of
+    ``pi`` reads its moved pairs (j, pi[j]) in ascending j and stops at the
+    first pair where either edge is uncoloured or the colours differ, cutting
+    when col[pi[j]] < col[j]. Fixed positions compare equal even while
+    uncoloured. Each permutation is scanned from its start after the
+    branching placement and again at the fixpoint; the scans keep no state.
+
+    Invariant: neither colour class holds a copy of its target. Every
+    placement, forced or not, is checked before it is made, and a fixpoint
+    leaves no uncoloured edge with a forbidden colour, so the branching
+    placement never completes a copy and needs no check of its own. Before
+    each check the class minus the new edge therefore holds no copy, as
+    ``_through_edge_checker`` requires. At a leaf both classes are searched
+    in full once more, and a copy raises RuntimeError instead of returning a
+    wrong witness.
 
     The budget is checked once after the generators of Aut(g), which run
-    before the first node. Explores at most ``budget.nodes_left`` nodes and
-    stops soon after ``budget.deadline``; the node that would pass a limit
-    is not explored.
+    before the first node, and at every node. Explores at most
+    ``budget.nodes_left`` nodes and stops at the first node after
+    ``budget.deadline``; the node that would pass a limit is not explored.
     Returns (status, witness colour tuple or None, nodes explored).
     """
     edges = g.edges()
     m = len(edges)
     n = g.n
     adj = ([0] * n, [0] * n)  # red and blue adjacency, indexed by int colour
-    checks = (_through_edge_checker(red), _through_edge_checker(blue))
+    red_adj, blue_adj = adj
+    check_red, check_blue = _through_edge_checker(red), _through_edge_checker(blue)
     sym = red == blue
-    col = [_RED] * m
+    col = [_FREE] * m
     max_nodes = budget.nodes_left
     deadline = budget.deadline
-
-    scans: list[list[list[tuple[int, int]]]] = [[] for _ in range(m)]
-    for pi in _edge_perms(g):
-        pairs = [(j, k) for j, k in enumerate(pi) if j != k]
-        for w in {max(j, k) for j, k in pairs}:
-            scans[w].append(pairs)
+    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in _edge_perms(g)]
     if budget.spent():  # the generators ran outside the search's own checks
         return _BUDGET, None, 0
 
-    nodes = 0
-    i, c = 0, _RED
-    while True:
-        if i == m:
-            # canonical: the first leaf in lex order; a copy here means a
-            # through-edge check broke its contract
-            if (
-                _search_pattern(adj[_RED], n, red) is not None
-                or _search_pattern(adj[_BLUE], n, blue) is not None
-            ):
-                raise RuntimeError("search witness contains a monochromatic target")
-            return _FOUND, tuple(_COLOURS[x] for x in col), nodes
-        if c > _BLUE or (sym and i == 0 and c == _BLUE):
-            i -= 1
-            if i < 0:
-                return _EXHAUSTED, None, nodes
-            c = col[i]
-            u, v = edges[i]
-            a = adj[c]
-            a[u] &= ~(1 << v)
-            a[v] &= ~(1 << u)
-            c += 1
-            continue
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            return _BUDGET, None, nodes - 1
-        if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
-            return _BUDGET, None, nodes - 1
-        u, v = edges[i]
-        a = adj[c]
-        a[u] |= 1 << v
-        a[v] |= 1 << u
-        col[i] = c
-        ok = not checks[c](a, u, v)
-        if ok:
-            for pairs in scans[i]:
-                for j, k in pairs:
-                    if j > i or k > i:
-                        break
-                    x, y = col[j], col[k]
-                    if x != y:
-                        ok = y > x
-                        break
-                if not ok:
+    def propagate() -> bool:
+        """Colour every forced edge, to the fixpoint; False on a conflict."""
+        changed = True
+        while changed:
+            changed = False
+            for e in range(m):
+                if col[e] != _FREE:
+                    continue
+                u, v = edges[e]
+                bu, bv = 1 << u, 1 << v
+                red_adj[u] |= bv
+                red_adj[v] |= bu
+                red_bad = check_red(red_adj, u, v)
+                red_adj[u] ^= bv
+                red_adj[v] ^= bu
+                blue_adj[u] |= bv
+                blue_adj[v] |= bu
+                if check_blue(blue_adj, u, v):
+                    blue_adj[u] ^= bv
+                    blue_adj[v] ^= bu
+                    if red_bad:
+                        return False
+                    red_adj[u] |= bv
+                    red_adj[v] |= bu
+                    col[e] = _RED
+                    changed = True
+                elif red_bad:
+                    col[e] = _BLUE
+                    changed = True
+                else:
+                    blue_adj[u] ^= bv
+                    blue_adj[v] ^= bu
+        return True
+
+    def lex_leader() -> bool:
+        """No permutation maps ``col`` to a lex-smaller colouring."""
+        for pairs in perms:
+            for j, k in pairs:
+                x, y = col[j], col[k]
+                if x != y or x == _FREE:
+                    if x == _BLUE and y == _RED:
+                        return False
                     break
-        if ok:
-            i += 1
-            c = _RED
-            continue
-        a[u] &= ~(1 << v)
-        a[v] &= ~(1 << u)
-        c += 1
+        return True
+
+    if not (propagate() and lex_leader()):
+        return _EXHAUSTED, None, 0
+    nodes = 0
+    # one frame per open branching edge: [edge, next colour, the state to
+    # restore before each try]
+    stack = []
+    while _FREE in col:
+        stack.append([col.index(_FREE), _RED, col[:], red_adj[:], blue_adj[:]])
+        while True:  # to the next node that survives
+            if not stack:
+                return _EXHAUSTED, None, nodes
+            frame = stack[-1]
+            e, c, saved_col, saved_red, saved_blue = frame
+            if c > _BLUE or (sym and e == 0 and c == _BLUE):
+                stack.pop()
+                continue
+            frame[1] = c + 1
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                return _BUDGET, None, nodes - 1
+            if deadline is not None and time.monotonic() > deadline:
+                return _BUDGET, None, nodes - 1
+            col[:] = saved_col
+            red_adj[:] = saved_red
+            blue_adj[:] = saved_blue
+            u, v = edges[e]
+            a = adj[c]
+            a[u] |= 1 << v
+            a[v] |= 1 << u
+            col[e] = c
+            if lex_leader() and propagate() and lex_leader():
+                break
+    # canonical: the first leaf in lex order; a copy here means a
+    # through-edge check broke its contract
+    if (
+        _search_pattern(red_adj, n, red) is not None
+        or _search_pattern(blue_adj, n, blue) is not None
+    ):
+        raise RuntimeError("search witness contains a monochromatic target")
+    return _FOUND, tuple(_COLOURS[x] for x in col), nodes
 
 
 def arrows(

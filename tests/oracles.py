@@ -3,17 +3,18 @@
 These deliberately avoid the library's algorithms: subsets are enumerated
 directly, girth is computed by per-vertex BFS, arrowing and witnesses are
 decided by checking every one of the 2^m colourings against precomputed copy
-masks, search trees by a plain recursion that rescans every permutation at
-every node, chromatic numbers by trying every assignment of colours to
-vertices, automorphisms by trying every one of the n! vertex permutations,
-and canonical forms by trying every class-grouped vertex ordering. Three
-exceptions lean on the library on purpose, so that each tests one choice
-only: the unfiltered enumeration deduplicates by the library's canonical
-key, testing which children enumeration tries; the per-edge minimality
-checks call the library's ``arrows`` once for every edge deletion, testing
-which deletions the library searches; and the reference search takes its
-edge permutations from ``arrowing._edge_perms``, testing which nodes the
-library's search cuts with them.
+masks, search trees by a plain recursion that rescans every edge against the
+copy masks and every permutation at every node, chromatic numbers by trying
+every assignment of colours to vertices, automorphisms by trying every one of
+the n! vertex permutations, and canonical forms by trying every
+class-grouped vertex ordering. Three exceptions lean on the library on
+purpose, so that each tests one choice only: the unfiltered enumeration
+deduplicates by the library's canonical key, testing which children
+enumeration tries; the per-edge minimality checks call the library's
+``arrows`` once for every edge deletion, testing which deletions the
+library searches; and the reference search takes its edge permutations from
+``arrowing._edge_perms``, testing which nodes the library's search cuts
+with them.
 """
 from itertools import combinations, permutations, product
 
@@ -151,47 +152,76 @@ def naive_witness(g: Graph, red, blue):
 
 
 def reference_search(g: Graph, red, blue):
-    """The library's search tree, written plainly: edges in order, red
-    before blue, edge 0 red only when the targets coincide; a placement is
-    cut when it completes a copy from ``copy_edge_masks``, or when some
-    permutation from ``arrowing._edge_perms`` maps the colouring to a
-    lex-smaller one, every permutation scanned from position 0 to the first
-    position where either side is undetermined or the two colours differ.
-    Returns (nodes, witness), the witness None when the search exhausts."""
+    """The library's search tree, written plainly. At the root and after
+    every branching placement, every uncoloured edge is scanned again and
+    again until nothing changes: an edge whose colour c would complete a
+    copy from ``copy_edge_masks`` in c's class gets the other colour, and an
+    edge with both colours completing a copy is a conflict. A node is one
+    branching placement, on the least uncoloured edge, red before blue, and
+    edge 0 red only when the targets coincide. It is cut on a conflict, or
+    when some permutation from ``arrowing._edge_perms`` maps the colouring at
+    the fixpoint to a lex-smaller one, every permutation scanned from
+    position 0 past its fixed positions to the first position where either
+    side is uncoloured or the two colours differ. Returns (nodes, witness),
+    the witness None when the search exhausts."""
     m = g.num_edges
-    masks = (copy_edge_masks(g, red), copy_edge_masks(g, blue))
+    masks = {Colour.RED: copy_edge_masks(g, red), Colour.BLUE: copy_edge_masks(g, blue)}
     perms = _edge_perms(g)
-    col: list[Colour] = []
+    col: list[Colour | None] = [None] * m
     nodes = 0
+
+    def completes(e: int, c: Colour) -> bool:
+        mine = sum(1 << i for i in range(m) if col[i] is c or i == e)
+        return any(cm & mine == cm for cm in masks[c])
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for e in range(m):
+                if col[e] is not None:
+                    continue
+                allowed = [c for c in (Colour.RED, Colour.BLUE) if not completes(e, c)]
+                if not allowed:
+                    return False
+                if len(allowed) == 1:
+                    col[e] = allowed[0]
+                    changed = True
+        return True
 
     def lex_smaller_image() -> bool:
         for pi in perms:
             for j in range(m):
-                if j >= len(col) or pi[j] >= len(col):
+                if pi[j] == j:
+                    continue
+                x, y = col[j], col[pi[j]]
+                if x is None or y is None:
                     break
-                if col[pi[j]] is not col[j]:
-                    if col[pi[j]] is Colour.RED:
+                if x is not y:
+                    if y is Colour.RED:
                         return True
                     break
         return False
 
-    def extend() -> bool:
+    def settle() -> bool:
+        """Propagate and check the fixpoint; True when it holds a witness."""
         nonlocal nodes
-        if len(col) == m:
+        if not propagate() or lex_smaller_image():
+            return False
+        if None not in col:
             return True
-        colours = (Colour.RED,) if red == blue and not col else (Colour.RED, Colour.BLUE)
+        e = col.index(None)
+        colours = (Colour.RED,) if red == blue and e == 0 else (Colour.RED, Colour.BLUE)
+        saved = list(col)
         for c in colours:
             nodes += 1
-            col.append(c)
-            mine = sum(1 << i for i, x in enumerate(col) if x is c)
-            copies = masks[c is Colour.BLUE]
-            if not any(cm & mine == cm for cm in copies) and not lex_smaller_image():
-                if extend():
-                    return True
-            col.pop()
+            col[e] = c
+            if settle():
+                return True
+            col[:] = saved
         return False
 
-    found = extend()
+    found = settle()
     return nodes, tuple(col) if found else None
 
 

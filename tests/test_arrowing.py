@@ -1,7 +1,9 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +17,9 @@ from ramseykit.arrowing import (
     find_mono,
     find_pattern,
     ramsey_number,
+    write_colouring,
 )
+from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.errors import InputError
 from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph
@@ -180,6 +184,22 @@ class TestArrows:
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
 
+    def test_deadline_is_checked_at_every_node(self, monkeypatch):
+        # a clock that moves one second per reading passes a 5 s deadline
+        # within a few nodes; K6 K3/K3 takes 13
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(arrowing, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        verdict = arrows(Graph.complete(6), Clique(3), Clique(3), Budget(seconds=5))
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert verdict.nodes < 5
+
+    def test_deadline_holds_on_a_long_search(self):
+        # K17 K3/K6 does not arrow (R(3, 6) = 18), far beyond 0.2 s
+        start = time.monotonic()
+        verdict = arrows(Graph.complete(17), Clique(3), Clique(6), Budget(seconds=0.2))
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert time.monotonic() - start < 0.5
+
     def test_witness_with_a_copy_raises(self, monkeypatch):
         # a checker that never sees a copy lets the all-red colouring through
         monkeypatch.setattr(arrowing, "_through_edge_checker", lambda p: lambda adj, u, v: False)
@@ -298,6 +318,15 @@ class TestThroughEdgeChecker:
                 assert check(g.adj, u, v) is has_copy, (g.edges(), u, v)
 
 
+DIFFERENTIAL_PAIRS = [
+    (Clique(3), Clique(3)),
+    (CliquePendant(3), CliquePendant(3)),
+    (Clique(3), CliquePendant(3)),
+    (CliquePendant(2), CliquePendant(2)),
+    (CliquePendant(4), Clique(3)),
+]
+
+
 class TestWitnessDifferential:
     """Verdicts and canonical witnesses equal the brute-force lex-first
     colouring, with symmetry breaking on and off; as is, the node counts
@@ -309,17 +338,7 @@ class TestWitnessDifferential:
             monkeypatch.setattr(arrowing, "generators", lambda g: [])
         return request.param
 
-    @pytest.mark.parametrize(
-        "red, blue",
-        [
-            (Clique(3), Clique(3)),
-            (CliquePendant(3), CliquePendant(3)),
-            (Clique(3), CliquePendant(3)),
-            (CliquePendant(2), CliquePendant(2)),
-            (CliquePendant(4), Clique(3)),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS, ids=str)
     def test_against_naive_witness(self, mode, red, blue):
         for g in enumerate_graphs(6):
             expected = naive_witness(g, red, blue)
@@ -330,27 +349,58 @@ class TestWitnessDifferential:
             if mode == "as-is":
                 assert (verdict.nodes, got) == reference_search(g, red, blue), g.edges()
 
+    @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS, ids=str)
+    def test_verdict_matches_dpll(self, red, blue):
+        for g in enumerate_graphs(6):
+            satisfiable = solve_cnf(to_cnf(g, red, blue)) is not None
+            assert satisfiable is (arrows(g, red, blue).outcome is Outcome.NOT_ARROW), g.edges()
+
 
 class TestNodeCounts:
-    """Node counts repeat exactly; these bounds fail when symmetry breaking
-    stops pruning (without it: 29,196,464 and 1,259,744 nodes)."""
+    """Node counts repeat exactly; these bounds are today's counts, and they
+    fail when propagation or symmetry breaking stops pruning (without
+    symmetry breaking: 39,126, 3,182 and 95 nodes; without propagation:
+    8,844, 2,728 and 32,485)."""
 
     def test_k9_arrows_k3_k4(self):
         verdict = arrows(Graph.complete(9), Clique(3), Clique(4))
         assert verdict.outcome is Outcome.ARROW
-        assert verdict.nodes <= 8_844
+        assert verdict.nodes <= 270
 
     def test_ramsey_k3_2k3(self):
         rep = ramsey_number(Clique(3), CliquePlusCliques(3, 1, 3))
         assert rep.n == 8
-        assert rep.nodes <= 2_728
+        assert rep.nodes <= 144
 
     def test_pendant_gadget_arrows_k3_k2(self):
         # the k = 3 pendant gadget of the paper, 17 vertices and |Aut| = 200
         gadget = build_pendant_gadget(3, [build_g0(3, Graph.cycle(5))] * 2).graph
         verdict = arrows(gadget, CliquePendant(3), CliquePendant(3))
         assert verdict.outcome is Outcome.ARROW
-        assert verdict.nodes <= 32_485
+        assert verdict.nodes <= 83
+
+    def test_k13_witness_for_k3_k5(self):
+        # the canonical witness is pinned byte for byte: no pruning rule may
+        # move it
+        verdict = arrows(Graph.complete(13), Clique(3), Clique(5))
+        assert verdict.outcome is Outcome.NOT_ARROW
+        assert verdict.nodes <= 367
+        text = write_colouring(verdict.witness)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9774759fbfbb0a8593ad680994fac569aa810328e444a14e3a7b1bdc33793112"
+        )
+        assert find_mono(verdict.witness, Clique(3), Colour.RED) is None
+        assert find_mono(verdict.witness, Clique(5), Colour.BLUE) is None
+
+    def test_ramsey_k3_k5(self):
+        assert ramsey_number(Clique(3), Clique(5)).n == 14
+
+    def test_g0_4_c5_does_not_arrow_k4_k2(self):
+        g = build_g0(4, Graph.cycle(5)).graph
+        verdict = arrows(g, CliquePendant(4), CliquePendant(4))
+        assert verdict.outcome is Outcome.NOT_ARROW
+        for colour in Colour:
+            assert find_mono(verdict.witness, CliquePendant(4), colour) is None
 
 
 class TestEpsilonArrows:

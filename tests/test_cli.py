@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,20 @@ class TestRamseyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 6 and doc["decided"]
+
+    def test_python_m_runs_the_cli(self):
+        # R(3, 5) = 14, the whole command with no budget
+        src = str(Path(cli.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_BUDGET"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ramseykit", "ramsey", "--red", "K3", "--blue", "K5", "--no-timing"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "blue": "K5", "checked_up_to": 14, "decided": True, "n": 14, "red": "K3"
+        }
 
     def test_env_var_budget(self, files, capsys, monkeypatch):
         monkeypatch.setenv("RAMSEYKIT_BUDGET", "0.0")
@@ -184,8 +202,8 @@ class TestMinimalCommand:
         assert doc["minimalized_graph6"] is None
 
     def test_max_nodes_caps_the_whole_command(self, files, capsys, monkeypatch):
-        # K7: the report takes 1,002 nodes and the minimalization 6,424 more,
-        # at most 1,631 in one search
+        # K7: the report takes 26 nodes and the minimalization 164 more, at
+        # most 35 in one search
         path = files / "K7.g6"
         path.write_text(graph6_encode(Graph.complete(7)) + "\n")
         nodes = []
@@ -200,12 +218,12 @@ class TestMinimalCommand:
         code, out = run(
             capsys,
             ["minimal", str(path), "--pattern", "K3", "--minimalize",
-             "--max-nodes", "5000", "--no-timing"],
+             "--max-nodes", "100", "--no-timing"],
         )
         assert code == 10
         doc = json.loads(out)
         assert doc["decided"] and doc["minimalized_graph6"] is None
-        assert sum(nodes) <= 5000
+        assert sum(nodes) <= 100
 
 
 class TestSurveyCommand:

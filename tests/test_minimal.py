@@ -234,6 +234,12 @@ class TestMinimalize:
         with pytest.raises(Undecided):
             minimalize(Graph.complete(6), Clique(3), Budget(nodes=3))
 
+    def test_g0_of_the_petersen_graph(self):
+        # 13 vertices and 48 edges down to 8 vertices, 23 edges and δ = 5
+        out = minimalize(build_g0(3, Graph.petersen()).graph, Clique(3))
+        assert graph6_encode(out) == "G~zvvW"
+        assert (out.num_edges, min(out.degrees())) == (23, 5)
+
 
 def pendant_gadget() -> Graph:
     """The paper's k = 3 pendant gadget: 17 vertices, 50 edges, |Aut| = 200."""
@@ -300,9 +306,9 @@ class TestOrbitSharing:
         monkeypatch.setattr(minimal, "arrows", spy)
         out = minimalize(pendant_gadget(), CliquePendant(3))
         assert graph6_encode(out) == "P~~nNe??G@_F?N?M_FG@x_G?"
-        # one search per edge would be 51 calls and 1,627,811 nodes
+        # one search per edge orbit; one per edge would be 51 calls
         assert len(seen) <= 11
-        assert sum(seen) <= 807_697
+        assert sum(seen) <= 5_504
 
 
 class TestDegreeSurvey:
@@ -405,11 +411,11 @@ class TestSharedBudget:
         self.assert_shared(seen, budget)
 
     def test_node_cap_covers_all_calls(self, seen):
-        # each call fits in 165 nodes, all of them together do not
-        rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=165))
+        # K6 and K6 - e take 13 nodes each: each call fits in 20, both do not
+        rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=20))
         assert not rep.decided
         assert len(seen) > 1
-        assert sum(nodes for _, nodes in seen) <= 165
+        assert sum(nodes for _, nodes in seen) <= 20
 
     def test_spent_budget_is_undecided(self):
         spent = Budget(seconds=0)

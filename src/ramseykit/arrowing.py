@@ -28,14 +28,15 @@ uncoloured or the two differ (lex-leader symmetry breaking). The good
 colourings are closed under Aut(G) and, for equal targets, under the colour
 swap, so their least member is no larger than any of its images: neither
 rule cuts it, and neither changes the verdict or the canonical witness.
-Every placement is checked, so a colour class minus the edge uv just placed
-never holds a copy, and the through-edge checks use that: they look only
-for copies through uv, and the CliquePendant check reads degrees before it
-searches for a clique. The canonical witness is checked once more in full
-before it is returned. Budgets produce an explicit UNDECIDED outcome, never
-a guess. One ``Budget`` (a wall-clock deadline and a count of search nodes)
-is made by the caller and passed down unchanged, so it caps every search of
-a computation together.
+Every placement is checked before it is made, so no colour class ever holds
+a copy, and the through-edge checks use that: asked whether adding uv to a
+class completes a copy, they look only for copies through uv, and the
+CliquePendant check reads degrees before it searches for a clique. The
+canonical witness is checked once more in full before it is returned.
+Budgets produce an explicit UNDECIDED outcome, never a guess. One
+``Budget`` (a wall-clock deadline and a count of search nodes) is made by
+the caller and passed down unchanged, so it caps every search of a
+computation together.
 """
 from __future__ import annotations
 
@@ -58,8 +59,7 @@ from .patterns import (
     Colour,
     TargetPattern,
     largest_component_size,
-    pattern_num_edges,
-    pattern_num_vertices,
+    pattern_graph,
 )
 from .symmetry import generators
 
@@ -281,22 +281,26 @@ def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> dict 
 
 
 def _through_edge_checker(p: TargetPattern):
-    """Build ``check(adj, u, v) -> bool``: does the colour class whose adjacency
-    is ``adj`` (edge (u,v) already included) contain a copy of ``p``?
+    """Build ``check(adj, u, v) -> bool``: would adding the edge (u,v) to the
+    colour class whose adjacency is ``adj``, which does not contain it,
+    complete a copy of ``p``?
 
-    Precondition: the class minus the edge (u,v) holds no copy of ``p``, so
-    every copy the check can find uses (u,v). The search keeps this true by
-    induction: the empty class holds no copy, and every edge it places
-    passes this check. The other checks look for the copies through (u,v)
-    in any class; the CliquePendant check is exact only under the
-    precondition.
+    Precondition: the class holds no copy of ``p``, so every copy the check
+    can find uses (u,v). The search keeps this true by induction: the empty
+    class holds no copy, and an edge joins a class only when this check
+    says no. The checks read only N(u) - v, N(v) - u and masks that exclude
+    u and v, so they answer the same whether or not ``adj`` holds (u,v).
+    The Clique, CliquePlusCliques and Arbitrary checks find the copies
+    through (u,v) in any class; the CliquePendant check is exact only under
+    the precondition.
 
     CliquePendant(k), K_k with one pendant edge. In a class with no K_k·K_2,
     every K_k is a whole component, since a K_k vertex with a neighbour
-    outside it would carry a pendant. Let N(x) be the old neighbourhood of
-    x (without the new edge) and C = N(u) & N(v). A copy through uv either
-      (a) has uv as its pendant edge: u (or v) lies in an old K_k, which is
-          its whole old component, so |N(u)| = k - 1 and N(u) is a clique;
+    outside it would carry a pendant. Let N(x) be the neighbourhood of x in
+    the class, without v or u, and C = N(u) & N(v). A copy through uv either
+      (a) has uv as its pendant edge: u (or v) lies in a K_k of the class,
+          which is its whole component, so |N(u)| = k - 1 and N(u) is a
+          clique;
     or
       (b) has uv inside its K_k = {u, v} + T, with T a K_{k-2} inside C.
           If |N(u)| >= k - 1, u has a neighbour outside the K_k, so any T
@@ -399,11 +403,7 @@ def _search_pattern(adj: tuple[int, ...], n: int, p: TargetPattern):
                     return (tpl, s, w)
         return None
     if isinstance(p, CliquePlusCliques):
-        for tpl in _cliques_within(adj, full, p.k):
-            rest = _pack_cliques(adj, n, mask_of(tpl), p.f, p.t)
-            if rest is not None:
-                return (tpl, rest)
-        return None
+        return _kclique_then_pack(adj, n, 0, p.k, p.f, p.t)
     if not isinstance(p, Arbitrary):
         raise InputError(f"unknown pattern type {type(p).__name__}")
     res = _extend_embedding(adj, n, p.graph, {})
@@ -468,7 +468,8 @@ _FOUND, _EXHAUSTED, _BUDGET = 0, 1, 2
 def _edgeless_arrow(g: Graph, p: TargetPattern) -> bool:
     """True when every colouring trivially contains ``p`` because the pattern
     has no edges and enough vertices exist."""
-    return pattern_num_edges(p) == 0 and pattern_num_vertices(p) <= g.n
+    h = pattern_graph(p)
+    return h.num_edges == 0 and h.n <= g.n
 
 
 def _edge_perms(g: Graph) -> list[tuple[int, ...]]:
@@ -528,14 +529,14 @@ def _dfs_search(
     uncoloured. Each permutation is scanned from its start after the
     branching placement and again at the fixpoint; the scans keep no state.
 
-    Invariant: neither colour class holds a copy of its target. Every
-    placement, forced or not, is checked before it is made, and a fixpoint
-    leaves no uncoloured edge with a forbidden colour, so the branching
-    placement never completes a copy and needs no check of its own. Before
-    each check the class minus the new edge therefore holds no copy, as
-    ``_through_edge_checker`` requires. At a leaf both classes are searched
-    in full once more, and a copy raises RuntimeError instead of returning a
-    wrong witness.
+    Invariant: neither colour class holds a copy of its target, as
+    ``_through_edge_checker`` requires; its checks read the classes as they
+    are, without the edge they ask about. ``place`` colours every edge. A
+    forced edge is placed only after both checks, and a fixpoint leaves no
+    uncoloured edge with a forbidden colour, so the branching placement
+    never completes a copy and needs no check of its own. At a leaf both
+    classes are searched in full once more, and a copy raises RuntimeError
+    instead of returning a wrong witness.
 
     The budget is checked once after the generators of Aut(g), which run
     before the first node, and at every node. Explores at most
@@ -557,6 +558,14 @@ def _dfs_search(
     if budget.spent():  # the generators ran outside the search's own checks
         return _BUDGET, None, 0
 
+    def place(e: int, c: int) -> None:
+        """Colour edge e with c, in ``col`` and in c's adjacency."""
+        u, v = edges[e]
+        a = adj[c]
+        a[u] |= 1 << v
+        a[v] |= 1 << u
+        col[e] = c
+
     def propagate() -> bool:
         """Colour every forced edge, to the fixpoint; False on a conflict."""
         changed = True
@@ -566,29 +575,15 @@ def _dfs_search(
                 if col[e] != _FREE:
                     continue
                 u, v = edges[e]
-                bu, bv = 1 << u, 1 << v
-                red_adj[u] |= bv
-                red_adj[v] |= bu
                 red_bad = check_red(red_adj, u, v)
-                red_adj[u] ^= bv
-                red_adj[v] ^= bu
-                blue_adj[u] |= bv
-                blue_adj[v] |= bu
                 if check_blue(blue_adj, u, v):
-                    blue_adj[u] ^= bv
-                    blue_adj[v] ^= bu
                     if red_bad:
                         return False
-                    red_adj[u] |= bv
-                    red_adj[v] |= bu
-                    col[e] = _RED
+                    place(e, _RED)
                     changed = True
                 elif red_bad:
-                    col[e] = _BLUE
+                    place(e, _BLUE)
                     changed = True
-                else:
-                    blue_adj[u] ^= bv
-                    blue_adj[v] ^= bu
         return True
 
     def lex_leader() -> bool:
@@ -627,11 +622,7 @@ def _dfs_search(
             col[:] = saved_col
             red_adj[:] = saved_red
             blue_adj[:] = saved_blue
-            u, v = edges[e]
-            a = adj[c]
-            a[u] |= 1 << v
-            a[v] |= 1 << u
-            col[e] = c
+            place(e, c)
             if lex_leader() and propagate() and lex_leader():
                 break
     # canonical: the first leaf in lex order; a copy here means a

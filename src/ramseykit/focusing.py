@@ -123,6 +123,18 @@ def _pattern_key(pattern: tuple[Colour, ...]) -> tuple[int, ...]:
     return tuple(COLOUR_KEY[c] for c in pattern)
 
 
+def _largest_bucket(keyed, rows) -> tuple[tuple[int, ...], dict]:
+    """Group the (key, item) pairs by key and pick the most common key, the
+    least key on ties. Returns that bucket's items ascending and the map
+    from ``rows[i]`` to the colour of the key's entry i."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for key, item in keyed:
+        buckets.setdefault(key, []).append(item)
+    best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
+    colours = {a: (Colour.RED if best_key[i] == 0 else Colour.BLUE) for i, a in enumerate(rows)}
+    return tuple(sorted(buckets[best_key])), colours
+
+
 def focus_rows(bc: BipartiteColouring) -> FocusRows:
     """Keep the b-vertices sharing the most common colour pattern toward the
     a-side, so every a-vertex is monochromatic toward the survivors.
@@ -131,16 +143,8 @@ def focus_rows(bc: BipartiteColouring) -> FocusRows:
     """
     if not bc.a_side or not bc.b_side:
         raise InputError("both sides must be non-empty")
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for b in bc.b_side:
-        buckets.setdefault(_pattern_key(bc.pattern_of(b)), []).append(b)
-    best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
-    b_prime = tuple(sorted(buckets[best_key]))
-    row_colours = {
-        a: (Colour.RED if best_key[i] == 0 else Colour.BLUE)
-        for i, a in enumerate(bc.a_side)
-    }
-    return FocusRows(b_prime, row_colours)
+    keyed = ((_pattern_key(bc.pattern_of(b)), b) for b in bc.b_side)
+    return FocusRows(*_largest_bucket(keyed, bc.a_side))
 
 
 def focus_block(bc: BipartiteColouring) -> FocusBlock:
@@ -228,15 +232,7 @@ def iterated_focus(
         rows = focus_rows(bc)
         stage1[j] = rows.b_prime
         functions[j] = _pattern_key(tuple(rows.row_colours[a] for a in vh))
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for j, fn in functions.items():
-        buckets.setdefault(fn, []).append(j)
-    best_fn = min(buckets, key=lambda k: (-len(buckets[k]), k))
-    j_set = tuple(sorted(buckets[best_fn]))
-    row_colours = {
-        a: (Colour.RED if best_fn[i] == 0 else Colour.BLUE)
-        for i, a in enumerate(vh)
-    }
+    j_set, row_colours = _largest_bucket(((fn, j) for j, fn in functions.items()), vh)
 
     # stage 2: pairwise block focusing along template edges inside J
     current: dict[int, tuple[int, ...]] = {j: stage1[j] for j in j_set}

@@ -1,4 +1,6 @@
-"""Text interchange formats: graph6, edge lists, hypergraphs, colourings.
+"""Text interchange formats: graph6, edge lists and hypergraphs. The
+edge-colouring format (``write_colouring``, ``read_colouring``) lives in
+``arrowing``, next to ``EdgeColouring``.
 
 graph6 follows the public byte layout bit-exactly (size field, column-major
 upper-triangle bits, 6-bit groups offset by 63, zero padding). The plain

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows
+from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows, find_mono
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -32,7 +32,7 @@ from .graphs import (
     hyper_girth,
     _shortest_circuit,
 )
-from .patterns import Clique, Colour
+from .patterns import Clique, CliquePendant, CliquePlusCliques, Colour
 
 __all__ = [
     "GadgetParams",
@@ -501,9 +501,6 @@ def colouring_checks(kind: str, bg: BlockGraph, chi: EdgeColouring) -> dict:
 
     Returns check name -> bool (all must be true for a correct colouring).
     """
-    from .arrowing import find_mono
-    from .patterns import CliquePendant, CliquePlusCliques
-
     if kind == ColouringKind.G0_PROP1:
         k = bg.meta["k"]
         return {

@@ -40,7 +40,7 @@ from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, clique_number, colourable, components, induced_subgraph, mask_of
-from .patterns import Clique, TargetPattern, pattern_graph, pattern_num_edges, pattern_text
+from .patterns import Clique, TargetPattern, pattern_graph, pattern_text
 from .symmetry import (
     canonical_graph,
     canonical_key,
@@ -300,7 +300,7 @@ def degree_survey(
         upper_bound=None if r_value is None else r_value - 1,
     )
     budget = opts or Budget()
-    min_edges = 2 * pattern_num_edges(p) - 1
+    min_edges = 2 * hgraph.num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:

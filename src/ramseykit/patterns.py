@@ -157,31 +157,5 @@ def pattern_graph(p: TargetPattern) -> Graph:
     return p.graph
 
 
-def pattern_num_vertices(p: TargetPattern) -> int:
-    if isinstance(p, Clique):
-        return p.k
-    if isinstance(p, CliquePendant):
-        return p.k + 1
-    if isinstance(p, CliquePlusCliques):
-        return p.k + p.f * p.t
-    return p.graph.n
-
-
-def pattern_num_edges(p: TargetPattern) -> int:
-    if isinstance(p, Clique):
-        return p.k * (p.k - 1) // 2
-    if isinstance(p, CliquePendant):
-        return p.k * (p.k - 1) // 2 + 1
-    if isinstance(p, CliquePlusCliques):
-        return p.k * (p.k - 1) // 2 + p.f * (p.t * (p.t - 1) // 2)
-    return p.graph.num_edges
-
-
 def largest_component_size(p: TargetPattern) -> int:
-    if isinstance(p, Clique):
-        return p.k
-    if isinstance(p, CliquePendant):
-        return p.k + 1
-    if isinstance(p, CliquePlusCliques):
-        return max(p.k, p.t if p.f else 0)
-    return max((c.bit_count() for c in components(p.graph)), default=0)
+    return max((c.bit_count() for c in components(pattern_graph(p))), default=0)

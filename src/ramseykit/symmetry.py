@@ -1,5 +1,5 @@
 """Vertex symmetry of graphs: degree refinement, canonical forms and
-automorphisms.
+generators of the automorphism group.
 
 The canonical form of a graph is the lexicographically least column-major
 upper-triangle adjacency bitstring over the vertex orderings that list
@@ -28,7 +28,6 @@ __all__ = [
     "generators",
     "subset_orbit_reps",
     "edge_orbits",
-    "automorphisms",
 ]
 
 
@@ -311,20 +310,3 @@ def edge_orbits(g: Graph) -> list[list[tuple[int, int]]]:
                     orbit.append(image)
         orbits.append(sorted(orbit))
     return orbits
-
-
-def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
-    """Vertex automorphisms of ``g`` as permutation tuples, the identity first:
-    the closure of ``generators(g)`` under composition, cut off at ``limit``."""
-    gens = generators(g)
-    out = [tuple(range(g.n))][:limit]
-    seen = set(out)
-    for p in out:  # grows while it is read: a breadth-first closure
-        for s in gens:
-            if len(out) >= limit:
-                return out
-            q = tuple(s[x] for x in p)
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-    return out

@@ -7,22 +7,24 @@ masks, search trees by a plain recursion that rescans every edge against the
 copy masks and every permutation at every node, chromatic numbers by trying
 every assignment of colours to vertices, automorphisms by trying every one of
 the n! vertex permutations, and canonical forms by trying every
-class-grouped vertex ordering. Three exceptions lean on the library on
+class-grouped vertex ordering. Four exceptions lean on the library on
 purpose, so that each tests one choice only: the unfiltered enumeration
 deduplicates by the library's canonical key, testing which children
 enumeration tries; the per-edge minimality checks call the library's
 ``arrows`` once for every edge deletion, testing which deletions the
 library searches; and the reference search takes its edge permutations from
 ``arrowing._edge_perms``, testing which nodes the library's search cuts
-with them.
+with them; and ``automorphisms`` closes the library's
+``symmetry.generators`` under composition, testing whether they generate
+the whole group.
 """
 from itertools import combinations, permutations, product
 
 from ramseykit.arrowing import Outcome, _edge_perms, arrows
 from ramseykit.graphs import Graph, induced_subgraph
 from ramseykit.minimal import MinimalityReport
-from ramseykit.patterns import Clique, CliquePendant, Colour
-from ramseykit.symmetry import canonical_key, graph_of_key
+from ramseykit.patterns import Clique, CliquePendant, Colour, pattern_graph
+from ramseykit.symmetry import canonical_key, generators, graph_of_key
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -105,7 +107,15 @@ def copy_edge_masks(g: Graph, pattern) -> list[int]:
                     if w not in sub and g.has_edge(s, w):
                         masks.append(mask(pairs + [(s, w)]))
     else:
-        raise NotImplementedError
+        # every injective map of the pattern's vertices that sends edges to
+        # edges, each image edge set once
+        h = pattern_graph(pattern)
+        hedges = h.edges()
+        found = set()
+        for image in permutations(range(g.n), h.n):
+            if all(g.has_edge(image[a], image[b]) for a, b in hedges):
+                found.add(mask((image[a], image[b]) for a, b in hedges))
+        masks = sorted(found)
     return masks
 
 
@@ -251,6 +261,23 @@ def brute_automorphism_count(g: Graph) -> int:
         return total
 
     return count([])
+
+
+def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
+    """Vertex automorphisms of ``g`` as permutation tuples, the identity first:
+    the closure of ``generators(g)`` under composition, cut off at ``limit``."""
+    gens = generators(g)
+    out = [tuple(range(g.n))][:limit]
+    seen = set(out)
+    for p in out:  # grows while it is read: a breadth-first closure
+        for s in gens:
+            if len(out) >= limit:
+                return out
+            q = tuple(s[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+    return out
 
 
 def brute_canonical_columns(g: Graph, colour) -> list[int]:

@@ -33,9 +33,10 @@ from ramseykit.patterns import (
     largest_component_size,
     parse_pattern,
 )
-from ramseykit.symmetry import automorphisms, generators
+from ramseykit.symmetry import generators
 
 from oracles import (
+    automorphisms,
     brute_automorphism_count,
     copy_edge_masks,
     naive_arrows,
@@ -301,11 +302,15 @@ class TestSearchModes:
 
 class TestThroughEdgeChecker:
     """On every class that meets the checker's precondition, G - uv with no
-    copy of the target, the check answers whether G holds a copy."""
+    copy of the target, the check answers whether adding uv completes one,
+    that is whether G holds a copy; it reads the class with uv or without."""
 
     @pytest.mark.parametrize(
         "p",
-        [Clique(k) for k in range(1, 5)] + [CliquePendant(k) for k in range(1, 5)],
+        [Clique(k) for k in range(1, 5)]
+        + [CliquePendant(k) for k in range(1, 5)]
+        + [CliquePlusCliques(3, 1, 2), CliquePlusCliques(2, 2, 2)]
+        + [Arbitrary(Graph.path(4)), Arbitrary(Graph.cycle(4))],
         ids=str,
     )
     def test_matches_copy_masks(self, p):
@@ -313,8 +318,10 @@ class TestThroughEdgeChecker:
         for g in enumerate_graphs(6):
             has_copy = bool(copy_edge_masks(g, p))
             for u, v in g.edges():
-                if copy_edge_masks(g.without_edge(u, v), p):
+                without = g.without_edge(u, v)
+                if copy_edge_masks(without, p):
                     continue
+                assert check(without.adj, u, v) is has_copy, (g.edges(), u, v)
                 assert check(g.adj, u, v) is has_copy, (g.edges(), u, v)
 
 

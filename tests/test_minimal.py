@@ -23,7 +23,6 @@ from ramseykit.minimal import (
 from ramseykit.patterns import Clique, CliquePendant
 from ramseykit.symmetry import (
     _canonical_columns,
-    automorphisms,
     edge_orbits,
     graph_of_key,
     refine,
@@ -31,6 +30,7 @@ from ramseykit.symmetry import (
 )
 
 from oracles import (
+    automorphisms,
     brute_canonical_columns,
     brute_edge_orbits,
     brute_subset_orbits,

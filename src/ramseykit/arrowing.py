@@ -8,7 +8,10 @@ leaf. A colour of an uncoloured edge is forbidden when placing the edge in it
 completes a copy of that colour's target; after every placement the search
 gives every edge with one colour forbidden the other colour, until nothing
 changes (forced-colour propagation, the unit propagation of Davis, Logemann
-& Loveland), and backtracks when an edge has both colours forbidden. It then
+& Loveland), and backtracks when an edge has both colours forbidden. A
+colour's check on an edge runs again only when that colour class has grown
+since the edge was last checked; a class that did not grow forbids nothing
+new, so the fixpoint is the one a full rescan reaches. It then
 branches on the least uncoloured edge, red first. The witness survives
 because:
   - every good colouring that extends a partial colouring gives each forced
@@ -510,16 +513,25 @@ def _dfs_search(
     ``col[e]`` is the colour of edge e, or ``_FREE`` while it is uncoloured.
     Placing edge uv in colour c is forbidden when it completes a copy of c's
     target, which the ``_through_edge_checker`` of c decides. After every
-    placement, and once at the root, ``propagate`` scans every uncoloured
-    edge again and again until nothing changes: an edge with one colour
+    placement, and once at the root, ``propagate`` scans the uncoloured
+    edges again and again until nothing changes: an edge with one colour
     forbidden gets the other one, and an edge with both forbidden is a
     conflict. Forbidding is monotone (a larger class only completes more
     copies), so the fixpoint, and whether it has a conflict, does not depend
-    on the order of the scan. A node is one branching placement that was
-    tried: the least uncoloured edge, red, then blue; forced colours are not
-    nodes. When the targets are equal, edge 0 is only red (colour swap); at
-    the root equal targets forbid red and blue together, so nothing is
-    forced there and edge 0 is the first branching edge.
+    on the order of the scan. The scan runs a colour-c check on an edge only
+    when class c grew since the edge was last checked: at the root both
+    classes count as grown, after a branching placement in c only c has. A
+    skipped check is known to say "not forbidden": its class is unchanged
+    since a check, or the fixpoint the node started from, allowed that
+    colour on the still uncoloured edge. So the fixpoint is the one a full
+    rescan reaches; only the number of checks falls. Each frame keeps the
+    edges its fixpoint left uncoloured, least (its branching edge) first,
+    and the scans below it visit only those. A node is one branching
+    placement that was tried: the least uncoloured edge, red, then blue;
+    forced colours are not nodes. When the targets are equal, edge 0 is only
+    red (colour swap); at the root equal targets forbid red and blue
+    together, so nothing is forced there and edge 0 is the first branching
+    edge.
 
     A node is cut on a conflict, or when some edge permutation ``pi`` from
     ``_edge_perms`` maps the colouring to a lex-smaller one: the scan of
@@ -566,25 +578,47 @@ def _dfs_search(
         a[v] |= 1 << u
         col[e] = c
 
-    def propagate() -> bool:
-        """Colour every forced edge, to the fixpoint; False on a conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for e in range(m):
+    def propagate(free, red_grew: bool, blue_grew: bool) -> bool:
+        """Colour every forced edge, to the fixpoint; False on a conflict.
+
+        The scan visits the edges of ``free`` in ascending order and skips
+        the coloured ones: ``free`` is every edge at the root, and after a
+        branch the edges left uncoloured by the fixpoint the frame restores.
+        ``red_grew``/``blue_grew`` say which classes grew since that
+        fixpoint: both at the root, the branching colour after a branch.
+        The scan visits edge e at step ``base + e``, so it last visited e at
+        step ``base + e - m``; ``lr``/``lb`` are one past the step of the
+        latest red/blue placement, 0 for a class that grew before the scan
+        and -m for one that did not. A colour-c check runs only when class
+        c grew since the edge's last visit. A skipped check is known to say
+        "not forbidden": class c is the same as at that visit, where the c
+        check ran and allowed c (the edge would be coloured otherwise) or
+        was skipped for the same reason, back to the starting fixpoint,
+        where no uncoloured edge has a forbidden colour. The scan stops at
+        the end of the first pass that ends m or more steps after the latest
+        placement: every edge has then been visited with both classes as
+        they are."""
+        lr = 0 if red_grew else -m
+        lb = 0 if blue_grew else -m
+        base = 0
+        while True:
+            last = base - m  # the step of the previous visit of edge 0
+            for e in free:
                 if col[e] != _FREE:
                     continue
                 u, v = edges[e]
-                red_bad = check_red(red_adj, u, v)
-                if check_blue(blue_adj, u, v):
+                red_bad = lr > last + e and check_red(red_adj, u, v)
+                if lb > last + e and check_blue(blue_adj, u, v):
                     if red_bad:
                         return False
                     place(e, _RED)
-                    changed = True
+                    lr = base + e + 1
                 elif red_bad:
                     place(e, _BLUE)
-                    changed = True
-        return True
+                    lb = base + e + 1
+            base += m
+            if base >= max(lr, lb) + m:
+                return True
 
     def lex_leader() -> bool:
         """No permutation maps ``col`` to a lex-smaller colouring."""
@@ -597,19 +631,22 @@ def _dfs_search(
                     break
         return True
 
-    if not (propagate() and lex_leader()):
+    free = range(m)
+    if not (propagate(free, True, True) and lex_leader()):
         return _EXHAUSTED, None, 0
     nodes = 0
-    # one frame per open branching edge: [edge, next colour, the state to
-    # restore before each try]
+    # one frame per open branching edge: [the uncoloured edges, least (the
+    # branching edge) first, next colour, the state to restore before each
+    # try]
     stack = []
-    while _FREE in col:
-        stack.append([col.index(_FREE), _RED, col[:], red_adj[:], blue_adj[:]])
+    while free := [e for e in free if col[e] == _FREE]:
+        stack.append([free, _RED, col[:], red_adj[:], blue_adj[:]])
         while True:  # to the next node that survives
             if not stack:
                 return _EXHAUSTED, None, nodes
             frame = stack[-1]
-            e, c, saved_col, saved_red, saved_blue = frame
+            free, c, saved_col, saved_red, saved_blue = frame
+            e = free[0]
             if c > _BLUE or (sym and e == 0 and c == _BLUE):
                 stack.pop()
                 continue
@@ -623,7 +660,7 @@ def _dfs_search(
             red_adj[:] = saved_red
             blue_adj[:] = saved_blue
             place(e, c)
-            if lex_leader() and propagate() and lex_leader():
+            if lex_leader() and propagate(free, c == _RED, c == _BLUE) and lex_leader():
                 break
     # canonical: the first leaf in lex order; a copy here means a
     # through-edge check broke its contract
@@ -731,10 +768,15 @@ def ramsey_number(
 ) -> RamseyNumberReport:
     """Smallest n such that the complete graph on n vertices arrows the pair.
 
-    Increments n starting from the largest component size of either pattern;
-    on budget exhaustion, or after order ``n_max`` when given, reports the
-    last resolved order. Every resolved order is below the Ramsey number."""
-    n = max(1, largest_component_size(red), largest_component_size(blue))
+    Increments n from 1 when either pattern is edgeless, and otherwise from
+    the largest component size of either pattern: below it, colouring every
+    edge in that pattern's colour leaves the other colour class empty. On
+    budget exhaustion, or after order ``n_max`` when given, reports the last
+    resolved order. Every resolved order is below the Ramsey number."""
+    if pattern_graph(red).num_edges and pattern_graph(blue).num_edges:
+        n = max(largest_component_size(red), largest_component_size(blue))
+    else:
+        n = 1
     nodes = 0
     resolved = n - 1
     while True:

@@ -90,6 +90,19 @@ def _budget(text: str, source: str = "--budget") -> float:
     return value
 
 
+def _max_nodes(text: str) -> int:
+    """Search nodes for the whole command: an integer, at least 0. Like
+    ``_budget`` it raises ``_UsageError``, so a bad value ends in the JSON
+    usage-error line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise _UsageError(f"--max-nodes must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _options(args) -> Budget:
     """The one budget of the command: ``--budget`` (or ``RAMSEYKIT_BUDGET``)
     seconds from now and ``--max-nodes`` search nodes for all its searches."""
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=_budget, default=None,
                            help="wall seconds for the whole command")
-            p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
+            p.add_argument("--max-nodes", type=_max_nodes, default=None, dest="max_nodes",
                            help="search nodes for the whole command")
 
     p = sub.add_parser("arrow", help="decide arrowing for one graph")

@@ -21,9 +21,10 @@ from ramseykit.arrowing import (
 )
 from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.errors import InputError
+from ramseykit.formats import graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph
-from ramseykit.minimal import enumerate_graphs
+from ramseykit.minimal import enumerate_graphs, minimalize
 from ramseykit.patterns import (
     Arbitrary,
     Clique,
@@ -363,11 +364,77 @@ class TestWitnessDifferential:
             assert satisfiable is (arrows(g, red, blue).outcome is Outcome.NOT_ARROW), g.edges()
 
 
+class TestIncrementalPropagation:
+    """Propagation re-runs a colour's check on an edge only when that colour
+    class grew; its edge cases match the reference search, which rescans
+    every edge with both colours."""
+
+    def assert_matches_reference(self, g, red, blue):
+        verdict = arrows(g, red, blue)
+        got = None if verdict.witness is None else verdict.witness.colours
+        assert (verdict.nodes, got) == reference_search(g, red, blue), (g.edges(), red, blue)
+        return verdict
+
+    def test_edgeless_host(self):
+        verdict = self.assert_matches_reference(Graph.empty(3), Clique(3), CliquePendant(3))
+        assert verdict.outcome is Outcome.NOT_ARROW and verdict.witness.colours == ()
+
+    def test_root_conflict(self):
+        # no edge may be red, so the root forces every edge blue until a
+        # blue triangle closes, or forbids both colours of the one edge
+        for g, blue in ((Graph.complete(3), Clique(3)), (Graph.complete(2), CliquePendant(1))):
+            verdict = self.assert_matches_reference(g, Clique(2), blue)
+            assert verdict.outcome is Outcome.ARROW and verdict.nodes == 0
+
+    def test_root_fixpoint_colours_every_edge(self):
+        verdict = self.assert_matches_reference(Graph.cycle(5), Clique(2), Clique(3))
+        assert verdict.nodes == 0
+        assert verdict.witness.colours == (Colour.BLUE,) * 5
+
+    @pytest.mark.parametrize(
+        "red, blue",
+        [(Clique(3), CliquePendant(3)), (CliquePendant(3), Clique(4))],
+        ids=str,
+    )
+    def test_unequal_targets_on_complete_hosts(self, red, blue):
+        # a branch grows one class, and forced edges of the other colour
+        # must make that colour's checks run again
+        for n in range(5, 8):
+            self.assert_matches_reference(Graph.complete(n), red, blue)
+
+
+@pytest.fixture
+def check_count(monkeypatch):
+    """The number of through-edge checks run since the fixture was made."""
+    calls = [0]
+    real = arrowing._through_edge_checker
+
+    def counting(p):
+        check = real(p)
+
+        def counted(adj, u, v):
+            calls[0] += 1
+            return check(adj, u, v)
+
+        return counted
+
+    monkeypatch.setattr(arrowing, "_through_edge_checker", counting)
+    return calls
+
+
+def pendant_gadget_k3() -> Graph:
+    """The k = 3 pendant gadget of the paper, 17 vertices and |Aut| = 200."""
+    return build_pendant_gadget(3, [build_g0(3, Graph.cycle(5))] * 2).graph
+
+
 class TestNodeCounts:
-    """Node counts repeat exactly; these bounds are today's counts, and they
-    fail when propagation or symmetry breaking stops pruning (without
-    symmetry breaking: 39,126, 3,182 and 95 nodes; without propagation:
-    8,844, 2,728 and 32,485)."""
+    """Node and check counts repeat exactly; these bounds are today's counts,
+    and they fail when propagation or symmetry breaking stops pruning
+    (without symmetry breaking: 39,126, 3,182 and 95 nodes; without
+    propagation: 8,844, 2,728 and 32,485), or when propagation falls back to
+    rescanning every uncoloured edge with both checks (without incremental
+    checks: 6,730 checks for the pendant gadget and 249,666 for its
+    minimalization)."""
 
     def test_k9_arrows_k3_k4(self):
         verdict = arrows(Graph.complete(9), Clique(3), Clique(4))
@@ -379,12 +446,16 @@ class TestNodeCounts:
         assert rep.n == 8
         assert rep.nodes <= 144
 
-    def test_pendant_gadget_arrows_k3_k2(self):
-        # the k = 3 pendant gadget of the paper, 17 vertices and |Aut| = 200
-        gadget = build_pendant_gadget(3, [build_g0(3, Graph.cycle(5))] * 2).graph
-        verdict = arrows(gadget, CliquePendant(3), CliquePendant(3))
+    def test_pendant_gadget_arrows_k3_k2(self, check_count):
+        verdict = arrows(pendant_gadget_k3(), CliquePendant(3), CliquePendant(3))
         assert verdict.outcome is Outcome.ARROW
         assert verdict.nodes <= 83
+        assert check_count[0] <= 4533
+
+    def test_pendant_gadget_minimalize_checks(self, check_count):
+        g = minimalize(pendant_gadget_k3(), CliquePendant(3))
+        assert graph6_encode(g) == "P~~nNe??G@_F?N?M_FG@x_G?"
+        assert check_count[0] <= 151131
 
     def test_k13_witness_for_k3_k5(self):
         # the canonical witness is pinned byte for byte: no pruning rule may
@@ -466,6 +537,27 @@ class TestRamseyNumber:
         p3_k2 = Graph.disjoint_union([Graph.path(3), Graph.complete(2)])
         assert largest_component_size(Arbitrary(p3_k2)) == 3
         assert largest_component_size(Arbitrary(Graph.empty(2))) == 1
+
+    @pytest.mark.parametrize(
+        "red, blue, expected",
+        [
+            # an edgeless target lies in K_n, whatever the colouring, once n
+            # reaches its order, so the search cannot start at the other
+            # target's component size
+            (Clique(1), Clique(3), 1),
+            (Clique(3), Clique(1), 1),
+            (Clique(1), Clique(1), 1),
+            (CliquePlusCliques(1, 2, 1), Clique(2), 3),
+            (CliquePlusCliques(1, 3, 1), CliquePendant(1), 4),
+            (CliquePlusCliques(2, 1, 1), Clique(2), 3),
+            (Clique(2), Clique(3), 3),
+            (CliquePendant(1), Clique(3), 3),
+        ],
+        ids=str,
+    )
+    def test_small_pairs_match_brute_force(self, red, blue, expected):
+        brute = next(n for n in range(1, 7) if naive_arrows(Graph.complete(n), red, blue))
+        assert ramsey_number(red, blue).n == brute == expected
 
     def test_budget(self):
         rep = ramsey_number(Clique(4), Clique(4), Budget(seconds=0.5))

@@ -124,6 +124,21 @@ class TestRamseyCommand:
             assert captured.out == ""
             assert json.loads(captured.err)["error"] == "usage-error"
 
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_max_nodes_not_a_count(self, files, capsys, value):
+        code = main(["ramsey", "--red", "K3", "--blue", "K3", "--no-timing", "--max-nodes", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage-error"
+
+    def test_edgeless_target(self, files, capsys):
+        code, out = run(capsys, ["ramsey", "--red", "K1", "--blue", "K3", "--no-timing"])
+        assert code == 0
+        assert json.loads(out) == {
+            "blue": "K3", "checked_up_to": 1, "decided": True, "n": 1, "red": "K1"
+        }
+
     def test_zero_budget_flag_is_valid(self, files, capsys):
         code, out = run(capsys, ["ramsey", "--red", "K4", "--blue", "K4", "--no-timing", "--budget", "0"])
         assert code == 10

@@ -25,8 +25,9 @@ because:
 When both targets are equal the first edge is fixed red (colour-swap
 symmetry); nothing is forced at the root then, because equal targets forbid
 red and blue together. A partial colouring is also pruned when, for a
-generator of Aut(G) from ``symmetry.generators`` or its inverse, the image
-colouring is lex-smaller at the first position where either side is
+permutation of the edges from ``symmetry.edge_perms`` (a generator of
+Aut(G) or its inverse, acting on edge indices), the image colouring is
+lex-smaller at the first position where either side is
 uncoloured or the two differ (lex-leader symmetry breaking). The good
 colourings are closed under Aut(G) and, for equal targets, under the colour
 swap, so their least member is no larger than any of its images: neither
@@ -47,7 +48,6 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import ceil
 from typing import Iterator, Mapping, Optional
@@ -64,7 +64,7 @@ from .patterns import (
     largest_component_size,
     pattern_graph,
 )
-from .symmetry import generators
+from .symmetry import edge_perms
 
 __all__ = [
     "EdgeColouring",
@@ -83,11 +83,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1024)
-def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(g.edges())}
-
-
 @dataclass(frozen=True)
 class EdgeColouring:
     """Total red/blue assignment on a graph's edge set.
@@ -104,24 +99,25 @@ class EdgeColouring:
 
     @classmethod
     def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], Colour]) -> "EdgeColouring":
-        idx = _edge_index(graph)
+        edges = graph.edges()
+        known = set(edges)
         norm: dict[tuple[int, int], Colour] = {}
         for (u, v), col in mapping.items():
             key = (u, v) if u < v else (v, u)
-            if key not in idx:
+            if key not in known:
                 raise InputError(f"({u}, {v}) is not an edge of the graph")
             norm[key] = col
-        if len(norm) != len(idx):
+        if len(norm) != len(edges):
             raise InputError("colouring must cover the edge set exactly")
-        return cls(graph, tuple(norm[e] for e in graph.edges()))
+        return cls(graph, tuple(norm[e] for e in edges))
 
     @classmethod
     def constant(cls, graph: Graph, colour: Colour) -> "EdgeColouring":
         return cls(graph, (colour,) * graph.num_edges)
 
     def colour_of(self, u: int, v: int) -> Colour:
-        key = (u, v) if u < v else (v, u)
-        return self.colours[_edge_index(self.graph)[key]]
+        """The colour of the edge uv; InputError when uv is not an edge."""
+        return self.colours[self.graph.edge_index(u, v)]
 
     def class_adj(self, colour: Colour) -> tuple[int, ...]:
         adj = [0] * self.graph.n
@@ -465,36 +461,11 @@ class Budget:
         )
 
 
-_FOUND, _EXHAUSTED, _BUDGET = 0, 1, 2
-
-
 def _edgeless_arrow(g: Graph, p: TargetPattern) -> bool:
     """True when every colouring trivially contains ``p`` because the pattern
     has no edges and enough vertices exist."""
     h = pattern_graph(p)
     return h.num_edges == 0 and h.n <= g.n
-
-
-def _edge_perms(g: Graph) -> list[tuple[int, ...]]:
-    """The permutations of edge indices induced by the generators of Aut(g)
-    and their inverses, without the identity; ``pi[j]`` is the index of the
-    image of edge j."""
-    edges = g.edges()
-    # a local index: the shared _edge_index cache would keep one dict per
-    # searched graph alive
-    idx = {e: i for i, e in enumerate(edges)}
-    out: set[tuple[int, ...]] = set()
-    for sigma in generators(g):
-        pi = []
-        for u, v in edges:
-            a, b = sigma[u], sigma[v]
-            pi.append(idx[(a, b) if a < b else (b, a)])
-        inv = [0] * len(pi)
-        for j, k in enumerate(pi):
-            inv[k] = j
-        out.update((tuple(pi), tuple(inv)))
-    out.discard(tuple(range(len(edges))))
-    return sorted(out)
 
 
 # int colours of the search, red sorting first; _FREE marks an uncoloured edge
@@ -507,7 +478,7 @@ def _dfs_search(
     red: TargetPattern,
     blue: TargetPattern,
     budget: Budget,
-) -> tuple[int, tuple[Colour, ...] | None, int]:
+) -> tuple[Outcome, tuple[Colour, ...] | None, int]:
     """Exhaustive search with forced-colour propagation, on int colours.
 
     ``col[e]`` is the colour of edge e, or ``_FREE`` while it is uncoloured.
@@ -534,10 +505,10 @@ def _dfs_search(
     edge.
 
     A node is cut on a conflict, or when some edge permutation ``pi`` from
-    ``_edge_perms`` maps the colouring to a lex-smaller one: the scan of
-    ``pi`` reads its moved pairs (j, pi[j]) in ascending j and stops at the
-    first pair where either edge is uncoloured or the colours differ, cutting
-    when col[pi[j]] < col[j]. Fixed positions compare equal even while
+    ``symmetry.edge_perms`` maps the colouring to a lex-smaller one: the
+    scan of ``pi`` reads its moved pairs (j, pi[j]) in ascending j and stops
+    at the first pair where either edge is uncoloured or the colours differ,
+    cutting when col[pi[j]] < col[j]. Fixed positions compare equal even while
     uncoloured. Each permutation is scanned from its start after the
     branching placement and again at the fixpoint; the scans keep no state.
 
@@ -550,11 +521,13 @@ def _dfs_search(
     classes are searched in full once more, and a copy raises RuntimeError
     instead of returning a wrong witness.
 
-    The budget is checked once after the generators of Aut(g), which run
-    before the first node, and at every node. Explores at most
+    The budget is checked once after ``edge_perms``, whose generators of
+    Aut(g) run before the first node, and at every node. Explores at most
     ``budget.nodes_left`` nodes and stops at the first node after
     ``budget.deadline``; the node that would pass a limit is not explored.
-    Returns (status, witness colour tuple or None, nodes explored).
+    Returns (outcome, witness colour tuple or None, nodes explored); the
+    witness is present exactly for NOT_ARROW, and is ``()`` for a graph
+    without edges.
     """
     edges = g.edges()
     m = len(edges)
@@ -566,9 +539,9 @@ def _dfs_search(
     col = [_FREE] * m
     max_nodes = budget.nodes_left
     deadline = budget.deadline
-    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in _edge_perms(g)]
+    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g)]
     if budget.spent():  # the generators ran outside the search's own checks
-        return _BUDGET, None, 0
+        return Outcome.UNDECIDED, None, 0
 
     def place(e: int, c: int) -> None:
         """Colour edge e with c, in ``col`` and in c's adjacency."""
@@ -633,7 +606,7 @@ def _dfs_search(
 
     free = range(m)
     if not (propagate(free, True, True) and lex_leader()):
-        return _EXHAUSTED, None, 0
+        return Outcome.ARROW, None, 0
     nodes = 0
     # one frame per open branching edge: [the uncoloured edges, least (the
     # branching edge) first, next colour, the state to restore before each
@@ -643,7 +616,7 @@ def _dfs_search(
         stack.append([free, _RED, col[:], red_adj[:], blue_adj[:]])
         while True:  # to the next node that survives
             if not stack:
-                return _EXHAUSTED, None, nodes
+                return Outcome.ARROW, None, nodes
             frame = stack[-1]
             free, c, saved_col, saved_red, saved_blue = frame
             e = free[0]
@@ -653,9 +626,9 @@ def _dfs_search(
             frame[1] = c + 1
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                return _BUDGET, None, nodes - 1
+                return Outcome.UNDECIDED, None, nodes - 1
             if deadline is not None and time.monotonic() > deadline:
-                return _BUDGET, None, nodes - 1
+                return Outcome.UNDECIDED, None, nodes - 1
             col[:] = saved_col
             red_adj[:] = saved_red
             blue_adj[:] = saved_blue
@@ -669,7 +642,7 @@ def _dfs_search(
         or _search_pattern(blue_adj, n, blue) is not None
     ):
         raise RuntimeError("search witness contains a monochromatic target")
-    return _FOUND, tuple(_COLOURS[x] for x in col), nodes
+    return Outcome.NOT_ARROW, tuple(_COLOURS[x] for x in col), nodes
 
 
 def arrows(
@@ -693,15 +666,11 @@ def arrows(
     if _edgeless_arrow(g, red) or _edgeless_arrow(g, blue):
         return ArrowingVerdict(Outcome.ARROW, None, 0, time.monotonic() - start)
 
-    status, wit, nodes = _dfs_search(g, red, blue, budget)
+    outcome, wit, nodes = _dfs_search(g, red, blue, budget)
     if budget.nodes_left is not None:
         budget.nodes_left -= nodes
-    elapsed = time.monotonic() - start
-    if status == _FOUND:
-        return ArrowingVerdict(Outcome.NOT_ARROW, EdgeColouring(g, wit), nodes, elapsed)
-    if status == _BUDGET:
-        return ArrowingVerdict(Outcome.UNDECIDED, None, nodes, elapsed)
-    return ArrowingVerdict(Outcome.ARROW, None, nodes, elapsed)
+    witness = None if wit is None else EdgeColouring(g, wit)
+    return ArrowingVerdict(outcome, witness, nodes, time.monotonic() - start)
 
 
 # -- epsilon arrowing -----------------------------------------------------------

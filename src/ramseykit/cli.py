@@ -30,6 +30,7 @@ from .errors import FormatError, InfeasibleError, InputError, Undecided
 from .focusing import FocusFailure, iterated_focus, report_to_json, verify_focus_report
 from .formats import graph6_decode, graph6_encode, read_edge_list, write_hypergraph
 from .gadgets import (
+    COLOURING_KINDS,
     blockgraph_from_json,
     blockgraph_to_json,
     build_g0,
@@ -41,7 +42,7 @@ from .gadgets import (
     schedule_params,
 )
 from .minimal import degree_survey, distinguish, is_minimal, minimalize
-from .patterns import Clique, parse_pattern, pattern_text
+from .patterns import parse_pattern, pattern_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -256,21 +257,13 @@ def _cmd_gadget(args) -> int:
         budget = _options(args)
         g0 = _load_graph(args.g0)
         fs = [_load_graph(path) for path in args.blocks]
-        r_value = args.r_value
-        r_source = "supplied"
-        if r_value is None:
-            rep = ramsey_number(Clique(args.k), Clique(args.k - args.t + 1), budget)
-            if not rep.decided:
-                raise Undecided("Ramsey number computation exceeded its budget")
-            r_value = rep.n
-            r_source = "computed"
-        params = schedule_params(args.k, args.t, r_value, [f.n for f in fs], r_source)
+        params = schedule_params(args.k, args.t, args.r_value, [f.n for f in fs], budget)
         bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
         payload = {
             "gadget": "product",
             "k": args.k,
             "t": args.t,
-            "r_value": r_value,
+            "r_value": params.r_value,
             "h": params.h,
             "f": params.f,
             "eps0": str(params.eps0),
@@ -462,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", help="canonical colouring of a gadget")
     p.add_argument("gadget", help="block graph JSON file")
-    p.add_argument("--kind", required=True, choices=["g0-prop1", "g2", "lemma7"])
+    p.add_argument("--kind", required=True, choices=list(COLOURING_KINDS))
     p.add_argument("-o", "--out")
     p.add_argument("--check", action="store_true", help="verify the colouring")
     common(p, budget=False)

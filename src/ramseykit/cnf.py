@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arrowing import EdgeColouring, _cliques_within, _edge_index
+from .arrowing import EdgeColouring, _cliques_within
 from .errors import InputError
 from .graphs import Graph, bits, mask_of
 from .patterns import Clique, CliquePendant, Colour, TargetPattern
@@ -60,7 +60,7 @@ def _copies_edge_sets(g: Graph, p: TargetPattern) -> list[list[tuple[int, int]]]
 def to_cnf(g: Graph, red: TargetPattern, blue: TargetPattern) -> CnfInstance:
     """CNF instance satisfiable iff some colouring of ``g`` avoids both targets."""
     edges = tuple(g.edges())
-    idx = _edge_index(g)
+    idx = {e: i for i, e in enumerate(edges)}
     clauses: list[tuple[int, ...]] = []
     for copy in _copies_edge_sets(g, red):
         clauses.append(tuple(-(idx[e] + 1) for e in copy))

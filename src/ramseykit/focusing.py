@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .arrowing import EdgeColouring, _cliques_within
 from .errors import InputError
-from .gadgets import BlockGraph, GadgetParams
+from .gadgets import BlockGraph
 from .graphs import mask_of
 from .patterns import COLOUR_KEY, Colour
 
@@ -197,11 +197,7 @@ def _block_vertices(bg: BlockGraph, j: int) -> tuple[int, ...]:
     return bg.block(f"V{j}")
 
 
-def iterated_focus(
-    bg: BlockGraph,
-    chi: EdgeColouring,
-    params: GadgetParams | None = None,
-) -> FocusReport | FocusFailure:
+def iterated_focus(bg: BlockGraph, chi: EdgeColouring) -> FocusReport | FocusFailure:
     """Run the two-stage focusing procedure on a colouring of a product graph.
 
     Stage 1 focuses every block against the K_h part and pigeonholes the
@@ -217,7 +213,7 @@ def iterated_focus(
         raise InputError("iterated focusing needs a product block graph")
     if chi.graph != bg.graph:
         raise InputError("colouring does not match the block graph")
-    params = params or bg.params
+    params = bg.params
     if params is None:
         raise InputError("product parameters required")
     vh = bg.block("V_H")
@@ -292,21 +288,28 @@ class FocusVerification:
     violations: tuple[Violation, ...]
 
 
-def verify_focus_report(
-    bg: BlockGraph,
-    chi: EdgeColouring,
-    report: FocusReport,
-    params: GadgetParams | None = None,
-) -> FocusVerification:
+def verify_focus_report(bg: BlockGraph, chi: EdgeColouring, report: FocusReport) -> FocusVerification:
     """Re-check every reported property literally against the colouring:
     (a) the selection is large enough, (b) every reported clique is
     monochromatic of its reported colour, (c) template pairs inside the
     selection are monochromatic of their reported colour, (d) every K_h
-    vertex is monochromatic toward the union of the cliques."""
-    params = params or bg.params
+    vertex is monochromatic toward the union of the cliques. A pair that
+    should be an edge of the reported colour and is no edge at all is a
+    violation too."""
+    params = bg.params
     if params is None:
         raise InputError("product parameters required")
     violations: list[Violation] = []
+
+    def check_edge(item: str, x: int, y: int, colour: Colour) -> None:
+        try:
+            found = chi.colour_of(x, y)
+        except InputError:
+            violations.append(Violation(item, f"({x}, {y})", "missing edge"))
+            return
+        if found is not colour:
+            violations.append(Violation(item, f"({x}, {y})", f"edge not {colour.value}"))
+
     n0, t = params.n0, params.t
     j_set = tuple(sorted(report.j_set))
 
@@ -334,12 +337,7 @@ def verify_focus_report(
         colour = report.w_colours.get(j)
         for idx, x in enumerate(w):
             for y in w[idx + 1:]:
-                if not chi.graph.has_edge(x, y):
-                    violations.append(Violation("b", f"({x}, {y})", "missing edge"))
-                elif chi.colour_of(x, y) is not colour:
-                    violations.append(
-                        Violation("b", f"({x}, {y})", f"edge not {colour.value}")
-                    )
+                check_edge("b", x, y, colour)
 
     jset = set(j_set)
     expected_pairs = {
@@ -353,10 +351,7 @@ def verify_focus_report(
         i, j = pair
         for x in report.w_sets.get(i, ()):
             for y in report.w_sets.get(j, ()):
-                if chi.colour_of(x, y) is not colour:
-                    violations.append(
-                        Violation("c", f"({x}, {y})", f"edge not {colour.value}")
-                    )
+                check_edge("c", x, y, colour)
 
     union = [x for j in j_set for x in report.w_sets.get(j, ())]
     for a in bg.block("V_H"):
@@ -365,10 +360,7 @@ def verify_focus_report(
             violations.append(Violation("d", f"v={a}", "missing row colour"))
             continue
         for x in union:
-            if chi.colour_of(a, x) is not colour:
-                violations.append(
-                    Violation("d", f"({a}, {x})", f"edge not {colour.value}")
-                )
+            check_edge("d", a, x, colour)
 
     return FocusVerification(not violations, tuple(violations))
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows, find_mono
+from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows, find_mono, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -38,6 +38,7 @@ __all__ = [
     "GadgetParams",
     "BlockGraph",
     "ColouringKind",
+    "COLOURING_KINDS",
     "gen_hypergraph",
     "plant_copies",
     "build_g0",
@@ -108,19 +109,29 @@ class GadgetParams:
 def schedule_params(
     k: int,
     t: int,
-    r_value: int,
+    r_value: int | None,
     block_sizes: Sequence[int],
-    r_source: str = "supplied",
+    opts: Budget | None = None,
 ) -> GadgetParams:
     """Exact rational parameter schedule for the product construction:
     h = r_value + k - 1, f = floor((r_value - 1) / t) + 1, eps0 = 2^-(h+1),
-    and one shrink factor per block."""
+    and one shrink factor per block.
+
+    ``r_value`` None is computed as R(K_k, K_{k-t+1}) within the budget
+    ``opts``, after the arguments are checked, and raises ``Undecided`` when
+    the budget leaves it undecided."""
     if not k > t >= 3:
         raise InputError("schedule requires k > t >= 3")
-    if r_value < 2:
+    if r_value is not None and r_value < 2:
         raise InputError("r_value must be at least 2")
     if any(s < 1 for s in block_sizes):
         raise InputError("block sizes must be positive")
+    r_source = "supplied"
+    if r_value is None:
+        rep = ramsey_number(Clique(k), Clique(k - t + 1), opts)
+        if not rep.decided:
+            raise Undecided("Ramsey number computation exceeded its budget")
+        r_value, r_source = rep.n, "computed"
     h = r_value + k - 1
     f = (r_value - 1) // t + 1
     eps0 = Fraction(1, 2 ** (h + 1))
@@ -183,17 +194,24 @@ def blockgraph_from_json(text: str) -> BlockGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad block graph JSON: {exc}") from None
-    if doc.get("format") != "blockgraph":
+    if not isinstance(doc, dict) or doc.get("format") != "blockgraph":
         raise InputError("not a block graph document")
-    return BlockGraph(
-        graph=graph6_decode(doc["graph6"]),
-        blocks={name: tuple(vs) for name, vs in doc["blocks"].items()},
-        special=dict(doc["special"]),
-        provenance=doc["provenance"],
-        meta=dict(doc["meta"]),
-        params=GadgetParams.from_json_dict(doc["params"]) if doc.get("params") else None,
-        g0=graph6_decode(doc["g0_graph6"]) if doc.get("g0_graph6") else None,
-    )
+    try:
+        return BlockGraph(
+            graph=graph6_decode(doc["graph6"]),
+            blocks={name: tuple(vs) for name, vs in doc["blocks"].items()},
+            special=dict(doc["special"]),
+            provenance=doc["provenance"],
+            meta=dict(doc["meta"]),
+            params=GadgetParams.from_json_dict(doc["params"]) if doc.get("params") else None,
+            g0=graph6_decode(doc["g0_graph6"]) if doc.get("g0_graph6") else None,
+        )
+    except KeyError as exc:
+        raise InputError(f"block graph document lacks the key {exc}") from None
+    except InputError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed block graph document: {exc}") from None
 
 
 # -- randomized hypergraph generation ----------------------------------------------
@@ -456,7 +474,8 @@ class ColouringKind:
     LEMMA7_MINUS_V = "lemma7"
 
 
-_KIND_PROVENANCE = {
+# every canonical colouring kind and the constructor whose output it colours
+COLOURING_KINDS = {
     ColouringKind.G0_PROP1: "build_g0",
     ColouringKind.G2: "build_product",
     ColouringKind.LEMMA7_MINUS_V: "build_pendant_gadget",
@@ -471,7 +490,7 @@ def canonical_colouring(kind: str, bg: BlockGraph) -> EdgeColouring:
     vertex removed (it is the last label, so other labels are unchanged); the
     joining edges between copies are all blue.
     """
-    want = _KIND_PROVENANCE.get(kind)
+    want = COLOURING_KINDS.get(kind)
     if want is None:
         raise InputError(f"unknown colouring kind {kind!r}")
     if bg.provenance != want:

@@ -104,6 +104,17 @@ class Graph:
                 out.append((u, u + 1 + d))
         return out
 
+    def edge_index(self, u: int, v: int) -> int:
+        """Position of the edge uv in ``edges()``, counted from the adjacency
+        rows: the edges (w, x) with w < min(u, v) come before it, and so do
+        those from min(u, v) to a vertex below max(u, v)."""
+        if u > v:
+            u, v = v, u
+        if not (0 <= u and v < self.n and (self.adj[u] >> v) & 1):
+            raise InputError(f"({u}, {v}) is not an edge of the graph")
+        rank = sum((self.adj[w] >> (w + 1)).bit_count() for w in range(u))
+        return rank + (self.adj[u] >> (u + 1) & ((1 << (v - u - 1)) - 1)).bit_count()
+
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

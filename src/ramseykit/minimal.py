@@ -358,7 +358,6 @@ def distinguish(
     n_max: int,
     *,
     opts: Budget | None = None,
-    graphs: Iterable[Graph] | None = None,
 ) -> DistinguishReport:
     """Search for a graph that arrows ``h1`` but not ``h2``.
 
@@ -377,13 +376,10 @@ def distinguish(
     chi_floor = _chromatic_floor(h1, n_max, budget)
     checked = 0
     complete = True
-    source = graphs if graphs is not None else enumerate_graphs(n_max)
-    for g in source:
+    for g in enumerate_graphs(n_max):
         if budget.spent():
             complete = False
             break
-        if g.n > n_max:
-            continue
         checked += 1
         if colourable(g, chi_floor - 1):
             continue  # chi(G) < R(omega(h1), omega(h1)): G does not arrow h1

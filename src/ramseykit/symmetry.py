@@ -8,10 +8,12 @@ iff they are isomorphic. Its backtrack follows only the least next column and
 cuts a branch once its prefix exceeds the best string's; the packed key
 decodes back to the canonical graph. A generating set of the automorphism
 group is found level by level, as nauty does, by a backtrack that maps each
-vertex only into its own refinement class; the whole group is its closure,
-and its orbits on vertex subsets pick the extensions graph enumeration tries,
-while its orbits on edges let minimality checks search one edge deletion per
-orbit.
+vertex only into its own refinement class; the whole group is its closure.
+This module is the one place that applies the group: ``edge_perms`` gives
+its action on edge indices, which the arrowing search uses for lex-leader
+symmetry breaking; its orbits on edges let minimality checks search one edge
+deletion per orbit, and its orbits on vertex subsets pick the extensions
+graph enumeration tries. Both orbit lists come from one walk.
 Enumeration canonicalises only the extensions whose new vertex lies in the
 top refinement class, which every graph has for some extension: class ids
 are isomorphism invariant.
@@ -26,6 +28,7 @@ __all__ = [
     "canonical_graph",
     "graph_of_key",
     "generators",
+    "edge_perms",
     "subset_orbit_reps",
     "edge_orbits",
 ]
@@ -253,13 +256,55 @@ def generators(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def edge_perms(g: Graph) -> list[tuple[int, ...]]:
+    """The permutations of edge indices induced by ``generators(g)`` and
+    their inverses, without the identity, sorted; ``pi[j]`` is the index in
+    ``g.edges()`` of the image of edge j."""
+    edges = g.edges()
+    # a dict beats rank arithmetic per edge, and dies with the call
+    idx = {e: i for i, e in enumerate(edges)}
+    out: set[tuple[int, ...]] = set()
+    for sigma in generators(g):
+        pi = []
+        for u, v in edges:
+            a, b = sigma[u], sigma[v]
+            pi.append(idx[(a, b) if a < b else (b, a)])
+        inv = [0] * len(pi)
+        for j, k in enumerate(pi):
+            inv[k] = j
+        out.update((tuple(pi), tuple(inv)))
+    out.discard(tuple(range(len(edges))))
+    return sorted(out)
+
+
+def _orbits(size: int, perms: list) -> list[list[int]]:
+    """The orbits of the group generated by ``perms``, permutations of
+    ``range(size)``, each ascending, listed by least member.
+
+    Indices are visited in ascending order; the first one not yet reached is
+    the least of its orbit, which is then walked under ``perms``.
+    """
+    seen = bytearray(size)
+    out = []
+    for i in range(size):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for x in orbit:  # grows while it is read
+            for pi in perms:
+                y = pi[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit.sort()
+        out.append(orbit)
+    return out
+
+
 def subset_orbit_reps(g: Graph) -> list[int]:
     """The least vertex-subset mask of each orbit of Aut(g) on the subsets of
-    its vertices, ascending.
-
-    Masks are visited in ascending order; the first one not yet reached is
-    the least of its orbit, which is then walked under ``generators(g)``.
-    """
+    its vertices, ascending."""
     size = 1 << g.n
     images = []
     for sigma in generators(g):
@@ -268,45 +313,11 @@ def subset_orbit_reps(g: Graph) -> list[int]:
             low = m & -m
             image[m] = image[m ^ low] | (1 << sigma[low.bit_length() - 1])
         images.append(image)
-    seen = bytearray(size)
-    reps = []
-    for m in range(size):
-        if seen[m]:
-            continue
-        reps.append(m)
-        seen[m] = 1
-        stack = [m]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return reps
+    return [orbit[0] for orbit in _orbits(size, images)]
 
 
 def edge_orbits(g: Graph) -> list[list[tuple[int, int]]]:
     """The orbits of Aut(g) on the edges of ``g``, each ascending, listed by
-    least edge.
-
-    Edges are visited in ascending order; the first one not yet reached is
-    the least of its orbit, which is then walked under ``generators(g)``.
-    """
-    gens = generators(g)
-    reached: set[tuple[int, int]] = set()
-    orbits = []
-    for e in g.edges():
-        if e in reached:
-            continue
-        reached.add(e)
-        orbit = [e]
-        for u, v in orbit:  # grows while it is read
-            for sigma in gens:
-                a, b = sigma[u], sigma[v]
-                image = (a, b) if a < b else (b, a)
-                if image not in reached:
-                    reached.add(image)
-                    orbit.append(image)
-        orbits.append(sorted(orbit))
-    return orbits
+    least edge."""
+    edges = g.edges()
+    return [[edges[j] for j in orbit] for orbit in _orbits(len(edges), edge_perms(g))]

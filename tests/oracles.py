@@ -12,19 +12,20 @@ purpose, so that each tests one choice only: the unfiltered enumeration
 deduplicates by the library's canonical key, testing which children
 enumeration tries; the per-edge minimality checks call the library's
 ``arrows`` once for every edge deletion, testing which deletions the
-library searches; and the reference search takes its edge permutations from
-``arrowing._edge_perms``, testing which nodes the library's search cuts
-with them; and ``automorphisms`` closes the library's
+library searches; the reference search takes its edge permutations from
+``symmetry.edge_perms``, the library's action of Aut(G) on edge indices,
+testing which nodes the library's search cuts with them; and
+``automorphisms`` closes the library's
 ``symmetry.generators`` under composition, testing whether they generate
 the whole group.
 """
 from itertools import combinations, permutations, product
 
-from ramseykit.arrowing import Outcome, _edge_perms, arrows
+from ramseykit.arrowing import Outcome, arrows
 from ramseykit.graphs import Graph, induced_subgraph
 from ramseykit.minimal import MinimalityReport
 from ramseykit.patterns import Clique, CliquePendant, Colour, pattern_graph
-from ramseykit.symmetry import canonical_key, generators, graph_of_key
+from ramseykit.symmetry import canonical_key, edge_perms, generators, graph_of_key
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -169,14 +170,14 @@ def reference_search(g: Graph, red, blue):
     edge with both colours completing a copy is a conflict. A node is one
     branching placement, on the least uncoloured edge, red before blue, and
     edge 0 red only when the targets coincide. It is cut on a conflict, or
-    when some permutation from ``arrowing._edge_perms`` maps the colouring at
+    when some permutation from ``symmetry.edge_perms`` maps the colouring at
     the fixpoint to a lex-smaller one, every permutation scanned from
     position 0 past its fixed positions to the first position where either
     side is uncoloured or the two colours differ. Returns (nodes, witness),
     the witness None when the search exhausts."""
     m = g.num_edges
     masks = {Colour.RED: copy_edge_masks(g, red), Colour.BLUE: copy_edge_masks(g, blue)}
-    perms = _edge_perms(g)
+    perms = edge_perms(g)
     col: list[Colour | None] = [None] * m
     nodes = 0
 

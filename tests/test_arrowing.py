@@ -84,6 +84,12 @@ class TestFindMono:
         emb = find_mono(chi, CliquePlusCliques(3, 1, 3), Colour.RED)
         assert emb == ((0, 1, 2), ((3, 4, 5),))
 
+    def test_colour_of_a_non_edge_is_an_input_error(self):
+        chi = EdgeColouring.constant(Graph.path(3), Colour.RED)
+        assert chi.colour_of(2, 1) is Colour.RED
+        with pytest.raises(InputError):
+            chi.colour_of(0, 2)
+
     def test_arbitrary_pattern(self):
         chi = two_five_cycles()
         path3 = Arbitrary(Graph.path(3))
@@ -175,13 +181,13 @@ class TestArrows:
 
     def test_deadline_is_checked_after_the_generators(self, monkeypatch):
         budget = Budget(seconds=600)
-        real = arrowing.generators
+        real = arrowing.edge_perms
 
-        def generators_that_use_up_the_time(g):
+        def edge_perms_that_use_up_the_time(g):
             budget.deadline = time.monotonic() - 1
             return real(g)
 
-        monkeypatch.setattr(arrowing, "generators", generators_that_use_up_the_time)
+        monkeypatch.setattr(arrowing, "edge_perms", edge_perms_that_use_up_the_time)
         verdict = arrows(Graph.complete(5), Clique(3), Clique(3), budget)
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
@@ -343,7 +349,7 @@ class TestWitnessDifferential:
     @pytest.fixture(params=["as-is", "no-symmetry"])
     def mode(self, request, monkeypatch):
         if request.param == "no-symmetry":
-            monkeypatch.setattr(arrowing, "generators", lambda g: [])
+            monkeypatch.setattr(arrowing, "edge_perms", lambda g: [])
         return request.param
 
     @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS, ids=str)

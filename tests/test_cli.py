@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseykit import cli, minimal
+from ramseykit import cli, gadgets, minimal
 from ramseykit.arrowing import Budget, read_colouring
 from ramseykit.cli import main
 from ramseykit.errors import Undecided
@@ -381,6 +381,36 @@ class TestGadgetCommands:
         code = main(["focus", str(prod), str(col)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "input-error"
+
+    def test_product_checks_k_and_t_before_computing_r_value(self, files, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("R(K_k, K_{k-t+1}) computed for an invalid pair")
+
+        monkeypatch.setattr(gadgets, "ramsey_number", no_search)
+        code = main(
+            ["gadget", "product", "--k", "5", "--t", "2", "--g0", str(files / "C5.g6"),
+             "--blocks", *[str(files / "C5.g6")] * 5, "--budget", "0.5",
+             "-o", str(files / "prod.json")]
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "input-error"
+
+    @pytest.mark.parametrize("command", ["colour", "focus"])
+    @pytest.mark.parametrize(
+        "doc", [{"format": "blockgraph", "graph6": "D~{"}, [1, 2]], ids=["missing-key", "not-an-object"]
+    )
+    def test_malformed_block_graph_is_input_error(self, files, capsys, command, doc):
+        gadget = files / "bad.json"
+        gadget.write_text(json.dumps(doc))
+        col = files / "col.txt"
+        col.write_text("n 2\n0 1 r\n")
+        argv = ["colour", str(gadget), "--kind", "g2"]
+        if command == "focus":
+            argv = ["focus", str(gadget), str(col)]
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"] == "input-error" and "block graph" in err["message"]
 
     def test_hypergraph_success(self, files, capsys):
         out_file = files / "h.txt"

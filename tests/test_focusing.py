@@ -231,6 +231,17 @@ class TestVerifyFocusReport:
         verdict = verify_focus_report(bg, chi, bad)
         assert any(v.item == "c" for v in verdict.violations)
 
+    def test_clique_in_a_block_not_joined_to_its_partner_is_caught(self):
+        # W1 moved into V4, which the C5 template does not join to V2: the
+        # pairs the (1, 2) check reads are no edges of the graph
+        bg, chi = reduced_instance()
+        report = iterated_focus(bg, chi)
+        shift = bg.block("V4")[0] - bg.block("V1")[0]
+        w_sets = {**report.w_sets, 1: tuple(x + shift for x in report.w_sets[1])}
+        verdict = verify_focus_report(bg, chi, dataclasses.replace(report, w_sets=w_sets))
+        assert not verdict.ok
+        assert any(v.item == "c" and v.message == "missing edge" for v in verdict.violations)
+
     def test_wrong_row_colour_is_caught(self):
         bg, chi = reduced_instance()
         report = iterated_focus(bg, chi)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -62,6 +63,24 @@ class TestScheduleParams:
     def test_requires_k_above_t(self):
         with pytest.raises(InputError):
             schedule_params(3, 3, 4, [5])
+
+    def test_computes_a_missing_r_value(self):
+        # R(K4, K2) = 4
+        p = schedule_params(4, 3, None, [5] * 5)
+        assert (p.r_value, p.r_source) == (4, "computed")
+        assert p == dataclasses.replace(schedule_params(4, 3, 4, [5] * 5), r_source="computed")
+
+    def test_checks_k_and_t_before_computing_r_value(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("R(K_k, K_{k-t+1}) computed for an invalid pair")
+
+        monkeypatch.setattr(gadgets, "ramsey_number", no_search)
+        with pytest.raises(InputError):
+            schedule_params(5, 2, None, [5] * 5)
+
+    def test_undecided_r_value(self):
+        with pytest.raises(Undecided):
+            schedule_params(4, 3, None, [5] * 5, Budget(nodes=0))
 
     def test_exactness(self):
         p = schedule_params(6, 4, 10, [9] * 4)

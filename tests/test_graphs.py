@@ -47,6 +47,21 @@ class TestGraphInvariants:
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 5)])
 
+    def test_edge_index_matches_the_edge_list(self):
+        # every labelled graph on at most 5 vertices
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                edges = g.edges()
+                for i, (u, v) in enumerate(edges):
+                    assert g.edge_index(u, v) == g.edge_index(v, u) == i
+
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 1), (0, 3), (3, 4), (-1, 0)])
+    def test_edge_index_rejects_a_non_edge(self, pair):
+        with pytest.raises(InputError):
+            Graph.path(3).edge_index(*pair)
+
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
         assert g.edges() == [(0, 1), (0, 2), (1, 3)]

@@ -53,6 +53,7 @@ from math import ceil
 from typing import Iterator, Mapping, Optional
 
 from .errors import FormatError, InputError
+from .formats import read_counted_lines
 from .graphs import Graph, bits, induced_subgraph, mask_of
 from .patterns import (
     Arbitrary,
@@ -144,29 +145,14 @@ def write_colouring(c: EdgeColouring) -> str:
 
 
 def read_colouring(text: str) -> EdgeColouring:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise FormatError("colouring must start with a 'n <count>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise FormatError(f"bad header line: {lines[0]!r}") from None
-    edges = []
+    n, rows = read_counted_lines(text, "colouring", "colouring", 3)
     colours = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad colouring line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad colouring line: {ln!r}") from None
+    for u, v, letter in rows:
         key = (u, v) if u < v else (v, u)
         if key in colours:
             raise FormatError(f"edge {key} is coloured twice")
-        edges.append((u, v))
-        colours[key] = Colour.from_letter(parts[2])
-    g = Graph.from_edges(n, edges)
+        colours[key] = Colour.from_letter(letter)
+    g = Graph.from_edges(n, [(u, v) for u, v, _ in rows])
     return EdgeColouring.from_mapping(g, colours)
 
 
@@ -213,46 +199,36 @@ def _cliques_within(adj, mask: int, size: int, prefix: tuple = ()) -> Iterator[t
         yield from _cliques_within(adj, mask & adj[v], size - 1, prefix + (v,))
 
 
-def _pack_cliques(adj, n: int, used: int, count: int, t: int, lo: int = -1) -> tuple | None:
-    """Lexicographically least packing of ``count`` disjoint t-cliques avoiding
-    ``used``, as a tuple of vertex tuples, or None. Successive cliques are
-    ordered by their minimum vertex, which must exceed ``lo``."""
-    if count == 0:
-        return ()
-    avail = ((1 << n) - 1) & ~used
-    if lo >= 0:
-        avail &= ~((1 << (lo + 1)) - 1)
-    if t == 1:
-        picked = []
-        for v in bits(avail):
-            picked.append((v,))
-            if len(picked) == count:
-                return tuple(picked)
-        return None
-    for tpl in _cliques_within(adj, avail, t):
-        rest = _pack_cliques(adj, n, used | mask_of(tpl), count - 1, t, tpl[0])
-        if rest is not None:
-            return (tpl,) + rest
-    return None
+def _packings(adj, avail: int, k: int, f: int, t: int, prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
+    """Every copy of K_k + fK_t inside ``avail``, as ``prefix`` followed by
+    the K_k's vertex tuple and the f disjoint K_t's tuples ordered by least
+    vertex, in lexicographic order of the K_k, then of the K_t's one by one.
+    With k = 0 these are the packings of f t-cliques."""
+    if avail.bit_count() < k + f * t:
+        return
+    if k:
+        for head in _cliques_within(adj, avail, k, prefix):
+            yield from _packings(adj, avail & ~mask_of(head), 0, f, t, head)
+    elif f == 0:
+        yield prefix
+    else:
+        for tpl in _cliques_within(adj, avail, t, prefix):
+            # the later K_t's start above this one
+            above = avail & ~mask_of(tpl) & ~((2 << tpl[-t]) - 1)
+            yield from _packings(adj, above, 0, f - 1, t, tpl)
 
 
-def _kclique_then_pack(adj, n: int, used: int, k: int, count: int, t: int) -> tuple | None:
-    avail = ((1 << n) - 1) & ~used
-    for tpl in _cliques_within(adj, avail, k):
-        rest = _pack_cliques(adj, n, used | mask_of(tpl), count, t)
-        if rest is not None:
-            return (tpl, rest)
-    return None
+def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    """Every completion of a partial pattern-vertex to host-vertex
+    monomorphism, as the tuple whose entry i is the image of pattern vertex
+    i, in backtrack order: the next pattern vertex is the one with the most
+    images among its neighbours, the least on ties, and its image ascends."""
+    assigned = dict(partial)
 
-
-def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> dict | None:
-    """Complete a partial pattern-vertex to host-vertex monomorphism, or None."""
-    used = mask_of(partial.values())
-    order = [a for a in range(pat.n) if a not in partial]
-
-    def rec(assigned: dict, used: int, todo: list[int]) -> dict | None:
+    def rec(used: int, todo: list[int]) -> Iterator[tuple[int, ...]]:
         if not todo:
-            return dict(assigned)
+            yield tuple(assigned[a] for a in range(pat.n))
+            return
         best_i = 0
         best_cnt = -1
         for i, a in enumerate(todo):
@@ -267,13 +243,35 @@ def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> dict 
                 cand &= adj[assigned[b]]
         for x in bits(cand):
             assigned[a] = x
-            res = rec(assigned, used | (1 << x), rest)
-            if res is not None:
-                return res
-            del assigned[a]
-        return None
+            yield from rec(used | (1 << x), rest)
+        assigned.pop(a, None)
 
-    return rec(dict(partial), used, order)
+    return rec(mask_of(partial.values()), [a for a in range(pat.n) if a not in partial])
+
+
+def _copies(adj: tuple[int, ...], n: int, p: TargetPattern) -> Iterator[tuple[int, ...]]:
+    """Every copy of ``p`` in the graph given by bitmask adjacency ``adj``, as
+    the tuple whose entry i is the host vertex of vertex i of
+    ``pattern_graph(p)``, lazily and in a fixed order: cliques by vertex
+    tuple; K_k·K_2 by clique tuple, then attach vertex, then pendant vertex,
+    as (attach, the other clique vertices ascending, pendant); K_k + fK_t as
+    ``_packings`` gives them; arbitrary targets in ``_extend_embedding``'s
+    backtrack order."""
+    full = (1 << n) - 1
+    if isinstance(p, Clique):
+        yield from _cliques_within(adj, full, p.k)
+    elif isinstance(p, CliquePendant):
+        for tpl in _cliques_within(adj, full, p.k):
+            smask = mask_of(tpl)
+            for i, s in enumerate(tpl):
+                for w in bits(adj[s] & ~smask):
+                    yield (s, *tpl[:i], *tpl[i + 1:], w)
+    elif isinstance(p, CliquePlusCliques):
+        yield from _packings(adj, full, p.k, p.f, p.t)
+    elif isinstance(p, Arbitrary):
+        yield from _extend_embedding(adj, n, p.graph, {})
+    else:
+        raise InputError(f"unknown pattern type {type(p).__name__}")
 
 
 # -- through-edge completion checks -------------------------------------------
@@ -348,15 +346,16 @@ def _through_edge_checker(p: TargetPattern):
         k, f, t = p.k, p.f, p.t
 
         def check_plus(adj, u, v):
-            n = len(adj)
             uv = (1 << u) | (1 << v)
-            if k >= 2:
-                for tpl in _cliques_within(adj, adj[u] & adj[v], k - 2):
-                    if _pack_cliques(adj, n, uv | mask_of(tpl), f, t) is not None:
+            avail = ((1 << len(adj)) - 1) & ~uv
+            common = adj[u] & adj[v]
+            if k >= 2:  # uv in the K_k
+                for tpl in _cliques_within(adj, common, k - 2):
+                    for _ in _packings(adj, avail & ~mask_of(tpl), 0, f, t):
                         return True
-            if f >= 1 and t >= 2:
-                for tpl in _cliques_within(adj, adj[u] & adj[v], t - 2):
-                    if _kclique_then_pack(adj, n, uv | mask_of(tpl), k, f - 1, t) is not None:
+            if f >= 1 and t >= 2:  # uv in a K_t
+                for tpl in _cliques_within(adj, common, t - 2):
+                    for _ in _packings(adj, avail & ~mask_of(tpl), k, f - 1, t):
                         return True
             return False
 
@@ -371,7 +370,7 @@ def _through_edge_checker(p: TargetPattern):
         n = len(adj)
         for a, b in pedges:
             for x, y in ((u, v), (v, u)):
-                if _extend_embedding(adj, n, pat, {a: x, b: y}) is not None:
+                for _ in _extend_embedding(adj, n, pat, {a: x, b: y}):
                     return True
         return False
 
@@ -381,44 +380,17 @@ def _through_edge_checker(p: TargetPattern):
 # -- global pattern search -----------------------------------------------------
 
 
-def _search_pattern(adj: tuple[int, ...], n: int, p: TargetPattern):
-    """Lexicographically least embedding of ``p`` into the graph given by
-    bitmask adjacency ``adj``, or None.
-
-    Embedding shapes: Clique -> vertex tuple; CliquePendant -> (clique tuple,
-    attach vertex, pendant vertex); CliquePlusCliques -> (clique tuple, tuple
-    of t-clique tuples); Arbitrary -> tuple, image of pattern vertex i.
-    """
-    full = (1 << n) - 1
-    if isinstance(p, Clique):
-        return next(_cliques_within(adj, full, p.k), None) if p.k <= n else None
-    if isinstance(p, CliquePendant):
-        for tpl in _cliques_within(adj, full, p.k):
-            smask = mask_of(tpl)
-            for s in tpl:
-                ext = adj[s] & ~smask
-                if ext:
-                    w = (ext & -ext).bit_length() - 1
-                    return (tpl, s, w)
-        return None
-    if isinstance(p, CliquePlusCliques):
-        return _kclique_then_pack(adj, n, 0, p.k, p.f, p.t)
-    if not isinstance(p, Arbitrary):
-        raise InputError(f"unknown pattern type {type(p).__name__}")
-    res = _extend_embedding(adj, n, p.graph, {})
-    if res is None:
-        return None
-    return tuple(res[a] for a in range(p.graph.n))
+def find_pattern(g: Graph, p: TargetPattern) -> tuple[int, ...] | None:
+    """The first copy of ``p`` in ``g`` (colour-blind) in ``_copies`` order,
+    or None. A copy is the tuple whose entry i is the vertex of ``g`` that
+    vertex i of ``pattern_graph(p)`` maps to."""
+    return next(_copies(g.adj, g.n, p), None)
 
 
-def find_pattern(g: Graph, p: TargetPattern):
-    """Embedding of ``p`` as a subgraph of ``g`` (colour-blind), or None."""
-    return _search_pattern(g.adj, g.n, p)
-
-
-def find_mono(c: EdgeColouring, p: TargetPattern, colour: Colour):
-    """Embedding of ``p`` into the given colour class of ``c``, or None."""
-    return _search_pattern(c.class_adj(colour), c.graph.n, p)
+def find_mono(c: EdgeColouring, p: TargetPattern, colour: Colour) -> tuple[int, ...] | None:
+    """The first copy of ``p`` in the given colour class of ``c``, in
+    ``_copies`` order and shape (see ``find_pattern``), or None."""
+    return next(_copies(c.class_adj(colour), c.graph.n, p), None)
 
 
 # -- the arrowing search --------------------------------------------------------
@@ -638,8 +610,8 @@ def _dfs_search(
     # canonical: the first leaf in lex order; a copy here means a
     # through-edge check broke its contract
     if (
-        _search_pattern(red_adj, n, red) is not None
-        or _search_pattern(blue_adj, n, blue) is not None
+        next(_copies(red_adj, n, red), None) is not None
+        or next(_copies(blue_adj, n, blue), None) is not None
     ):
         raise RuntimeError("search witness contains a monochromatic target")
     return Outcome.NOT_ARROW, tuple(_COLOURS[x] for x in col), nodes

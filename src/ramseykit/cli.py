@@ -26,7 +26,7 @@ from .arrowing import (
     read_colouring,
     write_colouring,
 )
-from .errors import FormatError, InfeasibleError, InputError, Undecided
+from .errors import InfeasibleError, InputError, Undecided
 from .focusing import FocusFailure, iterated_focus, report_to_json, verify_focus_report
 from .formats import graph6_decode, graph6_encode, read_edge_list, write_hypergraph
 from .gadgets import (
@@ -243,50 +243,54 @@ def _write_blockgraph(bg, out: str, payload: dict, args) -> int:
     return EXIT_OK
 
 
-def _cmd_gadget(args) -> int:
-    if args.kind == "g0":
-        seed_block = _load_graph(args.block) if args.block else None
-        bg = build_g0(args.k, seed_block)
-        return _write_blockgraph(bg, args.out, {"gadget": "g0", "k": args.k}, args)
-    if args.kind == "pendant":
-        seed_block = _load_graph(args.block) if args.block else None
-        copies = [build_g0(args.k, seed_block) for _ in range(args.k - 1)]
-        bg = build_pendant_gadget(args.k, copies)
-        return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
-    if args.kind == "product":
-        budget = _options(args)
-        g0 = _load_graph(args.g0)
-        fs = [_load_graph(path) for path in args.blocks]
-        params = schedule_params(args.k, args.t, args.r_value, [f.n for f in fs], budget)
-        bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
-        payload = {
-            "gadget": "product",
-            "k": args.k,
-            "t": args.t,
-            "r_value": params.r_value,
-            "h": params.h,
-            "f": params.f,
-            "eps0": str(params.eps0),
-        }
-        return _write_blockgraph(bg, args.out, payload, args)
-    if args.kind == "hypergraph":
-        h = gen_hypergraph(
-            args.u, args.girth_min, Fraction(args.eps), args.n,
-            seed=args.seed, retry_cap=args.retry_cap,
-        )
-        Path(args.out).write_text(write_hypergraph(h))
-        _emit(
-            {
-                "gadget": "hypergraph",
-                "out": args.out,
-                "n": h.n,
-                "u": h.u,
-                "edges": h.num_edges,
-            },
-            args,
-        )
-        return EXIT_OK
-    raise InputError(f"unknown gadget kind {args.kind!r}")
+def _cmd_gadget_g0(args) -> int:
+    seed_block = _load_graph(args.block) if args.block else None
+    bg = build_g0(args.k, seed_block)
+    return _write_blockgraph(bg, args.out, {"gadget": "g0", "k": args.k}, args)
+
+
+def _cmd_gadget_pendant(args) -> int:
+    seed_block = _load_graph(args.block) if args.block else None
+    copies = [build_g0(args.k, seed_block) for _ in range(args.k - 1)]
+    bg = build_pendant_gadget(args.k, copies)
+    return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
+
+
+def _cmd_gadget_product(args) -> int:
+    budget = _options(args)
+    g0 = _load_graph(args.g0)
+    fs = [_load_graph(path) for path in args.blocks]
+    params = schedule_params(args.k, args.t, args.r_value, [f.n for f in fs], budget)
+    bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
+    payload = {
+        "gadget": "product",
+        "k": args.k,
+        "t": args.t,
+        "r_value": params.r_value,
+        "h": params.h,
+        "f": params.f,
+        "eps0": str(params.eps0),
+    }
+    return _write_blockgraph(bg, args.out, payload, args)
+
+
+def _cmd_gadget_hypergraph(args) -> int:
+    h = gen_hypergraph(
+        args.u, args.girth_min, Fraction(args.eps), args.n,
+        seed=args.seed, retry_cap=args.retry_cap,
+    )
+    Path(args.out).write_text(write_hypergraph(h))
+    _emit(
+        {
+            "gadget": "hypergraph",
+            "out": args.out,
+            "n": h.n,
+            "u": h.u,
+            "edges": h.num_edges,
+        },
+        args,
+    )
+    return EXIT_OK
 
 
 def _cmd_colour(args) -> int:
@@ -416,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--block", help="seed block graph file (needed for k >= 3)")
     g.add_argument("-o", "--out", required=True)
     common(g, budget=False)
-    g.set_defaults(func=_cmd_gadget)
+    g.set_defaults(func=_cmd_gadget_g0)
 
     g = gsub.add_parser("pendant", help="pendant-vertex gadget")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--block", help="seed block graph file")
     g.add_argument("-o", "--out", required=True)
     common(g, budget=False)
-    g.set_defaults(func=_cmd_gadget)
+    g.set_defaults(func=_cmd_gadget_pendant)
 
     g = gsub.add_parser("product", help="block product instance")
     g.add_argument("--k", type=int, required=True)
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("-o", "--out", required=True)
     common(g)
-    g.set_defaults(func=_cmd_gadget)
+    g.set_defaults(func=_cmd_gadget_product)
 
     g = gsub.add_parser("hypergraph", help="seeded hypergraph generation")
     g.add_argument("--u", type=int, required=True)
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--retry-cap", type=int, default=100, dest="retry_cap")
     g.add_argument("-o", "--out", required=True)
     common(g, budget=False)
-    g.set_defaults(func=_cmd_gadget)
+    g.set_defaults(func=_cmd_gadget_hypergraph)
 
     p = sub.add_parser("colour", help="canonical colouring of a gadget")
     p.add_argument("gadget", help="block graph JSON file")
@@ -489,7 +493,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(json.dumps({"error": "usage-error", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FormatError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(json.dumps({"error": "input-error", "message": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except Undecided as exc:

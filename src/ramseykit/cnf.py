@@ -6,19 +6,26 @@ the red target the clause forbids the all-red assignment of its edges, and for
 every copy of the blue target the clause demands at least one red edge, so the
 formula is satisfiable exactly when some colouring avoids both targets.
 
-Clause order is canonical: all red-target clauses first, then all blue-target
-clauses, copies enumerated in lexicographic order (cliques by vertex tuple;
-pendant copies by clique tuple, then attach vertex, then pendant vertex).
+Every target type exports: the copies come from ``arrowing._copies``, each
+as the tuple of host vertices that the vertices of ``pattern_graph(p)`` map
+to, and a copy's clause holds the variables of the images of the pattern's
+edges. Clause order is canonical: all red-target clauses first, then all
+blue-target clauses, each in ``_copies`` order (cliques by vertex tuple;
+pendant copies by clique tuple, then attach vertex, then pendant vertex;
+K_k + fK_t copies by K_k tuple, then K_t tuples; arbitrary targets in
+backtrack order). Literals within a clause ascend by variable. Copies with
+the same edge set, such as the two labellings of one K_2·K_2 or the images
+of one copy under the automorphisms of an arbitrary target, each keep their
+own clause.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .arrowing import EdgeColouring, _cliques_within
+from .arrowing import EdgeColouring, _copies
 from .errors import InputError
-from .graphs import Graph, bits, mask_of
-from .patterns import Clique, CliquePendant, Colour, TargetPattern
+from .graphs import Graph
+from .patterns import Colour, TargetPattern, pattern_graph
 
 __all__ = ["CnfInstance", "to_cnf", "decode_model", "to_dimacs", "solve_cnf"]
 
@@ -35,37 +42,15 @@ class CnfInstance:
             raise InputError("one variable per edge required")
 
 
-def _copies_edge_sets(g: Graph, p: TargetPattern) -> list[list[tuple[int, int]]]:
-    """Edge sets of all copies of ``p`` in ``g``, in canonical order."""
-    full = (1 << g.n) - 1
-    out: list[list[tuple[int, int]]] = []
-    if isinstance(p, Clique):
-        for tpl in _cliques_within(g.adj, full, p.k):
-            out.append(list(combinations(tpl, 2)))
-        return out
-    if isinstance(p, CliquePendant):
-        for tpl in _cliques_within(g.adj, full, p.k):
-            smask = mask_of(tpl)
-            base = list(combinations(tpl, 2))
-            for s in tpl:
-                for w in bits(g.adj[s] & ~smask):
-                    e = (s, w) if s < w else (w, s)
-                    out.append(base + [e])
-        return out
-    raise InputError(
-        "CNF export supports Clique and CliquePendant targets only"
-    )
-
-
 def to_cnf(g: Graph, red: TargetPattern, blue: TargetPattern) -> CnfInstance:
     """CNF instance satisfiable iff some colouring of ``g`` avoids both targets."""
     edges = tuple(g.edges())
-    idx = {e: i for i, e in enumerate(edges)}
     clauses: list[tuple[int, ...]] = []
-    for copy in _copies_edge_sets(g, red):
-        clauses.append(tuple(-(idx[e] + 1) for e in copy))
-    for copy in _copies_edge_sets(g, blue):
-        clauses.append(tuple(idx[e] + 1 for e in copy))
+    for p, sign in ((red, -1), (blue, 1)):
+        pedges = pattern_graph(p).edges()
+        for img in _copies(g.adj, g.n, p):
+            variables = sorted(g.edge_index(img[a], img[b]) + 1 for a, b in pedges)
+            clauses.append(tuple(sign * x for x in variables))
     return CnfInstance(g, len(edges), tuple(clauses), edges)
 
 

@@ -135,24 +135,34 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edge_list(text: str) -> Graph:
+def read_counted_lines(text: str, kind: str, line_kind: str, width: int):
+    """Parse the plain formats' layout: an ``n <count>`` header, then lines
+    of ``width`` fields whose first two are integers. Blank lines are
+    skipped. Returns the count and one tuple per line, the two integers
+    followed by the other fields as text. ``kind`` and ``line_kind`` name
+    the format and its lines in the ``FormatError`` messages."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n "):
-        raise FormatError("edge list must start with a 'n <count>' header")
+        raise FormatError(f"{kind} must start with a 'n <count>' header")
     try:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise FormatError(f"bad header line: {lines[0]!r}") from None
-    edges = []
+    rows = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {ln!r}")
+        if len(parts) != width:
+            raise FormatError(f"bad {line_kind} line: {ln!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise FormatError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
+            raise FormatError(f"bad {line_kind} line: {ln!r}") from None
+        rows.append((u, v, *parts[2:]))
+    return n, rows
+
+
+def read_edge_list(text: str) -> Graph:
+    n, edges = read_counted_lines(text, "edge list", "edge", 2)
     return Graph.from_edges(n, edges)
 
 

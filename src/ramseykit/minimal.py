@@ -200,11 +200,12 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     for u, v in g.edges():
         if not cur.has_edge(u, v) or (u, v) in kept:
             continue
-        sub = arrows(cur.without_edge(u, v), p, p, opts)
+        smaller = cur.without_edge(u, v)
+        sub = arrows(smaller, p, p, opts)
         if sub.outcome is Outcome.UNDECIDED:
             raise Undecided(f"deletion of edge ({u}, {v}) undecided within budget")
         if sub.outcome is Outcome.ARROW:
-            cur = cur.without_edge(u, v)
+            cur = smaller
             orbits = None
             continue
         if orbits is None:

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +33,7 @@ from ramseykit.patterns import (
     Colour,
     largest_component_size,
     parse_pattern,
+    pattern_graph,
 )
 from ramseykit.symmetry import generators
 
@@ -70,8 +71,9 @@ class TestFindMono:
 
     def test_pendant_in_all_red_k4(self):
         chi = EdgeColouring.constant(Graph.complete(4), Colour.RED)
-        clique, attach, pendant = find_mono(chi, CliquePendant(3), Colour.RED)
-        assert clique == (0, 1, 2) and attach == 0 and pendant == 3
+        # (attach, the other clique vertices, pendant): clique (0, 1, 2),
+        # attach 0, pendant 3
+        assert find_mono(chi, CliquePendant(3), Colour.RED) == (0, 1, 2, 3)
 
     def test_disjoint_union_demands_disjoint_vertices(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
@@ -82,7 +84,7 @@ class TestFindMono:
     def test_disjoint_union_found_in_k6(self):
         chi = EdgeColouring.constant(Graph.complete(6), Colour.RED)
         emb = find_mono(chi, CliquePlusCliques(3, 1, 3), Colour.RED)
-        assert emb == ((0, 1, 2), ((3, 4, 5),))
+        assert emb == (0, 1, 2, 3, 4, 5)  # the K3 (0, 1, 2), then the K3 (3, 4, 5)
 
     def test_colour_of_a_non_edge_is_an_input_error(self):
         chi = EdgeColouring.constant(Graph.path(3), Colour.RED)
@@ -112,6 +114,88 @@ class TestFindMono:
                 a = find_mono(chi.swapped(), p, Colour.RED)
                 b = find_mono(chi, p, Colour.BLUE)
                 assert a == b
+
+
+COPY_TARGETS = [
+    Clique(3),
+    CliquePendant(3),
+    CliquePendant(2),
+    CliquePlusCliques(3, 1, 2),
+    CliquePlusCliques(2, 2, 2),
+    CliquePlusCliques(3, 1, 1),
+    Arbitrary(Graph.path(4)),
+    Arbitrary(Graph.cycle(4)),
+]
+
+
+def image_edge_mask(g: Graph, p, copy) -> int:
+    """The edges of ``g`` that a copy's vertex tuple puts the edges of
+    ``pattern_graph(p)`` on, as a mask over ``g.edges()``."""
+    return sum(1 << g.edge_index(copy[a], copy[b]) for a, b in pattern_graph(p).edges())
+
+
+def mask_in_colour(chi: EdgeColouring, mask: int, colour: Colour) -> bool:
+    return all(chi.colours[i] is colour for i in range(len(chi.colours)) if (mask >> i) & 1)
+
+
+class TestCopies:
+    """``_copies`` yields every copy of every target type, each as the tuple
+    of host vertices that the pattern's vertices map to."""
+
+    @pytest.mark.parametrize("p", COPY_TARGETS, ids=str)
+    def test_edge_masks_match_the_oracle(self, p):
+        h = pattern_graph(p)
+        for g in enumerate_graphs(6):
+            copies = list(arrowing._copies(g.adj, g.n, p))
+            assert all(len(set(c)) == h.n for c in copies), g.edges()
+            got = {image_edge_mask(g, p, c) for c in copies}
+            assert got == set(copy_edge_masks(g, p)), g.edges()
+
+    @pytest.mark.parametrize("p", COPY_TARGETS, ids=str)
+    def test_each_copy_once_in_order(self, p):
+        """Cliques and K_k + fK_t copies ascend as tuples, a K_k + fK_t
+        with its K_t's by least vertex; K_k·K_2 copies come by clique, then
+        attach vertex, then pendant vertex; an arbitrary target yields each
+        monomorphism once."""
+        h = pattern_graph(p)
+        for g in enumerate_graphs(6):
+            copies = list(arrowing._copies(g.adj, g.n, p))
+            if isinstance(p, Arbitrary):
+                expected = [
+                    img for img in permutations(range(g.n), h.n)
+                    if all(g.has_edge(img[a], img[b]) for a, b in h.edges())
+                ]
+                assert sorted(copies) == expected, g.edges()
+                continue
+            if isinstance(p, CliquePendant):
+                k = p.k
+                canonical = sorted(set(copies), key=lambda c: (sorted(c[:k]), c[0], c[k]))
+                assert all(list(c[1:k]) == sorted(c[1:k]) for c in copies)
+            else:
+                canonical = sorted(set(copies))
+                if isinstance(p, Clique):
+                    assert all(list(c) == sorted(c) for c in copies)
+            assert copies == canonical, g.edges()
+            if isinstance(p, CliquePlusCliques):
+                k, t = p.k, p.t
+                for c in copies:
+                    blocks = [c[:k]] + [c[i:i + t] for i in range(k, len(c), t)]
+                    assert all(list(b) == sorted(b) for b in blocks)
+                    assert [b[0] for b in blocks[1:]] == sorted(b[0] for b in blocks[1:])
+
+    @pytest.mark.parametrize("p", COPY_TARGETS, ids=str)
+    def test_find_mono_returns_a_copy_in_its_colour(self, p):
+        rng = random.Random(41)
+        for g in enumerate_graphs(6):
+            chi = EdgeColouring(g, tuple(rng.choice(list(Colour)) for _ in range(g.num_edges)))
+            for colour in Colour:
+                copy = find_mono(chi, p, colour)
+                if copy is None:
+                    assert not any(mask_in_colour(chi, cm, colour) for cm in copy_edge_masks(g, p))
+                    continue
+                assert len(set(copy)) == pattern_graph(p).n
+                cm = image_edge_mask(g, p, copy)
+                assert cm in copy_edge_masks(g, p) and mask_in_colour(chi, cm, colour)
 
 
 class TestArrows:
@@ -340,6 +424,16 @@ DIFFERENTIAL_PAIRS = [
     (CliquePendant(4), Clique(3)),
 ]
 
+# pairs for the DPLL cross-check alone, with the K_k + fK_t and arbitrary
+# targets that the CNF export takes
+DPLL_ONLY_PAIRS = [
+    (CliquePlusCliques(3, 1, 2), Clique(3)),
+    (CliquePlusCliques(2, 2, 2), Clique(3)),
+    (CliquePlusCliques(2, 1, 2), CliquePlusCliques(2, 1, 2)),
+    (Clique(3), CliquePlusCliques(3, 1, 1)),
+    (Arbitrary(Graph.path(4)), Arbitrary(Graph.cycle(4))),
+]
+
 
 class TestWitnessDifferential:
     """Verdicts and canonical witnesses equal the brute-force lex-first
@@ -363,7 +457,7 @@ class TestWitnessDifferential:
             if mode == "as-is":
                 assert (verdict.nodes, got) == reference_search(g, red, blue), g.edges()
 
-    @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS, ids=str)
+    @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS + DPLL_ONLY_PAIRS, ids=str)
     def test_verdict_matches_dpll(self, red, blue):
         for g in enumerate_graphs(6):
             satisfiable = solve_cnf(to_cnf(g, red, blue)) is not None

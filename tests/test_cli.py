@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 from ramseykit import cli, gadgets, minimal
-from ramseykit.arrowing import Budget, read_colouring
+from ramseykit.arrowing import Budget, find_mono, read_colouring
 from ramseykit.cli import main
 from ramseykit.errors import Undecided
 from ramseykit.formats import graph6_encode, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
 from ramseykit.minimal import enumerate_graphs
+from ramseykit.patterns import Clique, CliquePlusCliques, Colour
 
 
 @pytest.fixture
@@ -467,3 +468,23 @@ class TestCnfCommand:
         assert code == 0
         assert json.loads(out)["satisfiable"] is True
         assert read_colouring(wit.read_text()).graph == Graph.complete(5)
+
+    def test_r_k3_2k3_is_8_through_dpll(self, tmp_path, capsys):
+        """R(K3, 2K3) = 8: K8 has no colouring without a red K3 and a blue
+        K3 + 1K3, and the colouring of K7 that the solver finds has
+        neither."""
+        for n, satisfiable in ((8, False), (7, True)):
+            g6 = tmp_path / f"K{n}.g6"
+            g6.write_text(graph6_encode(Graph.complete(n)) + "\n")
+            wit = tmp_path / f"k{n}w.txt"
+            code, out = run(
+                capsys,
+                ["cnf", str(g6), "--red", "K3", "--blue", "K3+1K3", "-o", str(tmp_path / "k.cnf"),
+                 "--solve", "--witness", str(wit), "--no-timing"],
+            )
+            assert code == 0
+            assert json.loads(out)["satisfiable"] is satisfiable
+        chi = read_colouring(wit.read_text())
+        assert chi.graph == Graph.complete(7)
+        assert find_mono(chi, Clique(3), Colour.RED) is None
+        assert find_mono(chi, CliquePlusCliques(3, 1, 3), Colour.BLUE) is None

@@ -7,7 +7,7 @@ from ramseykit.arrowing import Outcome, arrows, find_mono
 from ramseykit.cnf import CnfInstance, decode_model, solve_cnf, to_cnf, to_dimacs
 from ramseykit.errors import InputError
 from ramseykit.graphs import Graph
-from ramseykit.patterns import Arbitrary, Clique, CliquePendant, Colour
+from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques, Colour
 
 
 class TestEncoding:
@@ -25,13 +25,29 @@ class TestEncoding:
         inst = to_cnf(Graph.complete(3), Clique(3), Clique(3))
         assert inst.clauses == ((-1, -2, -3), (1, 2, 3))
 
-    def test_unsupported_pattern(self):
-        with pytest.raises(InputError):
-            to_cnf(Graph.complete(4), Clique(3), Arbitrary(Graph.path(3)))
-        from ramseykit.patterns import CliquePlusCliques
+    def test_every_target_exports(self):
+        # K3 + 1K3 and the path P3 export, and the solver agrees with the search
+        for g in (Graph.complete(5), Graph.complete(6), Graph.cycle(6)):
+            for red, blue in (
+                (Clique(3), Arbitrary(Graph.path(3))),
+                (CliquePlusCliques(3, 1, 3), Clique(3)),
+                (CliquePlusCliques(2, 1, 2), Arbitrary(Graph.cycle(4))),
+            ):
+                sat = solve_cnf(to_cnf(g, red, blue)) is not None
+                assert sat is (arrows(g, red, blue).outcome is Outcome.NOT_ARROW)
 
-        with pytest.raises(InputError):
-            to_cnf(Graph.complete(6), CliquePlusCliques(3, 1, 3), Clique(3))
+    def test_pendant_literals_ascend(self):
+        # K3.K2 on the triangle 0 1 2 with 3 hanging on 0: edges 01, 02, 03,
+        # 12 are variables 1 to 4; the pendant edge 03 sits in the middle
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        inst = to_cnf(g, CliquePendant(3), Clique(4))
+        assert inst.clauses == ((-1, -2, -3, -4),)
+
+    def test_duplicate_edge_sets_keep_their_clauses(self):
+        # the path 1 0 2 is K2.K2 twice: clique 01 with pendant 2 and clique
+        # 02 with pendant 1
+        inst = to_cnf(Graph.from_edges(3, [(0, 1), (0, 2)]), CliquePendant(2), Clique(3))
+        assert inst.clauses == ((-1, -2), (-1, -2))
 
     def test_dimacs_layout(self):
         inst = to_cnf(Graph.complete(3), Clique(3), Clique(3))

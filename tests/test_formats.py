@@ -146,3 +146,26 @@ class TestColouringFormat:
     def test_edge_listed_twice_rejected(self):
         with pytest.raises(FormatError):
             read_colouring("n 2\n0 1 r\n1 0 b\n")
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_edge_list, "0 1\n", "edge list must start with a 'n <count>' header"),
+        (read_edge_list, "n x\n", "bad header line: 'n x'"),
+        (read_edge_list, "n\t3\n0 1\n", "edge list must start with a 'n <count>' header"),
+        (read_edge_list, "n 3\n0 1 2\n", "bad edge line: '0 1 2'"),
+        (read_edge_list, "n 3\n0 b\n", "bad edge line: '0 b'"),
+        (read_colouring, "", "colouring must start with a 'n <count>' header"),
+        (read_colouring, "n \n", "bad header line: 'n '"),
+        (read_colouring, "n 3\n0 1\n", "bad colouring line: '0 1'"),
+        (read_colouring, "n 3\nx 1 r\n", "bad colouring line: 'x 1 r'"),
+        (read_colouring, "n 2\n0 1 r\n1 0 b\n", "edge (0, 1) is coloured twice"),
+    ],
+)
+def test_plain_format_errors(reader, text, message):
+    """The edge-list and colouring readers share one header and line parser;
+    each keeps its own wording."""
+    with pytest.raises(FormatError) as err:
+        reader(text)
+    assert str(err.value) == message

@@ -223,30 +223,33 @@ def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> Itera
     monomorphism, as the tuple whose entry i is the image of pattern vertex
     i, in backtrack order: the next pattern vertex is the one with the most
     images among its neighbours, the least on ties, and its image ascends."""
-    assigned = dict(partial)
+    todo = [a for a in range(pat.n) if a not in partial]
+    return _embed(adj, n, pat, dict(partial), mask_of(partial.values()), todo)
 
-    def rec(used: int, todo: list[int]) -> Iterator[tuple[int, ...]]:
-        if not todo:
-            yield tuple(assigned[a] for a in range(pat.n))
-            return
-        best_i = 0
-        best_cnt = -1
-        for i, a in enumerate(todo):
-            cnt = sum(1 for b in bits(pat.adj[a]) if b in assigned)
-            if cnt > best_cnt:
-                best_cnt, best_i = cnt, i
-        a = todo[best_i]
-        rest = todo[:best_i] + todo[best_i + 1:]
-        cand = ~used & ((1 << n) - 1)
-        for b in bits(pat.adj[a]):
-            if b in assigned:
-                cand &= adj[assigned[b]]
-        for x in bits(cand):
-            assigned[a] = x
-            yield from rec(used | (1 << x), rest)
-        assigned.pop(a, None)
 
-    return rec(mask_of(partial.values()), [a for a in range(pat.n) if a not in partial])
+def _embed(adj, n: int, pat: Graph, assigned: dict, used: int, todo: list):
+    """The backtrack of ``_extend_embedding``: ``assigned`` maps the pattern
+    vertices placed so far to their images, ``used`` masks those images and
+    ``todo`` lists the pattern vertices left."""
+    if not todo:
+        yield tuple(assigned[a] for a in range(pat.n))
+        return
+    best_i = 0
+    best_cnt = -1
+    for i, a in enumerate(todo):
+        cnt = sum(1 for b in bits(pat.adj[a]) if b in assigned)
+        if cnt > best_cnt:
+            best_cnt, best_i = cnt, i
+    a = todo[best_i]
+    rest = todo[:best_i] + todo[best_i + 1:]
+    cand = ~used & ((1 << n) - 1)
+    for b in bits(pat.adj[a]):
+        if b in assigned:
+            cand &= adj[assigned[b]]
+    for x in bits(cand):
+        assigned[a] = x
+        yield from _embed(adj, n, pat, assigned, used | (1 << x), rest)
+    assigned.pop(a, None)
 
 
 def _copies(adj: tuple[int, ...], n: int, p: TargetPattern) -> Iterator[tuple[int, ...]]:
@@ -656,10 +659,13 @@ class EpsilonReport:
     subsets_checked: int
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+def _eps_fraction(eps) -> Fraction:
+    """``eps`` as an exact fraction, a float read as its shortest decimal
+    form; InputError unless it lies in (0, 1]."""
+    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 < eps <= 1:
+        raise InputError("eps must lie in (0, 1]")
+    return eps
 
 
 def epsilon_arrows(
@@ -671,9 +677,7 @@ def epsilon_arrows(
     """Check that every induced subgraph on ceil(eps * n) vertices arrows ``p``
     in both colours. Supersets inherit arrowing by monotonicity, so only the
     minimum subset size is tested. ``eps`` must lie in (0, 1]."""
-    eps = _to_fraction(eps)
-    if not 0 < eps <= 1:
-        raise InputError("eps must lie in (0, 1]")
+    eps = _eps_fraction(eps)
     size = ceil(eps * f.n)
     budget = opts or Budget()
     checked = 0
@@ -695,9 +699,12 @@ def epsilon_arrows(
 @dataclass(frozen=True)
 class RamseyNumberReport:
     n: int | None  # the Ramsey number, when decided
-    decided: bool
     checked_up_to: int  # largest n with a resolved verdict
     nodes: int
+
+    @property
+    def decided(self) -> bool:
+        return self.n is not None
 
 
 def ramsey_number(
@@ -722,12 +729,12 @@ def ramsey_number(
     resolved = n - 1
     while True:
         if n_max is not None and n > n_max:
-            return RamseyNumberReport(None, False, resolved, nodes)
+            return RamseyNumberReport(None, resolved, nodes)
         verdict = arrows(Graph.complete(n), red, blue, opts)
         nodes += verdict.nodes
         if verdict.outcome is Outcome.UNDECIDED:
-            return RamseyNumberReport(None, False, resolved, nodes)
+            return RamseyNumberReport(None, resolved, nodes)
         resolved = n
         if verdict.outcome is Outcome.ARROW:
-            return RamseyNumberReport(n, True, resolved, nodes)
+            return RamseyNumberReport(n, resolved, nodes)
         n += 1

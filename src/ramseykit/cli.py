@@ -28,7 +28,7 @@ from .arrowing import (
 )
 from .errors import InfeasibleError, InputError, Undecided
 from .focusing import FocusFailure, iterated_focus, report_to_json, verify_focus_report
-from .formats import graph6_decode, graph6_encode, read_edge_list, write_hypergraph
+from .formats import graph6_encode, read_graph, read_graphs, write_hypergraph
 from .gadgets import (
     COLOURING_KINDS,
     blockgraph_from_json,
@@ -53,26 +53,17 @@ EXIT_INFEASIBLE = 11
 BUDGET_ENV = "RAMSEYKIT_BUDGET"
 
 
-def _load_graph(path: str):
-    """Read a graph file: edge-list when it starts with an 'n ' header,
-    otherwise graph6."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("n "):
-        return read_edge_list(text)
-    for line in text.splitlines():
-        if line.strip():
-            return graph6_decode(line.strip())
-    raise InputError(f"no graph found in {path}")
-
-
-def _pattern(text: str):
-    return parse_pattern(text, read_graph6=_load_graph)
-
-
 class _UsageError(Exception):
-    """A malformed setting that argparse cannot see, such as an environment
+    """A malformed command line or setting, such as an environment
     variable."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subparsers' too, end in the JSON
+    usage-error line instead of argparse's plain-text usage."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
 def _budget(text: str, source: str = "--budget") -> float:
@@ -104,6 +95,14 @@ def _max_nodes(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    """The ``--eps`` type: an exact fraction such as ``4/5`` or ``0.8``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--eps must be a fraction such as 4/5, got {text!r}") from None
+
+
 def _options(args) -> Budget:
     """The one budget of the command: ``--budget`` (or ``RAMSEYKIT_BUDGET``)
     seconds from now and ``--max-nodes`` search nodes for all its searches."""
@@ -120,12 +119,10 @@ def _emit(payload: dict, args) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _verdict_payload(verdict) -> dict:
-    return {
-        "result": verdict.outcome.value,
-        "nodes": verdict.nodes,
-        "seconds": round(verdict.seconds, 3),
-    }
+def _error(kind: str, exc: Exception, code: int, **extra) -> int:
+    """Print the one JSON error line on stderr and return the exit code."""
+    print(json.dumps({"error": kind, "message": str(exc), **extra}), file=sys.stderr)
+    return code
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -133,11 +130,11 @@ def _verdict_payload(verdict) -> dict:
 
 def _cmd_arrow(args) -> int:
     budget = _options(args)
-    g = _load_graph(args.graph)
-    red = _pattern(args.red)
-    blue = _pattern(args.blue)
+    g = read_graph(args.graph)
+    red = parse_pattern(args.red)
+    blue = parse_pattern(args.blue)
     verdict = arrows(g, red, blue, budget)
-    payload = _verdict_payload(verdict)
+    payload = {"result": verdict.outcome.value, "nodes": verdict.nodes, "seconds": round(verdict.seconds, 3)}
     if verdict.witness is not None and args.witness:
         Path(args.witness).write_text(write_colouring(verdict.witness))
         payload["witness_file"] = args.witness
@@ -149,8 +146,8 @@ def _cmd_arrow(args) -> int:
 
 def _cmd_ramsey(args) -> int:
     budget = _options(args)
-    red = _pattern(args.red)
-    blue = _pattern(args.blue)
+    red = parse_pattern(args.red)
+    blue = parse_pattern(args.blue)
     report = ramsey_number(red, blue, budget)
     payload = {
         "red": pattern_text(red),
@@ -166,8 +163,8 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_minimal(args) -> int:
     budget = _options(args)
-    g = _load_graph(args.graph)
-    p = _pattern(args.pattern)
+    g = read_graph(args.graph)
+    p = parse_pattern(args.pattern)
     report = is_minimal(g, p, budget)
     payload = {
         "pattern": pattern_text(p),
@@ -190,18 +187,10 @@ def _cmd_minimal(args) -> int:
     return EXIT_OK if decided else EXIT_UNDECIDED
 
 
-def _read_graph6_lines(path: str):
-    """The graphs of a graph6 file, decoded one non-blank line at a time."""
-    with open(path) as lines:
-        for line in lines:
-            if line.strip():
-                yield graph6_decode(line.strip())
-
-
 def _cmd_survey(args) -> int:
     budget = _options(args)
-    p = _pattern(args.pattern)
-    graphs = _read_graph6_lines(args.graphs) if args.graphs else None
+    p = parse_pattern(args.pattern)
+    graphs = read_graphs(args.graphs) if args.graphs else None
     survey = degree_survey(p, args.nmax, opts=budget, graphs=graphs, r_value=args.r_value)
     for line in survey.iter_json_lines():
         print(line)
@@ -210,8 +199,8 @@ def _cmd_survey(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     budget = _options(args)
-    h1 = _pattern(args.h1)
-    h2 = _pattern(args.h2)
+    h1 = parse_pattern(args.h1)
+    h2 = parse_pattern(args.h2)
     report = distinguish(h1, h2, args.nmax, opts=budget)
     payload = {
         "h1": pattern_text(h1),
@@ -231,26 +220,19 @@ def _write_blockgraph(bg, out: str, payload: dict, args) -> int:
     Path(out).write_text(blockgraph_to_json(bg))
     g6path = out[:-5] + ".g6" if out.endswith(".json") else out + ".g6"
     Path(g6path).write_text(graph6_encode(bg.graph) + "\n")
-    payload.update(
-        {
-            "out": out,
-            "graph6_file": g6path,
-            "vertices": bg.graph.n,
-            "edges": bg.graph.num_edges,
-        }
-    )
+    payload.update(out=out, graph6_file=g6path, vertices=bg.graph.n, edges=bg.graph.num_edges)
     _emit(payload, args)
     return EXIT_OK
 
 
 def _cmd_gadget_g0(args) -> int:
-    seed_block = _load_graph(args.block) if args.block else None
+    seed_block = read_graph(args.block) if args.block else None
     bg = build_g0(args.k, seed_block)
     return _write_blockgraph(bg, args.out, {"gadget": "g0", "k": args.k}, args)
 
 
 def _cmd_gadget_pendant(args) -> int:
-    seed_block = _load_graph(args.block) if args.block else None
+    seed_block = read_graph(args.block) if args.block else None
     copies = [build_g0(args.k, seed_block) for _ in range(args.k - 1)]
     bg = build_pendant_gadget(args.k, copies)
     return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
@@ -258,8 +240,8 @@ def _cmd_gadget_pendant(args) -> int:
 
 def _cmd_gadget_product(args) -> int:
     budget = _options(args)
-    g0 = _load_graph(args.g0)
-    fs = [_load_graph(path) for path in args.blocks]
+    g0 = read_graph(args.g0)
+    fs = [read_graph(path) for path in args.blocks]
     params = schedule_params(args.k, args.t, args.r_value, [f.n for f in fs], budget)
     bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
     payload = {
@@ -275,21 +257,9 @@ def _cmd_gadget_product(args) -> int:
 
 
 def _cmd_gadget_hypergraph(args) -> int:
-    h = gen_hypergraph(
-        args.u, args.girth_min, Fraction(args.eps), args.n,
-        seed=args.seed, retry_cap=args.retry_cap,
-    )
+    h = gen_hypergraph(args.u, args.girth_min, args.eps, args.n, seed=args.seed, retry_cap=args.retry_cap)
     Path(args.out).write_text(write_hypergraph(h))
-    _emit(
-        {
-            "gadget": "hypergraph",
-            "out": args.out,
-            "n": h.n,
-            "u": h.u,
-            "edges": h.num_edges,
-        },
-        args,
-    )
+    _emit({"gadget": "hypergraph", "out": args.out, "n": h.n, "u": h.u, "edges": h.num_edges}, args)
     return EXIT_OK
 
 
@@ -337,9 +307,9 @@ def _cmd_focus(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    g = _load_graph(args.graph)
-    red = _pattern(args.red)
-    blue = _pattern(args.blue)
+    g = read_graph(args.graph)
+    red = parse_pattern(args.red)
+    blue = parse_pattern(args.blue)
     inst = cnfmod.to_cnf(g, red, blue)
     Path(args.out).write_text(cnfmod.to_dimacs(inst))
     payload = {
@@ -362,7 +332,7 @@ def _cmd_cnf(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramseykit",
         description="Exact two-colour arrowing toolkit",
     )
@@ -449,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("hypergraph", help="seeded hypergraph generation")
     g.add_argument("--u", type=int, required=True)
     g.add_argument("--girth-min", type=int, required=True, dest="girth_min")
-    g.add_argument("--eps", required=True)
+    g.add_argument("--eps", type=_fraction, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--retry-cap", type=int, default=100, dest="retry_cap")
@@ -491,22 +461,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
-        print(json.dumps({"error": "usage-error", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, FileNotFoundError) as exc:
-        print(json.dumps({"error": "input-error", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return _error("usage-error", exc, EXIT_USAGE)
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # OSError: a graph path that is a directory, an output path that
+        # cannot be written; UnicodeDecodeError: a file that is not text
+        return _error("input-error", exc, EXIT_INPUT)
     except Undecided as exc:
-        print(json.dumps({"error": "undecided", "message": str(exc)}), file=sys.stderr)
-        return EXIT_UNDECIDED
+        return _error("undecided", exc, EXIT_UNDECIDED)
     except InfeasibleError as exc:
-        print(
-            json.dumps(
-                {"error": "infeasible", "message": str(exc), "attempts": exc.attempts}
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
+        return _error("infeasible", exc, EXIT_INFEASIBLE, attempts=exc.attempts)
 
 
 if __name__ == "__main__":

@@ -32,26 +32,30 @@ __all__ = ["CnfInstance", "to_cnf", "decode_model", "to_dimacs", "solve_cnf"]
 
 @dataclass(frozen=True)
 class CnfInstance:
-    graph: Graph
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # edges[i] is the edge of variable i+1
+    """The clauses over the edge variables of ``graph``."""
 
-    def __post_init__(self):
-        if self.num_vars != len(self.edges):
-            raise InputError("one variable per edge required")
+    graph: Graph
+    clauses: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_vars(self) -> int:
+        return self.graph.num_edges
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``edges[i]`` is the edge of variable i+1."""
+        return tuple(self.graph.edges())
 
 
 def to_cnf(g: Graph, red: TargetPattern, blue: TargetPattern) -> CnfInstance:
     """CNF instance satisfiable iff some colouring of ``g`` avoids both targets."""
-    edges = tuple(g.edges())
     clauses: list[tuple[int, ...]] = []
     for p, sign in ((red, -1), (blue, 1)):
         pedges = pattern_graph(p).edges()
         for img in _copies(g.adj, g.n, p):
             variables = sorted(g.edge_index(img[a], img[b]) + 1 for a, b in pedges)
             clauses.append(tuple(sign * x for x in variables))
-    return CnfInstance(g, len(edges), tuple(clauses), edges)
+    return CnfInstance(g, tuple(clauses))
 
 
 def decode_model(inst: CnfInstance, assignment) -> EdgeColouring:

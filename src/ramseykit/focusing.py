@@ -244,17 +244,16 @@ def iterated_focus(bg: BlockGraph, chi: EdgeColouring) -> FocusReport | FocusFai
         current[j] = focused.b_prime
         pair_colours[(i, j)] = focused.colour
 
+    floors = {j: params.eps_schedule[j - 1] * params.block_sizes[j - 1] for j in j_set}
     sizes = {
         "stage1": {j: len(stage1[j]) for j in range(1, n0 + 1)},
         "final": {j: len(current[j]) for j in j_set},
-        "eps_floor": {
-            j: str(params.eps_schedule[j - 1] * params.block_sizes[j - 1])
-            for j in j_set
-        },
+        "eps_floor": {j: str(floor) for j, floor in floors.items()},
     }
-    for j in j_set:
+    for j, floor in floors.items():
         # the shrink schedule is exactly the worst case of the two stages
-        assert len(current[j]) >= params.eps_schedule[j - 1] * params.block_sizes[j - 1]
+        if len(current[j]) < floor:
+            raise RuntimeError(f"block {j} kept {len(current[j])} vertices, below its floor {floor}")
 
     # find one monochromatic K_{t-1} inside each surviving subset
     w_sets: dict[int, tuple[int, ...]] = {}

@@ -1,12 +1,14 @@
-"""Text interchange formats: graph6, edge lists and hypergraphs. The
-edge-colouring format (``write_colouring``, ``read_colouring``) lives in
-``arrowing``, next to ``EdgeColouring``.
+"""Text interchange formats: graph6, edge lists, graph files and
+hypergraphs. The edge-colouring format (``write_colouring``,
+``read_colouring``) lives in ``arrowing``, next to ``EdgeColouring``.
 
 graph6 follows the public byte layout bit-exactly (size field, column-major
 upper-triangle bits, 6-bit groups offset by 63, zero padding). The plain
 formats are line-oriented with a one-line header.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import FormatError, Graph6Error, InputError
 from .graphs import Graph, Hypergraph
@@ -16,6 +18,8 @@ __all__ = [
     "graph6_decode",
     "write_edge_list",
     "read_edge_list",
+    "read_graphs",
+    "read_graph",
     "write_hypergraph",
     "read_hypergraph",
 ]
@@ -164,6 +168,31 @@ def read_counted_lines(text: str, kind: str, line_kind: str, width: int):
 def read_edge_list(text: str) -> Graph:
     n, edges = read_counted_lines(text, "edge list", "edge", 2)
     return Graph.from_edges(n, edges)
+
+
+# -- graph files -------------------------------------------------------------
+
+
+def read_graphs(path: str) -> Iterator[Graph]:
+    """The graphs of a graph file, read lazily. The first non-blank line
+    decides the format: an ``n <count>`` header starts one edge list,
+    anything else is graph6, one graph per non-blank line."""
+    with open(path) as fh:
+        lines = filter(None, map(str.strip, fh))
+        first = next(lines, "")
+        if first.startswith("n "):
+            yield read_edge_list("\n".join((first, *lines)))
+        elif first:
+            yield graph6_decode(first)
+            yield from map(graph6_decode, lines)
+
+
+def read_graph(path: str) -> Graph:
+    """The first graph of a graph file (see ``read_graphs``)."""
+    g = next(read_graphs(path), None)
+    if g is None:
+        raise InputError(f"no graph found in {path}")
+    return g
 
 
 # -- hypergraph text ---------------------------------------------------------

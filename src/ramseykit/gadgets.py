@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import Budget, EdgeColouring, _to_fraction, epsilon_arrows, find_mono, ramsey_number
+from .arrowing import Budget, EdgeColouring, _eps_fraction, epsilon_arrows, find_mono, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -58,7 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GadgetParams:
-    """Exact parameters of the product construction.
+    """Exact parameters of the product construction. ``h``, ``f``, ``eps0``,
+    ``n0`` and ``eps_schedule`` follow from ``k``, ``t``, ``r_value`` and
+    ``block_sizes``; ``r_source`` records where ``r_value`` came from.
 
     ``eps_schedule[j-1]`` is the shrink factor budgeted for block j:
     2^-(h + n0 - j + sum of the sizes of blocks before j).
@@ -68,15 +70,30 @@ class GadgetParams:
     t: int
     r_value: int
     r_source: str  # "supplied" or "computed"
-    h: int
-    f: int
-    eps0: Fraction
     block_sizes: tuple[int, ...]
-    eps_schedule: tuple[Fraction, ...]
+
+    @property
+    def h(self) -> int:
+        return self.r_value + self.k - 1
+
+    @property
+    def f(self) -> int:
+        return (self.r_value - 1) // self.t + 1
+
+    @property
+    def eps0(self) -> Fraction:
+        return Fraction(1, 2 ** (self.h + 1))
 
     @property
     def n0(self) -> int:
         return len(self.block_sizes)
+
+    @property
+    def eps_schedule(self) -> tuple[Fraction, ...]:
+        sizes = self.block_sizes
+        return tuple(
+            Fraction(1, 2 ** (self.h + self.n0 - j + sum(sizes[: j - 1]))) for j in range(1, self.n0 + 1)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,17 +110,17 @@ class GadgetParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GadgetParams":
-        return cls(
-            k=d["k"],
-            t=d["t"],
-            r_value=d["r_value"],
-            r_source=d["r_source"],
-            h=d["h"],
-            f=d["f"],
-            eps0=Fraction(d["eps0"]),
-            block_sizes=tuple(d["block_sizes"]),
-            eps_schedule=tuple(Fraction(e) for e in d["eps_schedule"]),
-        )
+        """The parameters whose ``to_json_dict`` is ``d``, checked as
+        ``schedule_params`` checks them. ``r_value`` must be stored, so
+        loading never starts a search."""
+        r_value = d["r_value"]
+        if type(r_value) is not int or r_value < 2:
+            raise InputError(f"r_value must be an integer >= 2, got {r_value!r}")
+        params = schedule_params(d["k"], d["t"], r_value, d["block_sizes"])
+        params = replace(params, r_source=d["r_source"])
+        if params.to_json_dict() != d:
+            raise InputError("stored h, f, eps0 or eps_schedule disagree with k, t, r_value and block_sizes")
+        return params
 
 
 def schedule_params(
@@ -132,18 +149,7 @@ def schedule_params(
         if not rep.decided:
             raise Undecided("Ramsey number computation exceeded its budget")
         r_value, r_source = rep.n, "computed"
-    h = r_value + k - 1
-    f = (r_value - 1) // t + 1
-    eps0 = Fraction(1, 2 ** (h + 1))
-    n0 = len(block_sizes)
-    schedule = []
-    prefix = 0
-    for j in range(1, n0 + 1):
-        schedule.append(Fraction(1, 2 ** (h + n0 - j + prefix)))
-        prefix += block_sizes[j - 1]
-    return GadgetParams(
-        k, t, r_value, r_source, h, f, eps0, tuple(block_sizes), tuple(schedule)
-    )
+    return GadgetParams(k, t, r_value, r_source, tuple(block_sizes))
 
 
 # -- block graphs ----------------------------------------------------------------
@@ -240,9 +246,7 @@ def gen_hypergraph(
         raise InputError("uniformity must be at least 2")
     if girth_min < 2:
         raise InputError("girth_min must be at least 2")
-    eps = _to_fraction(eps)
-    if not 0 < eps <= 1:
-        raise InputError("eps must lie in (0, 1]")
+    eps = _eps_fraction(eps)
     if n < u:
         raise InfeasibleError(
             f"no {u}-uniform edge fits in {n} vertices", attempts=0

@@ -215,45 +215,45 @@ def colourable(g: Graph, c: int) -> bool:
     of colours are tried once. A branch succeeds as soon as its uncoloured
     vertices are no more than its unused colours, each taking a fresh one.
     """
-    adj = g.adj
-    classes = [0] * max(c, 0)
+    return _place(g.adj, [0] * max(c, 0), c, (1 << g.n) - 1, 0)
 
-    def place(left: int, used: int) -> bool:
-        if left.bit_count() <= c - used:
-            return True
-        best, best_free, best_count = 0, 0, c + 1
-        q = left
-        while q:
-            b = q & -q
-            q ^= b
-            nbrs = adj[b.bit_length() - 1]
-            free = count = 0
-            for k in range(used):
-                if not classes[k] & nbrs:
-                    free |= 1 << k
-                    count += 1
-            if used < c:
+
+def _place(adj: tuple[int, ...], classes: list[int], c: int, left: int, used: int) -> bool:
+    """The backtrack of ``colourable``: can the vertices of ``left`` join the
+    ``used`` classes in ``classes`` or ``c - used`` new ones?"""
+    if left.bit_count() <= c - used:
+        return True
+    best, best_free, best_count = 0, 0, c + 1
+    q = left
+    while q:
+        b = q & -q
+        q ^= b
+        nbrs = adj[b.bit_length() - 1]
+        free = count = 0
+        for k in range(used):
+            if not classes[k] & nbrs:
+                free |= 1 << k
                 count += 1
-            if count < best_count:
-                if count == 0:
-                    return False
-                best, best_free, best_count = b, free, count
-        left ^= best
-        while best_free:
-            k = (best_free & -best_free).bit_length() - 1
-            best_free &= best_free - 1
-            classes[k] |= best
-            if place(left, used):
-                return True
-            classes[k] ^= best
         if used < c:
-            classes[used] = best
-            if place(left, used + 1):
-                return True
-            classes[used] = 0
-        return False
-
-    return place((1 << g.n) - 1, 0)
+            count += 1
+        if count < best_count:
+            if count == 0:
+                return False
+            best, best_free, best_count = b, free, count
+    left ^= best
+    while best_free:
+        k = (best_free & -best_free).bit_length() - 1
+        best_free &= best_free - 1
+        classes[k] |= best
+        if _place(adj, classes, c, left, used):
+            return True
+        classes[k] ^= best
+    if used < c:
+        classes[used] = best
+        if _place(adj, classes, c, left, used + 1):
+            return True
+        classes[used] = 0
+    return False
 
 
 def clique_number(g: Graph) -> int:
@@ -264,24 +264,23 @@ def clique_number(g: Graph) -> int:
     """
     if g.n == 0:
         return 0
-    adj = g.adj
-    best = 0
+    return _expand(g.adj, 0, (1 << g.n) - 1, 0)
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        order, bounds = _colour_sort(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            if size + 1 > best:
-                best = size + 1
-            nc = cand & adj[v]
-            if nc:
-                expand(size + 1, nc)
-            cand ^= 1 << v
 
-    expand(0, (1 << g.n) - 1)
+def _expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
+    """The branch and bound of ``clique_number``: the largest of ``best`` and
+    the cliques that extend a ``size``-clique by vertices of ``cand``."""
+    order, bounds = _colour_sort(adj, cand)
+    for i in range(len(order) - 1, -1, -1):
+        if size + bounds[i] <= best:
+            return best
+        v = order[i]
+        if size + 1 > best:
+            best = size + 1
+        nc = cand & adj[v]
+        if nc:
+            best = _expand(adj, size + 1, nc, best)
+        cand ^= 1 << v
     return best
 
 
@@ -428,35 +427,28 @@ def hyper_alpha(h: Hypergraph) -> int:
     over which vertex of the first unhit edge joins the transversal.
     """
     masks = [mask_of(e) for e in h.edges]
-    if not masks:
-        return h.n
-
     # greedy upper bound for pruning: repeatedly hit the most-covering vertex
-    def greedy() -> int:
-        left = list(masks)
-        count = 0
-        while left:
-            cover = [0] * h.n
-            for mask in left:
-                for v in bits(mask):
-                    cover[v] += 1
-            v = max(range(h.n), key=lambda x: cover[x])
-            left = [mask for mask in left if not (mask >> v) & 1]
-            count += 1
-        return count
+    left = masks
+    greedy = 0
+    while left:
+        cover = [0] * h.n
+        for mask in left:
+            for v in bits(mask):
+                cover[v] += 1
+        v = max(range(h.n), key=cover.__getitem__)
+        left = [mask for mask in left if not (mask >> v) & 1]
+        greedy += 1
+    return h.n - _min_transversal(masks, 0, 0, greedy)
 
-    best = greedy()
 
-    def rec(chosen: int, count: int) -> None:
-        nonlocal best
-        if count >= best:
-            return
-        for mask in masks:
-            if not mask & chosen:
-                for v in bits(mask):
-                    rec(chosen | (1 << v), count + 1)
-                return
-        best = count
-
-    rec(0, 0)
-    return h.n - best
+def _min_transversal(masks: list[int], chosen: int, count: int, best: int) -> int:
+    """The branch and bound of ``hyper_alpha``: the least of ``best`` and the
+    transversals of ``masks`` that extend ``chosen``, of ``count`` vertices."""
+    if count >= best:
+        return best
+    for mask in masks:
+        if not mask & chosen:
+            for v in bits(mask):
+                best = _min_transversal(masks, chosen | (1 << v), count + 1, best)
+            return best
+    return count

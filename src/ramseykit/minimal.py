@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Optional
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
-from .graphs import Graph, clique_number, colourable, components, induced_subgraph, mask_of
+from .graphs import Graph, clique_number, colourable, induced_subgraph, mask_of
 from .patterns import Clique, TargetPattern, pattern_graph, pattern_text
 from .symmetry import (
     canonical_graph,
@@ -117,19 +117,16 @@ def _classes(n: int) -> tuple[Graph, ...]:
     return tuple(graph_of_key(k) for k in sorted(keys))
 
 
-def enumerate_graphs(n_max: int, connected_only: bool = False, min_n: int = 1) -> Iterator[Graph]:
-    """All non-isomorphic graphs with min_n..n_max vertices, canonical
+def enumerate_graphs(n_max: int) -> Iterator[Graph]:
+    """All non-isomorphic graphs with 1..n_max vertices, canonical
     representatives, ordered by vertex count and then canonical form."""
     if n_max > _ENUM_LIMIT:
         raise InputError(
             f"built-in enumeration is limited to {_ENUM_LIMIT} vertices; "
             "pass an external graph stream for larger orders"
         )
-    for n in range(min_n, n_max + 1):
-        for g in _classes(n):
-            if connected_only and len(components(g)) > 1:
-                continue
-            yield g
+    for n in range(1, n_max + 1):
+        yield from _classes(n)
 
 
 # -- minimality ---------------------------------------------------------------
@@ -141,9 +138,12 @@ class MinimalityReport:
     pattern: TargetPattern
     decided: bool
     is_ramsey: bool
-    is_minimal: bool
     failing_edge: Optional[tuple[int, int]]  # first edge whose deletion still arrows
     isolated_vertices: tuple[int, ...]
+
+    @property
+    def is_minimal(self) -> bool:
+        return self.decided and self.is_ramsey and not (self.failing_edge or self.isolated_vertices)
 
 
 def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
@@ -160,20 +160,19 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
-        return MinimalityReport(g, p, False, False, False, None, isolated)
+        return MinimalityReport(g, p, False, False, None, isolated)
     if verdict.outcome is Outcome.NOT_ARROW:
-        return MinimalityReport(g, p, True, False, False, None, isolated)
+        return MinimalityReport(g, p, True, False, None, isolated)
     failing = None
     for orbit in edge_orbits(g):
         u, v = orbit[0]
         sub = arrows(g.without_edge(u, v), p, p, opts)
         if sub.outcome is Outcome.UNDECIDED:
-            return MinimalityReport(g, p, False, True, False, None, isolated)
+            return MinimalityReport(g, p, False, True, None, isolated)
         if sub.outcome is Outcome.ARROW:
             failing = (u, v)
             break
-    minimal = failing is None and not isolated
-    return MinimalityReport(g, p, True, True, minimal, failing, isolated)
+    return MinimalityReport(g, p, True, True, failing, isolated)
 
 
 def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
@@ -247,11 +246,14 @@ class DegreeSurvey:
     n_max: int
     records: list[dict] = field(default_factory=list)
     min_delta: Optional[int] = None
-    lower_bound: Optional[int] = None  # 2*delta(H) - 1
     upper_bound: Optional[int] = None  # r(H) - 1 when supplied
     complete: bool = True
     graphs_checked: int = 0
-    caveat: str = _SURVEY_CAVEAT
+
+    @property
+    def lower_bound(self) -> int:
+        """2*delta(H) - 1"""
+        return 2 * min(pattern_graph(self.pattern).degrees()) - 1
 
     def iter_json_lines(self) -> Iterator[str]:
         for rec in self.records:
@@ -266,7 +268,7 @@ class DegreeSurvey:
             "upper_bound": self.upper_bound,
             "complete": self.complete,
             "graphs_checked": self.graphs_checked,
-            "caveat": self.caveat,
+            "caveat": _SURVEY_CAVEAT,
         }
         yield json.dumps(summary, sort_keys=True)
 
@@ -292,16 +294,9 @@ def degree_survey(
     K_{chi(G)} pulled back along a proper colouring of G shows that G does
     not arrow H (see the module docstring).
     """
-    hgraph = pattern_graph(p)
-    delta_h = min(hgraph.degrees()) if hgraph.n else 0
-    survey = DegreeSurvey(
-        p,
-        n_max,
-        lower_bound=2 * delta_h - 1,
-        upper_bound=None if r_value is None else r_value - 1,
-    )
+    survey = DegreeSurvey(p, n_max, upper_bound=None if r_value is None else r_value - 1)
     budget = opts or Budget()
-    min_edges = 2 * hgraph.num_edges - 1
+    min_edges = 2 * pattern_graph(p).num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
     source = graphs if graphs is not None else enumerate_graphs(n_max)
     for g in source:

@@ -5,7 +5,8 @@ The pattern mini-language used across the CLI and file formats:
 * ``K5``      complete graph on 5 vertices
 * ``K5.K2``   K5 with one pendant edge (6 vertices)
 * ``K4+2K3``  disjoint union of one K4 and two copies of K3
-* ``file:<path.g6>``  arbitrary graph read from a graph6 file
+* ``file:<path>``  arbitrary graph, the first of a graph file
+  (``formats.read_graphs``: graph6 or an edge list)
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from itertools import combinations
 from typing import Union
 
 from .errors import InputError
+from .formats import read_graph
 from .graphs import Graph, components
 
 __all__ = [
@@ -113,8 +115,8 @@ _RE_PENDANT = re.compile(r"^K(\d+)\.K2$")
 _RE_PLUS = re.compile(r"^K(\d+)\+(\d+)K(\d+)$")
 
 
-def parse_pattern(text: str, read_graph6=None) -> TargetPattern:
-    """Parse the pattern mini-language; ``file:`` needs a graph6 reader callback."""
+def parse_pattern(text: str) -> TargetPattern:
+    """Parse the pattern mini-language; a ``file:`` pattern reads its file."""
     text = text.strip()
     if m := _RE_CLIQUE.match(text):
         return Clique(int(m.group(1)))
@@ -123,9 +125,7 @@ def parse_pattern(text: str, read_graph6=None) -> TargetPattern:
     if m := _RE_PLUS.match(text):
         return CliquePlusCliques(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     if text.startswith("file:"):
-        if read_graph6 is None:
-            raise InputError("file: patterns need a graph reader")
-        return Arbitrary(read_graph6(text[5:]))
+        return Arbitrary(read_graph(text[5:]))
     raise InputError(f"cannot parse pattern {text!r}")
 
 

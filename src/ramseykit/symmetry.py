@@ -92,44 +92,46 @@ def _canonical_columns(g: Graph, colour: list[int] | None = None) -> list[int]:
         pos_cell.extend([cells[c]] * len(cells[c]))
 
     best: list[int] = []  # empty until the first string is completed
-    placed: list[int] = []
-    cols: list[int] = []
-
-    def rec(used: int, tight: bool) -> None:
-        nonlocal best
-        j = len(placed)
-        if j == n:
-            if not tight:  # a strictly smaller prefix, or the first string
-                best = list(cols)
-            return
-        options: dict[int, list[int]] = {}
-        for v in pos_cell[j]:
-            if (used >> v) & 1:
-                continue
-            col = 0
-            row = adj[v]
-            for u in placed:
-                col = (col << 1) | ((row >> u) & 1)
-            options.setdefault(col, []).append(v)
-        value = min(options)
-        if tight:
-            if value > best[j]:
-                return
-            tight = value == best[j]
-        cols.append(value)
-        reps: list[int] = []
-        for v in options[value]:
-            if any((adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps):
-                continue  # the transposition (v w) is an automorphism fixing the prefix
-            reps.append(v)
-            placed.append(v)
-            rec(used | (1 << v), tight)
-            placed.pop()
-            tight = True  # best now extends cols
-        cols.pop()
-
-    rec(0, tight=False)
+    _least_columns(adj, pos_cell, [], [], best, 0, False)
     return best
+
+
+def _least_columns(adj, pos_cell: list, placed: list, cols: list, best: list, used: int, tight: bool):
+    """The backtrack of ``_canonical_columns``: ``placed`` lists the vertices
+    at positions 0..j-1, ``used`` is their mask, ``cols`` their columns, and
+    ``pos_cell[j]`` the class that position j draws from. ``best`` is
+    overwritten in place by each string that is smaller than it, or by the
+    first one; ``tight`` says that ``cols`` is a prefix of ``best``."""
+    j = len(placed)
+    if j == len(pos_cell):
+        if not tight:  # a strictly smaller prefix, or the first string
+            best[:] = cols
+        return
+    options: dict[int, list[int]] = {}
+    for v in pos_cell[j]:
+        if (used >> v) & 1:
+            continue
+        col = 0
+        row = adj[v]
+        for u in placed:
+            col = (col << 1) | ((row >> u) & 1)
+        options.setdefault(col, []).append(v)
+    value = min(options)
+    if tight:
+        if value > best[j]:
+            return
+        tight = value == best[j]
+    cols.append(value)
+    reps: list[int] = []
+    for v in options[value]:
+        if any((adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps):
+            continue  # the transposition (v w) is an automorphism fixing the prefix
+        reps.append(v)
+        placed.append(v)
+        _least_columns(adj, pos_cell, placed, cols, best, used | (1 << v), tight)
+        placed.pop()
+        tight = True  # best now extends cols
+    cols.pop()
 
 
 def canonical_key(g: Graph, colour: list[int] | None = None) -> tuple[int, int]:
@@ -191,21 +193,25 @@ def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int,
         order.append(x)
         placed |= 1 << x
 
-    def rec(t: int, dom: int, img: int) -> bool:
-        if t == len(order):
-            return True
-        x = order[t]
-        target = mask_of(perm[u] for u in bits(adj[x] & dom))
-        for y in bits(cell[x] & ~img):
-            if adj[y] & img == target:
-                perm[x] = y
-                if rec(t + 1, dom | (1 << x), img | (1 << y)):
-                    return True
-        return False
-
-    if rec(0, fixed | (1 << v), fixed | (1 << w)):
+    if _map_rest(adj, cell, order, perm, 0, fixed | (1 << v), fixed | (1 << w)):
         return tuple(perm)
     return None
+
+
+def _map_rest(adj, cell: list, order: list, perm: list, t: int, dom: int, img: int) -> bool:
+    """The backtrack of ``_first_automorphism``: extend ``perm``, which maps
+    the vertices of ``dom`` onto those of ``img``, to ``order[t:]``; True
+    once every vertex is mapped."""
+    if t == len(order):
+        return True
+    x = order[t]
+    target = mask_of(perm[u] for u in bits(adj[x] & dom))
+    for y in bits(cell[x] & ~img):
+        if adj[y] & img == target:
+            perm[x] = y
+            if _map_rest(adj, cell, order, perm, t + 1, dom | (1 << x), img | (1 << y)):
+                return True
+    return False
 
 
 def generators(g: Graph) -> list[tuple[int, ...]]:

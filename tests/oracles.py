@@ -334,9 +334,9 @@ def per_edge_is_minimal(g: Graph, p) -> MinimalityReport:
     order: ``failing_edge`` is the first edge whose deletion still arrows."""
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     if not _decided_arrows(g, p):
-        return MinimalityReport(g, p, True, False, False, None, isolated)
+        return MinimalityReport(g, p, True, False, None, isolated)
     failing = next((e for e in g.edges() if _decided_arrows(g.without_edge(*e), p)), None)
-    return MinimalityReport(g, p, True, True, failing is None and not isolated, failing, isolated)
+    return MinimalityReport(g, p, True, True, failing, isolated)
 
 
 def per_edge_minimalize(g: Graph, p) -> Graph:

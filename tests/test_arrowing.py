@@ -676,6 +676,14 @@ class TestPatternParsing:
         with pytest.raises(InputError):
             parse_pattern("W5")
 
+    def test_file_pattern(self, tmp_path):
+        path = tmp_path / "P3.g6"
+        path.write_text(graph6_encode(Graph.path(3)) + "\n")
+        assert parse_pattern(f"file:{path}") == Arbitrary(Graph.path(3))
+        (tmp_path / "empty.g6").write_text("")
+        with pytest.raises(InputError, match="no graph"):
+            parse_pattern(f"file:{tmp_path / 'empty.g6'}")
+
     def test_pattern_finding_in_plain_graph(self):
         assert find_pattern(Graph.complete(4), CliquePendant(3)) is not None
         assert find_pattern(Graph.cycle(5), Clique(3)) is None

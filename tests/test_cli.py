@@ -10,7 +10,7 @@ from ramseykit import cli, gadgets, minimal
 from ramseykit.arrowing import Budget, find_mono, read_colouring
 from ramseykit.cli import main
 from ramseykit.errors import Undecided
-from ramseykit.formats import graph6_encode, read_hypergraph
+from ramseykit.formats import graph6_encode, read_graphs, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
 from ramseykit.minimal import enumerate_graphs
@@ -32,6 +32,15 @@ def files(tmp_path):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def error_of(capsys, argv):
+    """The exit code and the error kind of a command that fails: nothing on
+    stdout and one JSON line on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)["error"]
 
 
 class TestArrowCommand:
@@ -263,7 +272,7 @@ class TestSurveyCommand:
     def test_graphs_file_is_read_lazily(self, files, capsys):
         path = files / "bad.g6"
         path.write_text("A_\n\nnot graph6 ~~~\n")
-        lines = cli._read_graph6_lines(str(path))
+        lines = read_graphs(str(path))
         assert next(lines) == Graph.complete(2)
         code, out = run(capsys, ["survey", "--pattern", "K2", "--nmax", "3", "--graphs", str(path)])
         assert code == 3 and out == ""
@@ -441,6 +450,71 @@ class TestGadgetCommands:
         )
         code = main(["colour", str(out_json), "--kind", "g2"])
         assert code == 3
+
+
+    def test_tampered_derived_parameters_are_input_errors(self, files, capsys):
+        prod = files / "prod.json"
+        run(
+            capsys,
+            ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
+             "--g0", str(files / "C5.g6"), "--blocks", *[str(files / "C5.g6")] * 5,
+             "-o", str(prod), "--no-timing"],
+        )
+        col = files / "g2.txt"
+        assert run(capsys, ["colour", str(prod), "--kind", "g2", "-o", str(col)])[0] == 0
+        doc = json.loads(prod.read_text())
+        doc["params"].update(f=99, h=3)
+        prod.write_text(json.dumps(doc))
+        for argv in (["colour", str(prod), "--kind", "g2", "--check"], ["focus", str(prod), str(col)]):
+            assert error_of(capsys, argv) == (3, "input-error")
+
+
+class TestUsageErrors:
+    """argparse's own errors end in the JSON usage-error line, as a bad
+    ``--budget`` does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["arrow"],
+            ["survey", "--pattern", "K3", "--nmax", "abc"],
+            ["colour", "prod.json", "--kind", "nope"],
+            ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "abc", "--n", "9", "-o", "h.txt"],
+            ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "1/0", "--n", "9", "-o", "h.txt"],
+        ],
+        ids=["no-arguments", "nmax-not-an-int", "unknown-kind", "eps-not-a-number", "eps-zero-denominator"],
+    )
+    def test_usage_error_is_the_json_line(self, capsys, argv):
+        assert error_of(capsys, argv) == (2, "usage-error")
+
+
+class TestUnreadableFiles:
+    """A directory or a file that is not UTF-8, read or written, is an input
+    error."""
+
+    @pytest.fixture
+    def bad(self, files):
+        (files / "dir").mkdir()
+        (files / "latin1.g6").write_bytes(b"\xe9\xff\n")
+        return files
+
+    @pytest.mark.parametrize("name", ["dir", "latin1.g6"])
+    def test_graph_argument(self, bad, capsys, name):
+        argv = ["arrow", str(bad / name), "--red", "K3", "--blue", "K3"]
+        assert error_of(capsys, argv) == (3, "input-error")
+
+    @pytest.mark.parametrize("name", ["dir", "latin1.g6"])
+    def test_graphs_stream(self, bad, capsys, name):
+        argv = ["survey", "--pattern", "K3", "--nmax", "4", "--graphs", str(bad / name)]
+        assert error_of(capsys, argv) == (3, "input-error")
+
+    def test_witness_into_a_directory(self, bad, capsys):
+        argv = ["arrow", str(bad / "K5.g6"), "--red", "K3", "--blue", "K3", "--witness", str(bad / "dir")]
+        assert error_of(capsys, argv) == (3, "input-error")
+
+    def test_output_into_a_directory(self, bad, capsys):
+        argv = ["gadget", "g0", "--k", "3", "--block", str(bad / "C5.g6"), "-o", str(bad / "dir")]
+        assert error_of(capsys, argv) == (3, "input-error")
 
 
 class TestCnfCommand:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ramseykit.arrowing import Outcome, arrows, find_mono
-from ramseykit.cnf import CnfInstance, decode_model, solve_cnf, to_cnf, to_dimacs
+from ramseykit.cnf import decode_model, solve_cnf, to_cnf, to_dimacs
 from ramseykit.errors import InputError
 from ramseykit.graphs import Graph
 from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques, Colour
@@ -94,7 +94,3 @@ class TestDecoding:
         inst = to_cnf(Graph.complete(3), Clique(3), Clique(3))
         with pytest.raises(InputError):
             decode_model(inst, {1: True})
-
-    def test_var_edge_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            CnfInstance(Graph.complete(3), 2, ((1,),), tuple(Graph.complete(3).edges()))

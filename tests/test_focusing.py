@@ -6,8 +6,10 @@ import pytest
 
 from ramseykit.arrowing import EdgeColouring
 from ramseykit.errors import InputError
+from ramseykit import focusing
 from ramseykit.focusing import (
     BipartiteColouring,
+    FocusBlock,
     FocusFailure,
     FocusReport,
     focus_block,
@@ -186,6 +188,23 @@ class TestIteratedFocus:
     def test_deterministic(self):
         bg, chi = reduced_instance()
         assert iterated_focus(bg, chi) == iterated_focus(bg, chi)
+
+
+    def test_schedule_floor_is_checked_without_assert(self, monkeypatch):
+        # block 1 of 65 vertices has the floor 65 * 2^-(5 + 2 - 1) > 1, so a
+        # focusing step that keeps one row breaks the schedule; the check is
+        # no assert, so it holds under python -O too
+        params = schedule_params(4, 3, 2, [65, 65])
+        bg = build_product(params, Graph.complete(2), [Graph.empty(65)] * 2)
+        chi = EdgeColouring.constant(bg.graph, Colour.RED)
+        assert isinstance(iterated_focus(bg, chi), FocusFailure)
+
+        def one_row(bc):
+            return FocusBlock(bc.a_side[:1], bc.b_side, Colour.RED)
+
+        monkeypatch.setattr(focusing, "focus_block", one_row)
+        with pytest.raises(RuntimeError, match="block 1 kept 1 vertices"):
+            iterated_focus(bg, chi)
 
 
 class TestVerifyFocusReport:

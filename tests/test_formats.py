@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseykit.arrowing import EdgeColouring, read_colouring, write_colouring
-from ramseykit.errors import FormatError, Graph6Error
+from ramseykit.errors import FormatError, Graph6Error, InputError
 from ramseykit.formats import (
     graph6_decode,
     graph6_encode,
     read_edge_list,
+    read_graph,
+    read_graphs,
     read_hypergraph,
     write_edge_list,
     write_hypergraph,
@@ -107,6 +109,37 @@ class TestEdgeList:
     def test_bad_line(self):
         with pytest.raises(FormatError):
             read_edge_list("n 3\n0 1 2\n")
+
+
+class TestGraphFiles:
+    def test_graph6_lines(self, tmp_path):
+        path = tmp_path / "gs.g6"
+        gs = [Graph.complete(3), Graph.cycle(5), Graph.empty(1)]
+        path.write_text("\n" + "\n\n".join(graph6_encode(g) for g in gs) + "\n")
+        assert list(read_graphs(str(path))) == gs
+        assert read_graph(str(path)) == gs[0]
+
+    def test_edge_list(self, tmp_path):
+        path = tmp_path / "g.txt"
+        g = Graph.from_edges(5, [(0, 1), (1, 4), (2, 3)])
+        path.write_text("\n" + write_edge_list(g))
+        assert list(read_graphs(str(path))) == [g]
+
+    def test_first_line_decides(self, tmp_path):
+        # a later "n ..." line in a graph6 file is a bad graph6 line
+        path = tmp_path / "mixed.g6"
+        path.write_text("A_\nn 2\n0 1\n")
+        lines = read_graphs(str(path))
+        assert next(lines) == Graph.complete(2)
+        with pytest.raises(Graph6Error):
+            next(lines)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n\n")
+        assert list(read_graphs(str(path))) == []
+        with pytest.raises(InputError, match="no graph"):
+            read_graph(str(path))
 
 
 class TestHypergraphFormat:

@@ -10,6 +10,7 @@ from ramseykit.arrowing import Budget, EpsilonReport, find_mono
 from ramseykit.errors import InfeasibleError, InputError, Undecided
 from ramseykit.gadgets import (
     ColouringKind,
+    GadgetParams,
     assemble_product,
     blockgraph_from_json,
     blockgraph_to_json,
@@ -308,6 +309,37 @@ class TestProduct:
         a = build_product(self.params(), Graph.cycle(5), [Graph.cycle(5)] * 5)
         b = build_product(self.params(), Graph.cycle(5), [Graph.cycle(5)] * 5)
         assert blockgraph_to_json(a) == blockgraph_to_json(b)
+
+    def test_params_round_trip_keeps_the_source(self):
+        p = dataclasses.replace(self.params(), r_source="computed")
+        assert GadgetParams.from_json_dict(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("h", 3), ("f", 99), ("eps0", "1/2"), ("eps_schedule", ["1/2"] * 5), ("eps_schedule", [])],
+    )
+    def test_derived_keys_must_agree(self, key, value):
+        d = self.params().to_json_dict()
+        d[key] = value
+        with pytest.raises(InputError, match="disagree"):
+            GadgetParams.from_json_dict(d)
+
+    @pytest.mark.parametrize("r_value", [None, "4", 4.0, True, 1])
+    def test_loading_never_computes_r_value(self, monkeypatch, r_value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("R(K_k, K_{k-t+1}) computed while loading")
+
+        monkeypatch.setattr(gadgets, "ramsey_number", no_search)
+        d = self.params().to_json_dict()
+        d["r_value"] = r_value
+        with pytest.raises(InputError, match="r_value"):
+            GadgetParams.from_json_dict(d)
+
+    def test_loading_checks_the_inputs(self):
+        d = self.params().to_json_dict()
+        d["t"] = 4  # k > t fails before any derived key is compared
+        with pytest.raises(InputError, match="k > t"):
+            GadgetParams.from_json_dict(d)
 
 
 class TestCanonicalColourings:

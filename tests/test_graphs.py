@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations
@@ -19,7 +20,10 @@ from ramseykit.graphs import (
     mask_of,
 )
 
+from ramseykit.arrowing import arrows, find_pattern
 from ramseykit.minimal import enumerate_graphs
+from ramseykit.patterns import Arbitrary, Clique
+from ramseykit.symmetry import canonical_key, generators
 
 from oracles import bfs_girth, brute_chromatic_number, brute_clique_number, brute_independence_number
 
@@ -288,6 +292,35 @@ class TestHyperAlpha:
                 break
         assert best == 4
         assert hyper_alpha(FANO) == 4
+
+
+class TestNoCyclicGarbage:
+    """The recursive searches are plain functions that take their state as
+    arguments, so a call leaves no reference cycle behind, and memory does
+    not wait for the cycle collector."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: canonical_key(Graph.petersen()),
+            lambda: generators(Graph.petersen()),
+            lambda: colourable(Graph.petersen(), 3),
+            lambda: clique_number(Graph.petersen()),
+            lambda: hyper_alpha(FANO),
+            lambda: find_pattern(Graph.petersen(), Arbitrary(Graph.cycle(5))),
+            lambda: arrows(Graph.complete(6), Clique(3), Clique(3)),
+        ],
+        ids=["canonical_key", "generators", "colourable", "clique_number", "hyper_alpha",
+             "find_pattern", "arrows"],
+    )
+    def test_call_leaves_no_cycles(self, call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHypergraphInvariants:

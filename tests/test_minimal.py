@@ -9,7 +9,7 @@ from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import Budget, Outcome, arrows, ramsey_number
 from ramseykit.formats import graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
-from ramseykit.graphs import Graph, colourable
+from ramseykit.graphs import Graph, colourable, components
 from ramseykit.minimal import (
     MinimalityReport,
     canonical_graph,
@@ -108,13 +108,13 @@ class TestEnumeration:
         # the number of isomorphism classes of simple graphs by order (OEIS A000088)
         expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
         for n, count in expected.items():
-            assert sum(1 for _ in enumerate_graphs(n, min_n=n)) == count
+            assert sum(1 for g in enumerate_graphs(n) if g.n == n) == count
 
     def test_connected_counts(self):
         # connected graphs by order (OEIS A001349)
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
         for n, count in expected.items():
-            got = sum(1 for _ in enumerate_graphs(n, min_n=n, connected_only=True))
+            got = sum(1 for g in enumerate_graphs(n) if g.n == n and len(components(g)) == 1)
             assert got == count
 
     def test_matches_unfiltered_enumeration(self):
@@ -469,7 +469,7 @@ class TestChromaticPrefilter:
         # K6 plus a pendant vertex has chi = 6, so it passes the filter; called
         # minimal, its delta = 1 is below the bound 2 * delta(K3) - 1 = 3
         def every_graph_minimal(g, p, opts=None):
-            return MinimalityReport(g, p, True, True, True, None, ())
+            return MinimalityReport(g, p, True, True, None, ())
 
         monkeypatch.setattr(minimal, "is_minimal", every_graph_minimal)
         with pytest.raises(RuntimeError, match="below the lower bound"):

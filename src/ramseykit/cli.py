@@ -257,7 +257,7 @@ def _cmd_gadget_product(args) -> int:
 
 
 def _cmd_gadget_hypergraph(args) -> int:
-    h = gen_hypergraph(args.u, args.girth_min, args.eps, args.n, seed=args.seed, retry_cap=args.retry_cap)
+    h = gen_hypergraph(args.u, args.girth_min, args.eps, args.n, seed=args.seed)
     Path(args.out).write_text(write_hypergraph(h))
     _emit({"gadget": "hypergraph", "out": args.out, "n": h.n, "u": h.u, "edges": h.num_edges}, args)
     return EXIT_OK
@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=_fraction, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--retry-cap", type=int, default=100, dest="retry_cap")
     g.add_argument("-o", "--out", required=True)
     common(g, budget=False)
     g.set_defaults(func=_cmd_gadget_hypergraph)

@@ -16,7 +16,7 @@ K_k + fK_t copies by K_k tuple, then K_t tuples; arbitrary targets in
 backtrack order). Literals within a clause ascend by variable. Copies with
 the same edge set, such as the two labellings of one K_2·K_2 or the images
 of one copy under the automorphisms of an arbitrary target, each keep their
-own clause.
+own clause; ``solve_cnf`` searches each distinct clause once.
 """
 from __future__ import annotations
 
@@ -82,61 +82,61 @@ def solve_cnf(inst: CnfInstance) -> dict[int, bool] | None:
     """DPLL with unit propagation; returns a total assignment or None.
 
     Deterministic: branches on the lowest-numbered unassigned variable,
-    trying true (red) first.
+    trying true (red) first. Duplicate clauses, such as those of two copies
+    with one edge set, are searched once.
     """
-    clauses = [list(c) for c in inst.clauses]
-    nvars = inst.num_vars
+    clauses = list(dict.fromkeys(inst.clauses))
     assign: dict[int, bool] = {}
+    if not _dpll(clauses, inst.num_vars, assign):
+        return None
+    for i in range(1, inst.num_vars + 1):
+        assign.setdefault(i, True)
+    return assign
 
-    def propagate(trail: list[int]) -> bool:
-        # returns False on conflict; appends implied literals to trail
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    var = abs(lit)
-                    if var in assign:
-                        if assign[var] == (lit > 0):
-                            satisfied = True
-                            break
-                    else:
-                        unassigned = lit
-                        count += 1
-                if satisfied:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    var = abs(unassigned)
-                    assign[var] = unassigned > 0
-                    trail.append(var)
-                    changed = True
-        return True
 
-    def dpll() -> bool:
-        trail: list[int] = []
-        if not propagate(trail):
-            for var in trail:
-                del assign[var]
-            return False
+def _propagate(clauses: list, assign: dict[int, bool], trail: list[int]) -> bool:
+    """Unit propagation, extending ``assign`` in place and appending the
+    variables it sets to ``trail``; False on a conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unassigned = None
+            satisfied = False
+            count = 0
+            for lit in clause:
+                var = abs(lit)
+                if var in assign:
+                    if assign[var] == (lit > 0):
+                        satisfied = True
+                        break
+                else:
+                    unassigned = lit
+                    count += 1
+            if satisfied:
+                continue
+            if count == 0:
+                return False
+            if count == 1:
+                var = abs(unassigned)
+                assign[var] = unassigned > 0
+                trail.append(var)
+                changed = True
+    return True
+
+
+def _dpll(clauses: list, nvars: int, assign: dict[int, bool]) -> bool:
+    """The search of ``solve_cnf``; on failure ``assign`` is left as given."""
+    trail: list[int] = []
+    if _propagate(clauses, assign, trail):
         var = next((i for i in range(1, nvars + 1) if i not in assign), None)
         if var is None:
             return True
         for value in (True, False):
             assign[var] = value
-            if dpll():
+            if _dpll(clauses, nvars, assign):
                 return True
-            del assign[var]
-        for v in trail:
-            del assign[v]
-        return False
-
-    if not dpll():
-        return None
-    for i in range(1, nvars + 1):
-        assign.setdefault(i, True)
-    return assign
+        del assign[var]
+    for var in trail:
+        del assign[var]
+    return False

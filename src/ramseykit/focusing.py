@@ -283,8 +283,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class FocusVerification:
-    ok: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def verify_focus_report(bg: BlockGraph, chi: EdgeColouring, report: FocusReport) -> FocusVerification:
@@ -361,7 +364,7 @@ def verify_focus_report(bg: BlockGraph, chi: EdgeColouring, report: FocusReport)
         for x in union:
             check_edge("d", a, x, colour)
 
-    return FocusVerification(not violations, tuple(violations))
+    return FocusVerification(tuple(violations))
 
 
 # -- JSON form -----------------------------------------------------------------------

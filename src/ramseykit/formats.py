@@ -2,9 +2,11 @@
 hypergraphs. The edge-colouring format (``write_colouring``,
 ``read_colouring``) lives in ``arrowing``, next to ``EdgeColouring``.
 
-graph6 follows the public byte layout bit-exactly (size field, column-major
-upper-triangle bits, 6-bit groups offset by 63, zero padding). The plain
-formats are line-oriented with a one-line header.
+graph6 follows the public byte layout bit-exactly: the size field, then
+the upper-triangle bits of ``Graph.bits`` in 6-bit groups offset by 63,
+zero-padded. The packed integer of a canonical key (``symmetry``) is the
+same bit string, so a key is the graph6 payload of the canonical graph. The
+plain formats are line-oriented with a one-line header.
 """
 from __future__ import annotations
 
@@ -27,35 +29,29 @@ __all__ = [
 _G6_HEADER = ">>graph6<<"
 
 
+def _six_bit_groups(value: int, nbits: int) -> str:
+    """The low ``nbits`` bits of ``value``, ``nbits`` a multiple of 6, as
+    graph6 characters: six-bit groups, the most significant first, each
+    offset by 63."""
+    return "".join([chr(63 + ((value >> k) & 63)) for k in range(nbits - 6, -1, -6)])
+
+
 def graph6_encode(g: Graph) -> str:
-    """Encode a graph as a graph6 string (no ``>>graph6<<`` prefix)."""
+    """Encode a graph as a graph6 string (no ``>>graph6<<`` prefix): the
+    size field, then ``g.bits()`` padded with zeros to whole six-bit
+    groups."""
     n = g.n
     if n <= 62:
-        size = chr(63 + n)
+        size = _six_bit_groups(n, 6)
     elif n <= 258047:
-        size = chr(126) + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+        size = "~" + _six_bit_groups(n, 18)
     elif n <= 68719476735:
-        size = chr(126) + chr(126) + "".join(
-            chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0)
-        )
+        size = "~~" + _six_bit_groups(n, 36)
     else:
         raise InputError("graph too large for graph6")
-    out = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return size + "".join(out)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    return size + _six_bit_groups(g.bits() << pad, nbits + pad)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -68,31 +64,22 @@ def graph6_decode(text: str) -> Graph:
     if not s:
         raise Graph6Error("empty graph6 string", base)
 
-    def val(i: int) -> int:
-        c = ord(s[i])
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid graph6 byte {c!r}", base + i)
-        return c - 63
+    def read(start: int, stop: int) -> int:
+        """The six-bit groups of bytes start..stop-1 as one integer."""
+        value = 0
+        for i in range(start, stop):
+            c = ord(s[i])
+            if not 63 <= c <= 126:
+                raise Graph6Error(f"invalid graph6 byte {c!r}", base + i)
+            value = (value << 6) | (c - 63)
+        return value
 
-    pos = 0
-    if val(0) == 63:  # chr(126): extended size field
-        if len(s) >= 2 and ord(s[1]) == 126:
-            if len(s) < 8:
-                raise Graph6Error("truncated size field", base + len(s))
-            n = 0
-            for i in range(2, 8):
-                n = (n << 6) | val(i)
-            pos = 8
-        else:
-            if len(s) < 4:
-                raise Graph6Error("truncated size field", base + len(s))
-            n = 0
-            for i in range(1, 4):
-                n = (n << 6) | val(i)
-            pos = 4
-    else:
-        n = val(0)
-        pos = 1
+    n, pos = read(0, 1), 1
+    if n == 63:  # chr(126): extended size field
+        start, pos = (2, 8) if len(s) >= 2 and ord(s[1]) == 126 else (1, 4)
+        if len(s) < pos:
+            raise Graph6Error("truncated size field", base + len(s))
+        n = read(start, pos)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -104,30 +91,11 @@ def graph6_decode(text: str) -> Graph:
     if len(s) - pos > nbytes:
         raise Graph6Error("trailing data after graph6 payload", base + pos + nbytes)
 
-    adj = [0] * n
-    bit = 0
-    for bi in range(nbytes):
-        group = val(pos + bi)
-        for k in range(5, -1, -1):
-            if bit < nbits:
-                if (group >> k) & 1:
-                    i, j = _bit_to_pair(bit)
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                bit += 1
-            else:
-                if (group >> k) & 1:
-                    raise Graph6Error("nonzero padding bits", base + pos + bi)
-    return Graph(n, tuple(adj))
-
-
-def _bit_to_pair(bit: int) -> tuple[int, int]:
-    """Position of the given upper-triangle bit in column-major order."""
-    j = 1
-    while bit >= j:
-        bit -= j
-        j += 1
-    return bit, j
+    payload = read(pos, len(s))
+    pad = 6 * nbytes - nbits  # below 6, so the padding lies in the last byte
+    if payload & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)
+    return Graph.from_bits(n, payload >> pad)
 
 
 # -- plain edge list ---------------------------------------------------------

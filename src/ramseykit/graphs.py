@@ -93,6 +93,21 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
+    @classmethod
+    def from_bits(cls, n: int, packed: int) -> "Graph":
+        """The graph on ``n >= 0`` vertices whose ``bits()`` are ``packed``.
+        Bits beyond the n(n-1)/2 of the triangle are ignored. The adjacency
+        is symmetric and loop-free by construction, so it skips validation."""
+        adj = [0] * n
+        for j in range(n - 1, 0, -1):
+            col = packed & ((1 << j) - 1)
+            packed >>= j
+            for i in range(j):
+                if (col >> (j - 1 - i)) & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        return cls._trusted(n, tuple(adj))
+
     # -- basic accessors ---------------------------------------------------
 
     def edges(self) -> list[tuple[int, int]]:
@@ -103,6 +118,20 @@ class Graph:
             for d in bits(row):
                 out.append((u, u + 1 + d))
         return out
+
+    def bits(self) -> int:
+        """The upper triangle as one integer, the graph6 payload: the pairs
+        (i, j) with i < j ordered by j, then by i, the first pair the most
+        significant bit. Packed a column at a time, as ``canonical_key``
+        packs its columns: a shift per bit costs quadratic big-integer work."""
+        packed = 0
+        for j in range(1, self.n):
+            col = 0
+            row = self.adj[j]
+            for i in range(j):
+                col = (col << 1) | ((row >> i) & 1)
+            packed = (packed << j) | col
+        return packed
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge uv in ``edges()``, counted from the adjacency

@@ -45,7 +45,6 @@ from .symmetry import (
     canonical_graph,
     canonical_key,
     edge_orbits,
-    graph_of_key,
     refine,
     subset_orbit_reps,
 )
@@ -114,7 +113,7 @@ def _classes(n: int) -> tuple[Graph, ...]:
             if colour[n - 1] != max(colour):
                 continue
             keys.add(canonical_key(child, colour))
-    return tuple(graph_of_key(k) for k in sorted(keys))
+    return tuple(Graph.from_bits(*k) for k in sorted(keys))
 
 
 def enumerate_graphs(n_max: int) -> Iterator[Graph]:
@@ -146,6 +145,13 @@ class MinimalityReport:
         return self.decided and self.is_ramsey and not (self.failing_edge or self.isolated_vertices)
 
 
+def _require_no_isolated(p: TargetPattern) -> None:
+    """Reject a target with an isolated vertex: minimality drops isolated
+    host vertices as never needed, and 2 delta(H) - 1 needs delta(H) >= 1."""
+    if 0 in pattern_graph(p).degrees():
+        raise InputError(f"target {pattern_text(p)} has an isolated vertex; minimality needs none")
+
+
 def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
     """Check that ``g`` arrows ``p`` while no proper subgraph does.
 
@@ -155,8 +161,10 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
     g - sigma(e) is isomorphic to g - e, so the whole orbit shares its
     verdict. The orbits are searched in the order of their least edges, so
     the first one whose deletion arrows gives the least such edge of ``g``,
-    ``failing_edge``. Every ``arrows`` call shares ``opts``.
+    ``failing_edge``. Every ``arrows`` call shares ``opts``. A target with
+    an isolated vertex raises ``InputError``.
     """
+    _require_no_isolated(p)
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
@@ -187,7 +195,9 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     ``cur``, so ``cur2 - e2`` does not arrow either: the whole orbit is kept
     without a search. The orbits are those of the current graph; they are
     computed again, when next needed, after each deletion. Every ``arrows``
-    call shares ``opts``."""
+    call shares ``opts``. A target with an isolated vertex raises
+    ``InputError``."""
+    _require_no_isolated(p)
     verdict = arrows(g, p, p, opts)
     if verdict.outcome is Outcome.UNDECIDED:
         raise Undecided("arrowing of the input graph undecided within budget")
@@ -245,10 +255,14 @@ class DegreeSurvey:
     pattern: TargetPattern
     n_max: int
     records: list[dict] = field(default_factory=list)
-    min_delta: Optional[int] = None
     upper_bound: Optional[int] = None  # r(H) - 1 when supplied
     complete: bool = True
     graphs_checked: int = 0
+
+    @property
+    def min_delta(self) -> Optional[int]:
+        """The least minimum degree among the records, None without one."""
+        return min((rec["delta"] for rec in self.records), default=None)
 
     @property
     def lower_bound(self) -> int:
@@ -292,8 +306,10 @@ def degree_survey(
     A graph with chi(G) < R(omega(H), omega(H)) is counted in
     ``graphs_checked`` and skipped without a search: a good colouring of
     K_{chi(G)} pulled back along a proper colouring of G shows that G does
-    not arrow H (see the module docstring).
+    not arrow H (see the module docstring). A target with an isolated vertex
+    raises ``InputError``.
     """
+    _require_no_isolated(p)
     survey = DegreeSurvey(p, n_max, upper_bound=None if r_value is None else r_value - 1)
     budget = opts or Budget()
     min_edges = 2 * pattern_graph(p).num_edges - 1
@@ -319,17 +335,14 @@ def degree_survey(
             survey.complete = False
             continue
         if report.is_minimal:
-            delta = min(g.degrees())
             survey.records.append(
                 {
                     "graph6": graph6_encode(g),
                     "n": g.n,
                     "m": g.num_edges,
-                    "delta": delta,
+                    "delta": min(g.degrees()),
                 }
             )
-            if survey.min_delta is None or delta < survey.min_delta:
-                survey.min_delta = delta
     if survey.min_delta is not None and survey.min_delta < survey.lower_bound:
         raise RuntimeError(
             f"survey found min degree {survey.min_delta} below the lower bound "

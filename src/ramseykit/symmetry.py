@@ -5,8 +5,9 @@ The canonical form of a graph is the lexicographically least column-major
 upper-triangle adjacency bitstring over the vertex orderings that list
 vertices grouped by ascending refinement class; two graphs have equal forms
 iff they are isomorphic. Its backtrack follows only the least next column and
-cuts a branch once its prefix exceeds the best string's; the packed key
-decodes back to the canonical graph. A generating set of the automorphism
+cuts a branch once its prefix exceeds the best string's. The packed key is
+the canonical graph's ``Graph.bits()``, its graph6 payload, so
+``Graph.from_bits`` decodes it. A generating set of the automorphism
 group is found level by level, as nauty does, by a backtrack that maps each
 vertex only into its own refinement class; the whole group is its closure.
 This module is the one place that applies the group: ``edge_perms`` gives
@@ -26,7 +27,6 @@ __all__ = [
     "refine",
     "canonical_key",
     "canonical_graph",
-    "graph_of_key",
     "generators",
     "edge_perms",
     "subset_orbit_reps",
@@ -137,9 +137,11 @@ def _least_columns(adj, pos_cell: list, placed: list, cols: list, best: list, us
 def canonical_key(g: Graph, colour: list[int] | None = None) -> tuple[int, int]:
     """Hashable canonical invariant (n, packed bitstring); equal iff isomorphic.
 
-    Column j takes the next j bits, so the key determines the canonical
-    graph (``graph_of_key``). A caller that has already refined ``g`` passes
-    ``colour=refine(g)`` so that the refinement is not computed twice."""
+    Column j takes the next j bits, so the packed bitstring is the
+    ``bits()`` of the canonical graph, its graph6 payload, and
+    ``Graph.from_bits(*key)`` is that graph. A caller that has already
+    refined ``g`` passes ``colour=refine(g)`` so that the refinement is not
+    computed twice."""
     cols = _canonical_columns(g, colour)
     key = 0
     for j, col in enumerate(cols):
@@ -147,26 +149,9 @@ def canonical_key(g: Graph, colour: list[int] | None = None) -> tuple[int, int]:
     return g.n, key
 
 
-def graph_of_key(key: tuple[int, int]) -> Graph:
-    """The graph whose canonical columns are packed in ``key``: vertex j is
-    adjacent to i < j when bit j-1-i of column j is set. The adjacency is
-    symmetric and loop-free by construction, so the graph skips validation;
-    ``key`` must come from ``canonical_key``."""
-    n, packed = key
-    adj = [0] * n
-    for j in range(n - 1, 0, -1):
-        col = packed & ((1 << j) - 1)
-        packed >>= j
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph._trusted(n, tuple(adj))
-
-
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of the isomorphism class of ``g``."""
-    return graph_of_key(canonical_key(g))
+    return Graph.from_bits(*canonical_key(g))
 
 
 def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int, ...] | None:

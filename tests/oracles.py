@@ -25,7 +25,7 @@ from ramseykit.arrowing import Outcome, arrows
 from ramseykit.graphs import Graph, induced_subgraph
 from ramseykit.minimal import MinimalityReport
 from ramseykit.patterns import Clique, CliquePendant, Colour, pattern_graph
-from ramseykit.symmetry import canonical_key, edge_perms, generators, graph_of_key
+from ramseykit.symmetry import canonical_key, edge_perms, generators
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -363,5 +363,5 @@ def unfiltered_classes(n_max: int) -> list[tuple[Graph, ...]]:
             for subset in range(1 << (n - 1)):
                 adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
                 keys.add(canonical_key(Graph(n, tuple(adj + [subset]))))
-        levels.append(tuple(graph_of_key(k) for k in sorted(keys)))
+        levels.append(tuple(Graph.from_bits(*k) for k in sorted(keys)))
     return levels[: n_max + 1]

@@ -177,6 +177,15 @@ class TestMinimalCommand:
         doc = json.loads(out)
         assert doc["is_ramsey"] and doc["is_minimal"]
 
+    @pytest.mark.parametrize(
+        "text, pattern", [("n 3\n0 1\n", "K2+1K1"), ("n 1\n", "K1")], ids=["K2+1K1", "K1"]
+    )
+    def test_target_with_an_isolated_vertex_is_input_error(self, files, capsys, text, pattern):
+        path = files / "host.txt"
+        path.write_text(text)
+        argv = ["minimal", str(path), "--pattern", pattern, "--minimalize", "--no-timing"]
+        assert error_of(capsys, argv) == (3, "input-error")
+
     def test_minimalize_gets_only_the_time_left(self, files, capsys, monkeypatch):
         # the report and the minimalization share the command's one budget
         seen = []
@@ -485,6 +494,11 @@ class TestUsageErrors:
         ids=["no-arguments", "nmax-not-an-int", "unknown-kind", "eps-not-a-number", "eps-zero-denominator"],
     )
     def test_usage_error_is_the_json_line(self, capsys, argv):
+        assert error_of(capsys, argv) == (2, "usage-error")
+
+    def test_hypergraph_has_no_retry_cap(self, capsys):
+        argv = ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "4/5", "--n", "9",
+                "--retry-cap", "5", "-o", "h.txt"]
         assert error_of(capsys, argv) == (2, "usage-error")
 
 

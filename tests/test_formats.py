@@ -49,6 +49,13 @@ class TestGraph6RoundTrip:
                 )
                 assert graph6_decode(graph6_encode(g)) == g
 
+    def test_dense_graph_on_300_vertices(self):
+        rng = random.Random(300)
+        g = Graph.from_edges(300, [e for e in combinations(range(300), 2) if rng.random() < 0.9])
+        text = graph6_encode(g)
+        assert text[:4] == "~?Ck"  # 300 = 4 * 64 + 44 in the 18-bit size field
+        assert graph6_decode(text) == g
+
     def test_random_six_and_seven_vertices(self):
         rng = random.Random(11)
         for n in (6, 7):
@@ -68,6 +75,40 @@ class TestGraph6RoundTrip:
         pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
         g = Graph.from_edges(n, pairs)
         assert graph6_decode(graph6_encode(g)) == g
+
+
+class TestBits:
+    """``Graph.bits`` is the graph6 payload, and ``Graph.from_bits`` its
+    inverse."""
+
+    @staticmethod
+    def labelled_graphs(n_max):
+        for n in range(n_max + 1):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+
+    def test_bits_are_the_graph6_payload(self):
+        rng = random.Random(29)
+        graphs = list(self.labelled_graphs(5))
+        for n in (8, 13, 70):
+            graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
+        for g in graphs:
+            text = graph6_encode(g)
+            body = text[1:] if g.n <= 62 else text[4:]
+            nbits = g.n * (g.n - 1) // 2
+            payload = "".join(format(ord(c) - 63, "06b") for c in body)[:nbits]
+            assert int(payload or "0", 2) == g.bits(), text
+
+    def test_from_bits_inverts_bits(self):
+        for g in self.labelled_graphs(5):
+            assert Graph.from_bits(g.n, g.bits()) == g
+
+    def test_first_pair_is_the_most_significant_bit(self):
+        # pairs in order (0,1), (0,2), (1,2), (0,3), ...
+        assert Graph.from_edges(4, [(0, 1)]).bits() == 1 << 5
+        assert Graph.from_edges(4, [(2, 3)]).bits() == 1
+        assert Graph.from_edges(4, [(0, 2)]).bits() == 1 << 4
 
 
 class TestGraph6Errors:

@@ -21,6 +21,7 @@ from ramseykit.graphs import (
 )
 
 from ramseykit.arrowing import arrows, find_pattern
+from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.minimal import enumerate_graphs
 from ramseykit.patterns import Arbitrary, Clique
 from ramseykit.symmetry import canonical_key, generators
@@ -309,9 +310,10 @@ class TestNoCyclicGarbage:
             lambda: hyper_alpha(FANO),
             lambda: find_pattern(Graph.petersen(), Arbitrary(Graph.cycle(5))),
             lambda: arrows(Graph.complete(6), Clique(3), Clique(3)),
+            lambda: solve_cnf(to_cnf(Graph.complete(6), Clique(3), Clique(3))),
         ],
         ids=["canonical_key", "generators", "colourable", "clique_number", "hyper_alpha",
-             "find_pattern", "arrows"],
+             "find_pattern", "arrows", "solve_cnf"],
     )
     def test_call_leaves_no_cycles(self, call):
         gc.collect()

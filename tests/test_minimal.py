@@ -20,11 +20,10 @@ from ramseykit.minimal import (
     is_minimal,
     minimalize,
 )
-from ramseykit.patterns import Clique, CliquePendant
+from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques
 from ramseykit.symmetry import (
     _canonical_columns,
     edge_orbits,
-    graph_of_key,
     refine,
     subset_orbit_reps,
 )
@@ -89,8 +88,12 @@ class TestCanonicalForm:
         for g in labellings(6, seed=67):
             cols = brute_canonical_columns(g, refine(g))
             edges = [(i, j) for j, col in enumerate(cols) for i in range(j) if (col >> (j - 1 - i)) & 1]
-            rep = graph_of_key(canonical_key(g))
+            rep = Graph.from_bits(*canonical_key(g))
             assert rep == canonical_graph(g) == Graph.from_edges(g.n, edges), g.edges()
+
+    def test_key_is_the_bits_of_the_canonical_graph(self):
+        for g in labellings(7, seed=73):
+            assert canonical_key(g) == (g.n, canonical_graph(g).bits()), g.edges()
 
 
 class TestEnumeration:
@@ -206,6 +209,32 @@ class TestIsMinimal:
     def test_undecided_propagates(self):
         rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=3))
         assert not rep.decided
+
+
+class TestTargetsWithIsolatedVertices:
+    """Minimality drops isolated host vertices as never needed, which a
+    target with an isolated vertex needs: K2 + K1 is Ramsey-minimal for
+    K2 + K1, yet the K2 that minimalization would leave does not arrow it."""
+
+    # each target with a host that arrows it and is Ramsey-minimal for it
+    CASES = [
+        (CliquePlusCliques(2, 1, 1), Graph.from_edges(3, [(0, 1)])),
+        (Clique(1), Graph.empty(1)),
+        (Arbitrary(Graph.from_edges(4, [(0, 1), (1, 2)])), Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])),
+    ]
+    IDS = ["K2+1K1", "K1", "P3+K1"]
+
+    @pytest.mark.parametrize("p, host", CASES, ids=IDS)
+    @pytest.mark.parametrize("check", [is_minimal, minimalize], ids=["is_minimal", "minimalize"])
+    def test_minimality_rejects_the_target(self, check, p, host):
+        assert arrows(host, p, p).outcome is Outcome.ARROW
+        with pytest.raises(InputError, match="isolated vertex"):
+            check(host, p)
+
+    @pytest.mark.parametrize("p", [p for p, _ in CASES], ids=IDS)
+    def test_survey_rejects_the_target(self, p):
+        with pytest.raises(InputError, match="isolated vertex"):
+            degree_survey(p, 4)
 
 
 class TestMinimalize:
@@ -346,6 +375,12 @@ class TestDegreeSurvey:
         lines = list(survey.iter_json_lines())
         assert len(lines) == 2
         assert '"summary": true' in lines[-1].replace('"summary":true', '"summary": true')
+
+    def test_min_delta_is_the_least_record_delta(self):
+        survey = minimal.DegreeSurvey(Clique(3), 8)
+        assert survey.min_delta is None
+        survey.records += [{"delta": 6}, {"delta": 5}, {"delta": 7}]
+        assert survey.min_delta == 5
 
     def test_budget_marks_incomplete(self):
         survey = degree_survey(Clique(3), 6, opts=Budget(seconds=0))

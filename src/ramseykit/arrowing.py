@@ -218,6 +218,41 @@ def _packings(adj, avail: int, k: int, f: int, t: int, prefix: tuple = ()) -> It
             yield from _packings(adj, above, 0, f - 1, t, tpl)
 
 
+def _has_packing(adj, avail: int, k: int, f: int, t: int) -> bool:
+    """Does ``avail`` hold a copy of K_k + fK_t? The answer is
+    ``next(_packings(adj, avail, k, f, t), None) is not None``, found by
+    ``_packings``'s recursion (the K_k first, then each later K_t above the
+    previous one's least vertex) without building the packing."""
+    if avail.bit_count() < k + f * t:
+        return False
+    if f == 0:
+        return _has_clique_within(adj, avail, k)
+    if k:
+        return _has_clique_then_packing(adj, avail, k, avail, 0, f, t)
+    if f == 1:
+        return _has_clique_within(adj, avail, t)
+    m = avail
+    while m.bit_count() >= f * t:
+        b = m & -m
+        m ^= b  # the vertices of avail above v, the K_t's least vertex
+        if _has_clique_then_packing(adj, m & adj[b.bit_length() - 1], t - 1, m, 0, f - 1, t):
+            return True
+    return False
+
+
+def _has_clique_then_packing(adj, cand: int, size: int, rest: int, k: int, f: int, t: int) -> bool:
+    """Is there a clique Q on ``size`` vertices inside ``cand`` such that
+    ``rest`` without Q holds a copy of K_k + fK_t?"""
+    if size == 0:
+        return _has_packing(adj, rest, k, f, t)
+    while cand.bit_count() >= size:
+        b = cand & -cand
+        cand ^= b
+        if _has_clique_then_packing(adj, cand & adj[b.bit_length() - 1], size - 1, rest & ~b, k, f, t):
+            return True
+    return False
+
+
 def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> Iterator[tuple[int, ...]]:
     """Every completion of a partial pattern-vertex to host-vertex
     monomorphism, as the tuple whose entry i is the image of pattern vertex
@@ -307,6 +342,17 @@ def _through_edge_checker(p: TargetPattern):
           will do; likewise for v. Otherwise |N(u)|, |N(v)| <= k - 2 force
           N(u) = N(v) = C = T, and the one candidate K_k needs a pendant at
           a vertex of C.
+
+    CliquePlusCliques(k, f, t), K_k + fK_t. With C = N(u) & N(v), a copy
+    through uv either has uv in its K_k, which is then {u, v} + T with T a
+    K_{k-2} inside C, and the rest of the class without u, v and T holds
+    fK_t; or has uv in one of its K_t's, {u, v} + T with T a K_{t-2} inside
+    C, and the rest holds K_k + (f-1)K_t. Both questions are asked as
+    yes/no questions over masks (``_has_clique_then_packing``). They cover
+    every copy through uv and find only such copies, so the check is exact
+    on any class and needs no precondition. When t = k the copy is
+    (f+1)K_k, whose cliques are interchangeable: "uv in a K_t" asks again
+    whether the rest holds fK_k, so that branch is skipped.
     """
     if isinstance(p, Clique):
         k = p.k
@@ -347,20 +393,15 @@ def _through_edge_checker(p: TargetPattern):
 
     if isinstance(p, CliquePlusCliques):
         k, f, t = p.k, p.f, p.t
+        in_k = k >= 2  # uv can lie in the K_k
+        in_t = f >= 1 and t >= 2 and t != k  # in a K_t, unless that is the K_k case again
 
         def check_plus(adj, u, v):
-            uv = (1 << u) | (1 << v)
-            avail = ((1 << len(adj)) - 1) & ~uv
+            avail = ((1 << len(adj)) - 1) & ~((1 << u) | (1 << v))
             common = adj[u] & adj[v]
-            if k >= 2:  # uv in the K_k
-                for tpl in _cliques_within(adj, common, k - 2):
-                    for _ in _packings(adj, avail & ~mask_of(tpl), 0, f, t):
-                        return True
-            if f >= 1 and t >= 2:  # uv in a K_t
-                for tpl in _cliques_within(adj, common, t - 2):
-                    for _ in _packings(adj, avail & ~mask_of(tpl), k, f - 1, t):
-                        return True
-            return False
+            return (in_k and _has_clique_then_packing(adj, common, k - 2, avail, 0, f, t)) or (
+                in_t and _has_clique_then_packing(adj, common, t - 2, avail, k, f - 1, t)
+            )
 
         return check_plus
 
@@ -496,8 +537,10 @@ def _dfs_search(
     classes are searched in full once more, and a copy raises RuntimeError
     instead of returning a wrong witness.
 
-    The budget is checked once after ``edge_perms``, whose generators of
-    Aut(g) run before the first node, and at every node. Explores at most
+    The generators of Aut(g) behind ``edge_perms`` run before the first
+    node and stop at ``budget.deadline``, keeping the automorphisms found
+    so far. The budget is checked once after them, and at every node, so a
+    search whose generators ran out of time explores no node. Explores at most
     ``budget.nodes_left`` nodes and stops at the first node after
     ``budget.deadline``; the node that would pass a limit is not explored.
     Returns (outcome, witness colour tuple or None, nodes explored); the
@@ -514,8 +557,8 @@ def _dfs_search(
     col = [_FREE] * m
     max_nodes = budget.nodes_left
     deadline = budget.deadline
-    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g)]
-    if budget.spent():  # the generators ran outside the search's own checks
+    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g, deadline)]
+    if budget.spent():  # the generators may have stopped at the deadline
         return Outcome.UNDECIDED, None, 0
 
     def place(e: int, c: int) -> None:

@@ -21,6 +21,8 @@ are isomorphism invariant.
 """
 from __future__ import annotations
 
+import time
+
 from .graphs import Graph, bits, mask_of
 
 __all__ = [
@@ -199,7 +201,7 @@ def _map_rest(adj, cell: list, order: list, perm: list, t: int, dom: int, img: i
     return False
 
 
-def generators(g: Graph) -> list[tuple[int, ...]]:
+def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]:
     """A generating set of Aut(g) as vertex permutation tuples.
 
     Level ``v`` works in the refinement of ``g`` with ``0..v-1``
@@ -210,6 +212,11 @@ def generators(g: Graph) -> list[tuple[int, ...]]:
     automorphism fixing ``0..v-1`` and mapping ``v`` to ``w`` is kept. By the
     Schreier argument the kept permutations then generate the stabiliser of
     ``0..v-1`` at every level, and at level 0 the whole group.
+
+    ``deadline``, a ``time.monotonic()`` value, is checked before each
+    backtrack of ``_first_automorphism``; once it has passed, the
+    automorphisms found so far are returned. They still generate a subgroup
+    of Aut(g), which is all that lex-leader pruning needs.
     """
     n = g.n
     nbrs = [list(bits(row)) for row in g.adj]
@@ -238,6 +245,8 @@ def generators(g: Graph) -> list[tuple[int, ...]]:
         for w in bits(cell[v] >> (v + 1) << (v + 1)):
             if find(w) == find(v):
                 continue
+            if deadline is not None and time.monotonic() > deadline:
+                return out
             sigma = _first_automorphism(g, cell, v, w)
             if sigma is None:
                 continue
@@ -247,15 +256,15 @@ def generators(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def edge_perms(g: Graph) -> list[tuple[int, ...]]:
-    """The permutations of edge indices induced by ``generators(g)`` and
-    their inverses, without the identity, sorted; ``pi[j]`` is the index in
-    ``g.edges()`` of the image of edge j."""
+def edge_perms(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]:
+    """The permutations of edge indices induced by ``generators(g,
+    deadline)`` and their inverses, without the identity, sorted; ``pi[j]``
+    is the index in ``g.edges()`` of the image of edge j."""
     edges = g.edges()
     # a dict beats rank arithmetic per edge, and dies with the call
     idx = {e: i for i, e in enumerate(edges)}
     out: set[tuple[int, ...]] = set()
-    for sigma in generators(g):
+    for sigma in generators(g, deadline):
         pi = []
         for u, v in edges:
             a, b = sigma[u], sigma[v]

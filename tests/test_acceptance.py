@@ -40,9 +40,10 @@ from ramseykit.gadgets import (
     gen_hypergraph,
     schedule_params,
 )
+from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph, clique_number, components, hyper_alpha, hyper_girth
-from ramseykit.minimal import degree_survey, enumerate_graphs, is_minimal, minimalize
-from ramseykit.patterns import Clique, CliquePendant, Colour
+from ramseykit.minimal import degree_survey, distinguish, enumerate_graphs, is_minimal, minimalize
+from ramseykit.patterns import Clique, CliquePendant, CliquePlusCliques, Colour
 
 from oracles import naive_arrows
 
@@ -313,3 +314,23 @@ def test_criterion_10_minimality_and_survey():
     cut = degree_survey(CliquePendant(3), 8, opts=Budget(seconds=0))
     ok &= not cut.complete
     report(10, "minimality-and-survey", ok, t0)
+
+
+def test_criterion_11_k3_plus_k2_is_not_ramsey_equivalent_to_k3():
+    # K6 arrows K3 but not K3 + 1K2: red on the 9 edges at vertices 0 and 1,
+    # blue on the K4 on 2..5, so the pair is not Ramsey-equivalent
+    t0 = time.time()
+    ok = True
+    plus = CliquePlusCliques(3, 1, 2)
+    rep = distinguish(Clique(3), plus, 6)
+    ok &= rep.complete and rep.graphs_checked == 208
+    ok &= rep.graph is not None and graph6_encode(rep.graph) == "E~~w"
+    k6 = Graph.complete(6)
+    verdict = arrows(k6, plus, plus)
+    ok &= verdict.outcome is Outcome.NOT_ARROW and verdict.nodes <= 7
+    ok &= verdict.witness == EdgeColouring.from_mapping(
+        k6, {(u, v): Colour.RED if u < 2 else Colour.BLUE for u, v in k6.edges()}
+    )
+    for colour in Colour:
+        ok &= find_mono(verdict.witness, plus, colour) is None
+    report(11, "k3-plus-k2-distinguished", ok, t0)

@@ -2,12 +2,12 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
 
-from ramseykit import arrowing
+from ramseykit import arrowing, symmetry
 from ramseykit.arrowing import (
     Budget,
     EdgeColouring,
@@ -267,12 +267,35 @@ class TestArrows:
         budget = Budget(seconds=600)
         real = arrowing.edge_perms
 
-        def edge_perms_that_use_up_the_time(g):
+        def edge_perms_that_use_up_the_time(g, *args):
             budget.deadline = time.monotonic() - 1
             return real(g)
 
         monkeypatch.setattr(arrowing, "edge_perms", edge_perms_that_use_up_the_time)
         verdict = arrows(Graph.complete(5), Clique(3), Clique(3), budget)
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert verdict.nodes == 0
+
+    def test_generators_stop_at_the_deadline(self, monkeypatch):
+        # the first backtrack moves a fake clock past the deadline; K5 needs
+        # four of them. The deadline reaches the generators as a number, so
+        # the clock moves, not the deadline
+        now = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(arrowing, "time", clock)
+        monkeypatch.setattr(symmetry, "time", clock)
+        budget = Budget(seconds=600)
+        real = symmetry._first_automorphism
+        calls = [0]
+
+        def first_automorphism_that_uses_up_the_time(*args):
+            calls[0] += 1
+            now[0] = 601.0
+            return real(*args)
+
+        monkeypatch.setattr(symmetry, "_first_automorphism", first_automorphism_that_uses_up_the_time)
+        verdict = arrows(Graph.complete(5), Clique(3), Clique(3), budget)
+        assert calls[0] == 1
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
 
@@ -401,6 +424,8 @@ class TestThroughEdgeChecker:
         [Clique(k) for k in range(1, 5)]
         + [CliquePendant(k) for k in range(1, 5)]
         + [CliquePlusCliques(3, 1, 2), CliquePlusCliques(2, 2, 2)]
+        + [CliquePlusCliques(3, 1, 3), CliquePlusCliques(2, 1, 3), CliquePlusCliques(1, 1, 3)]
+        + [CliquePlusCliques(3, 0, 2), CliquePlusCliques(3, 2, 1)]
         + [Arbitrary(Graph.path(4)), Arbitrary(Graph.cycle(4))],
         ids=str,
     )
@@ -414,6 +439,15 @@ class TestThroughEdgeChecker:
                     continue
                 assert check(without.adj, u, v) is has_copy, (g.edges(), u, v)
                 assert check(g.adj, u, v) is has_copy, (g.edges(), u, v)
+
+    def test_packing_kernel_matches_the_enumerator(self):
+        # k = 0 asks for f disjoint K_t's alone
+        for g in enumerate_graphs(6):
+            for avail in range(1 << g.n):
+                for k, f, t in product(range(4), range(3), range(1, 4)):
+                    expected = next(arrowing._packings(g.adj, avail, k, f, t), None) is not None
+                    got = arrowing._has_packing(g.adj, avail, k, f, t)
+                    assert got is expected, (g.edges(), avail, k, f, t)
 
 
 DIFFERENTIAL_PAIRS = [
@@ -443,7 +477,7 @@ class TestWitnessDifferential:
     @pytest.fixture(params=["as-is", "no-symmetry"])
     def mode(self, request, monkeypatch):
         if request.param == "no-symmetry":
-            monkeypatch.setattr(arrowing, "edge_perms", lambda g: [])
+            monkeypatch.setattr(arrowing, "edge_perms", lambda g, *args: [])
         return request.param
 
     @pytest.mark.parametrize("red, blue", DIFFERENTIAL_PAIRS, ids=str)
@@ -545,6 +579,29 @@ class TestNodeCounts:
         rep = ramsey_number(Clique(3), CliquePlusCliques(3, 1, 3))
         assert rep.n == 8
         assert rep.nodes <= 144
+
+    @pytest.mark.parametrize(
+        "red, blue, n, nodes, witness_nodes, sha",
+        [
+            # Burr, Erdos & Spencer (1975): r(mK3, nK3) = 3m + 2n for m >= n, m >= 2
+            (CliquePlusCliques(3, 1, 3), CliquePlusCliques(3, 1, 3), 10, 5026, 245,
+             "91089fae8eafe0f67bf2c609f5840ae2cb49de7fcfea2a9184fb1c87dad04310"),
+            (Clique(3), CliquePlusCliques(3, 2, 3), 11, 1419, 18,
+             "05d994b9869c83a568c3e6ae2d143e7ff640e5362be0c3ebe4c22776377ff3a9"),
+        ],
+        ids=["2K3-2K3", "K3-3K3"],
+    )
+    def test_ramsey_multiple_triangles(self, red, blue, n, nodes, witness_nodes, sha):
+        rep = ramsey_number(red, blue)
+        assert rep.n == n
+        assert rep.nodes <= nodes
+        verdict = arrows(Graph.complete(n - 1), red, blue)
+        assert verdict.outcome is Outcome.NOT_ARROW
+        assert verdict.nodes <= witness_nodes
+        text = write_colouring(verdict.witness)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+        assert find_mono(verdict.witness, red, Colour.RED) is None
+        assert find_mono(verdict.witness, blue, Colour.BLUE) is None
 
     def test_pendant_gadget_arrows_k3_k2(self, check_count):
         verdict = arrows(pendant_gadget_k3(), CliquePendant(3), CliquePendant(3))

@@ -23,7 +23,7 @@ from ramseykit.graphs import (
 from ramseykit.arrowing import arrows, find_pattern
 from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.minimal import enumerate_graphs
-from ramseykit.patterns import Arbitrary, Clique
+from ramseykit.patterns import Arbitrary, Clique, CliquePlusCliques
 from ramseykit.symmetry import canonical_key, generators
 
 from oracles import bfs_girth, brute_chromatic_number, brute_clique_number, brute_independence_number
@@ -311,9 +311,10 @@ class TestNoCyclicGarbage:
             lambda: find_pattern(Graph.petersen(), Arbitrary(Graph.cycle(5))),
             lambda: arrows(Graph.complete(6), Clique(3), Clique(3)),
             lambda: solve_cnf(to_cnf(Graph.complete(6), Clique(3), Clique(3))),
+            lambda: arrows(Graph.complete(8), Clique(3), CliquePlusCliques(3, 1, 3)),
         ],
         ids=["canonical_key", "generators", "colourable", "clique_number", "hyper_alpha",
-             "find_pattern", "arrows", "solve_cnf"],
+             "find_pattern", "arrows", "solve_cnf", "arrows_plus"],
     )
     def test_call_leaves_no_cycles(self, call):
         gc.collect()

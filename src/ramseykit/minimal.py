@@ -27,7 +27,23 @@ Aut(G) on the edges (``symmetry.edge_orbits``): an automorphism sigma maps
 G - e onto G - sigma(e), so every edge of an orbit has the same verdict.
 ``minimalize`` keeps a whole orbit once one deletion from it breaks
 arrowing; by monotonicity the later, smaller graphs cannot arrow without
-those edges either.
+those edges either. The orbits come from ``generators`` under the caller's
+deadline; cut short, they are the orbits of a subgroup, which are finer,
+so sharing one verdict per orbit stays sound.
+
+Both loops keep the last good colouring they hold, a colouring with no
+monochromatic copy of the target, and try it on a deletion before they
+search it. A restriction of a good colouring to a subgraph is good, since
+each colour class only loses edges. The stored colouring colours a graph
+with every edge of the next deletion h but one, uv, the edge whose deletion
+gave it and which was then kept; restricted to h it needs only uv. If
+``arrowing._through_edge_checker`` allows uv red, or else blue, on the
+restricted classes (whose lack of a copy is the checker's precondition),
+the result is a good colouring of h, so h does not arrow the target, and
+it becomes the stored colouring. Otherwise h is searched, and a NOT_ARROW
+witness is stored in its place. One colouring is stored, so a deletion
+costs O(m) more work at most; the verdicts, and so the reports and graphs,
+are the ones one search per deletion gives.
 """
 from __future__ import annotations
 
@@ -36,11 +52,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
+from . import arrowing
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
 from .graphs import Graph, clique_number, colourable, induced_subgraph, mask_of
-from .patterns import Clique, TargetPattern, pattern_graph, pattern_text
+from .patterns import Clique, Colour, TargetPattern, pattern_graph, pattern_text
 from .symmetry import (
     canonical_graph,
     canonical_key,
@@ -152,34 +169,73 @@ def _require_no_isolated(p: TargetPattern) -> None:
         raise InputError(f"target {pattern_text(p)} has an isolated vertex; minimality needs none")
 
 
+def _good_classes(verdict, deleted: tuple[int, int]):
+    """The colouring to store after a NOT_ARROW search of a deletion: the
+    witness's red and blue class adjacencies and the deleted edge, which
+    the witness leaves uncoloured."""
+    w = verdict.witness
+    return w.class_adj(Colour.RED), w.class_adj(Colour.BLUE), deleted
+
+
+def _recoloured(good, h: Graph, deleted: tuple[int, int], check):
+    """A good colouring of ``h`` made from the stored one, or None.
+
+    ``good`` is (red, blue, uv): the class adjacencies of a good colouring
+    of a graph holding every edge of ``h`` but uv. The classes are
+    restricted to ``h`` and uv is given the first colour, red then blue,
+    that ``check``, the through-edge check of the target, allows. The
+    result, stored in the same shape with ``deleted``, the edge that ``h``
+    lacks, is good (see the module docstring)."""
+    red, blue, (u, v) = good
+    red = [r & a for r, a in zip(red, h.adj)]
+    blue = [b & a for b, a in zip(blue, h.adj)]
+    for cls in (red, blue):
+        if not check(cls, u, v):
+            cls[u] |= 1 << v
+            cls[v] |= 1 << u
+            return red, blue, deleted
+    return None
+
+
 def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
     """Check that ``g`` arrows ``p`` while no proper subgraph does.
 
     Edge deletions suffice by monotonicity; isolated vertices violate
-    vertex-minimality on their own. One deletion is searched per orbit of
+    vertex-minimality on their own. One deletion is decided per orbit of
     Aut(g) on the edges, the orbit's least edge: for an automorphism sigma,
     g - sigma(e) is isomorphic to g - e, so the whole orbit shares its
-    verdict. The orbits are searched in the order of their least edges, so
+    verdict. The orbits are decided in the order of their least edges, so
     the first one whose deletion arrows gives the least such edge of ``g``,
-    ``failing_edge``. Every ``arrows`` call shares ``opts``. A target with
-    an isolated vertex raises ``InputError``.
+    ``failing_edge``. A deletion is searched only when the last good
+    colouring, of the previous deletion, restricted to it and with the
+    previously deleted edge recoloured, is not good (see the module
+    docstring). Every ``arrows`` call and the orbits share ``opts``. A
+    target with an isolated vertex raises ``InputError``.
     """
     _require_no_isolated(p)
+    budget = opts or Budget()
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
-    verdict = arrows(g, p, p, opts)
+    verdict = arrows(g, p, p, budget)
     if verdict.outcome is Outcome.UNDECIDED:
         return MinimalityReport(g, p, False, False, None, isolated)
     if verdict.outcome is Outcome.NOT_ARROW:
         return MinimalityReport(g, p, True, False, None, isolated)
+    check = arrowing._through_edge_checker(p)
+    good = None  # the last good colouring of a deletion
     failing = None
-    for orbit in edge_orbits(g):
-        u, v = orbit[0]
-        sub = arrows(g.without_edge(u, v), p, p, opts)
-        if sub.outcome is Outcome.UNDECIDED:
-            return MinimalityReport(g, p, False, True, None, isolated)
-        if sub.outcome is Outcome.ARROW:
-            failing = (u, v)
-            break
+    for orbit in edge_orbits(g, budget.deadline):
+        e = orbit[0]
+        h = g.without_edge(*e)
+        found = None if good is None else _recoloured(good, h, e, check)
+        if found is None:
+            sub = arrows(h, p, p, budget)
+            if sub.outcome is Outcome.UNDECIDED:
+                return MinimalityReport(g, p, False, True, None, isolated)
+            if sub.outcome is Outcome.ARROW:
+                failing = e
+                break
+            found = _good_classes(sub, e)
+        good = found
     return MinimalityReport(g, p, True, True, failing, isolated)
 
 
@@ -194,32 +250,42 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     isomorphic to it, and every later graph ``cur2`` is a subgraph of
     ``cur``, so ``cur2 - e2`` does not arrow either: the whole orbit is kept
     without a search. The orbits are those of the current graph; they are
-    computed again, when next needed, after each deletion. Every ``arrows``
-    call shares ``opts``. A target with an isolated vertex raises
-    ``InputError``."""
+    computed again, when next needed, after each deletion. A deletion is
+    searched only when the last good colouring, restricted to it and with
+    the last kept edge recoloured, is not good (see the module docstring):
+    the current graph has lost edges since that colouring was stored, but
+    kept that edge. Every ``arrows`` call and the orbits share ``opts``. A
+    target with an isolated vertex raises ``InputError``."""
     _require_no_isolated(p)
-    verdict = arrows(g, p, p, opts)
+    budget = opts or Budget()
+    verdict = arrows(g, p, p, budget)
     if verdict.outcome is Outcome.UNDECIDED:
         raise Undecided("arrowing of the input graph undecided within budget")
     if verdict.outcome is Outcome.NOT_ARROW:
         raise InputError("minimalize requires a graph that arrows the pattern")
+    check = arrowing._through_edge_checker(p)
+    good = None  # the last good colouring of a deletion
     cur = g
     orbits = None  # edge orbits of Aut(cur), None until needed
     kept: set[tuple[int, int]] = set()
-    for u, v in g.edges():
-        if not cur.has_edge(u, v) or (u, v) in kept:
+    for e in g.edges():
+        if not cur.has_edge(*e) or e in kept:
             continue
-        smaller = cur.without_edge(u, v)
-        sub = arrows(smaller, p, p, opts)
-        if sub.outcome is Outcome.UNDECIDED:
-            raise Undecided(f"deletion of edge ({u}, {v}) undecided within budget")
-        if sub.outcome is Outcome.ARROW:
-            cur = smaller
-            orbits = None
-            continue
+        smaller = cur.without_edge(*e)
+        found = None if good is None else _recoloured(good, smaller, e, check)
+        if found is None:
+            sub = arrows(smaller, p, p, budget)
+            if sub.outcome is Outcome.UNDECIDED:
+                raise Undecided(f"deletion of edge {e} undecided within budget")
+            if sub.outcome is Outcome.ARROW:
+                cur = smaller
+                orbits = None
+                continue
+            found = _good_classes(sub, e)
+        good = found
         if orbits is None:
-            orbits = edge_orbits(cur)
-        kept.update(next(orbit for orbit in orbits if (u, v) in orbit))
+            orbits = edge_orbits(cur, budget.deadline)
+        kept.update(next(orbit for orbit in orbits if e in orbit))
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
     return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
 

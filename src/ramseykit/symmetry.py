@@ -156,9 +156,10 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph.from_bits(*canonical_key(g))
 
 
-def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int, ...] | None:
+def _first_automorphism(g: Graph, cell: list[int], v: int, w: int, deadline) -> tuple[int, ...] | None:
     """The first automorphism, in backtrack order, that fixes ``0..v-1`` and
-    maps ``v`` to ``w``, or None when there is none.
+    maps ``v`` to ``w``, or None when there is none or ``deadline`` passes
+    first.
 
     The vertices after ``v`` are mapped one at a time, each into its own
     refinement class (``cell[x]`` is the mask of x's class), in an order that
@@ -180,23 +181,26 @@ def _first_automorphism(g: Graph, cell: list[int], v: int, w: int) -> tuple[int,
         order.append(x)
         placed |= 1 << x
 
-    if _map_rest(adj, cell, order, perm, 0, fixed | (1 << v), fixed | (1 << w)):
+    if _map_rest(adj, cell, order, perm, 0, fixed | (1 << v), fixed | (1 << w), deadline):
         return tuple(perm)
     return None
 
 
-def _map_rest(adj, cell: list, order: list, perm: list, t: int, dom: int, img: int) -> bool:
+def _map_rest(adj, cell: list, order: list, perm: list, t: int, dom: int, img: int, deadline) -> bool:
     """The backtrack of ``_first_automorphism``: extend ``perm``, which maps
     the vertices of ``dom`` onto those of ``img``, to ``order[t:]``; True
-    once every vertex is mapped."""
+    once every vertex is mapped. Every call checks ``deadline``, when given,
+    and once it has passed answers False, so the whole backtrack unwinds."""
     if t == len(order):
         return True
+    if deadline is not None and time.monotonic() > deadline:
+        return False
     x = order[t]
     target = mask_of(perm[u] for u in bits(adj[x] & dom))
     for y in bits(cell[x] & ~img):
         if adj[y] & img == target:
             perm[x] = y
-            if _map_rest(adj, cell, order, perm, t + 1, dom | (1 << x), img | (1 << y)):
+            if _map_rest(adj, cell, order, perm, t + 1, dom | (1 << x), img | (1 << y), deadline):
                 return True
     return False
 
@@ -214,9 +218,12 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
     ``0..v-1`` at every level, and at level 0 the whole group.
 
     ``deadline``, a ``time.monotonic()`` value, is checked before each
-    backtrack of ``_first_automorphism``; once it has passed, the
-    automorphisms found so far are returned. They still generate a subgroup
-    of Aut(g), which is all that lex-leader pruning needs.
+    backtrack of ``_first_automorphism`` and at every step inside it; once
+    it has passed, the automorphisms found so far are returned. A backtrack
+    cut short counts as one that found none, so the kept permutations still
+    generate a subgroup of Aut(g). That is all that lex-leader pruning
+    needs, and its orbits are finer than the group's, so a verdict shared
+    across one of them is still shared by isomorphic graphs.
     """
     n = g.n
     nbrs = [list(bits(row)) for row in g.adj]
@@ -247,7 +254,7 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 return out
-            sigma = _first_automorphism(g, cell, v, w)
+            sigma = _first_automorphism(g, cell, v, w, deadline)
             if sigma is None:
                 continue
             out.append(sigma)
@@ -316,8 +323,9 @@ def subset_orbit_reps(g: Graph) -> list[int]:
     return [orbit[0] for orbit in _orbits(size, images)]
 
 
-def edge_orbits(g: Graph) -> list[list[tuple[int, int]]]:
+def edge_orbits(g: Graph, deadline: float | None = None) -> list[list[tuple[int, int]]]:
     """The orbits of Aut(g) on the edges of ``g``, each ascending, listed by
-    least edge."""
+    least edge. Once ``deadline`` passes (see ``generators``) they are the
+    orbits of a subgroup, which split the group's orbits."""
     edges = g.edges()
-    return [[edges[j] for j in orbit] for orbit in _orbits(len(edges), edge_perms(g))]
+    return [[edges[j] for j in orbit] for orbit in _orbits(len(edges), edge_perms(g, deadline))]

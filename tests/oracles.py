@@ -12,7 +12,9 @@ purpose, so that each tests one choice only: the unfiltered enumeration
 deduplicates by the library's canonical key, testing which children
 enumeration tries; the per-edge minimality checks call the library's
 ``arrows`` once for every edge deletion, testing which deletions the
-library searches; the reference search takes its edge permutations from
+library searches, and the per-orbit ones once for every orbit of the
+library's ``symmetry.edge_orbits``, testing the library's reuse of good
+colourings between deletions; the reference search takes its edge permutations from
 ``symmetry.edge_perms``, the library's action of Aut(G) on edge indices,
 testing which nodes the library's search cuts with them; and
 ``automorphisms`` closes the library's
@@ -25,7 +27,7 @@ from ramseykit.arrowing import Outcome, arrows
 from ramseykit.graphs import Graph, induced_subgraph
 from ramseykit.minimal import MinimalityReport
 from ramseykit.patterns import Clique, CliquePendant, Colour, pattern_graph
-from ramseykit.symmetry import canonical_key, edge_perms, generators
+from ramseykit.symmetry import canonical_key, edge_orbits, edge_perms, generators
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -347,6 +349,34 @@ def per_edge_minimalize(g: Graph, p) -> Graph:
     for e in g.edges():
         if _decided_arrows(cur.without_edge(*e), p):
             cur = cur.without_edge(*e)
+    keep = [v for v in range(cur.n) if cur.degree(v) > 0]
+    return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
+
+
+def per_orbit_is_minimal(g: Graph, p) -> MinimalityReport:
+    """The minimality report from one search per edge orbit, the orbit's
+    least edge, in the order of least edges, with no colouring reused."""
+    isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
+    if not _decided_arrows(g, p):
+        return MinimalityReport(g, p, True, False, None, isolated)
+    reps = [orbit[0] for orbit in edge_orbits(g)]
+    failing = next((e for e in reps if _decided_arrows(g.without_edge(*e), p)), None)
+    return MinimalityReport(g, p, True, True, failing, isolated)
+
+
+def per_orbit_minimalize(g: Graph, p) -> Graph:
+    """``per_edge_minimalize`` that keeps, without a search, every edge in
+    the orbit of a kept edge under the automorphisms of the current graph,
+    and reuses no colouring."""
+    cur = g
+    kept = set()
+    for e in g.edges():
+        if not cur.has_edge(*e) or e in kept:
+            continue
+        if _decided_arrows(cur.without_edge(*e), p):
+            cur = cur.without_edge(*e)
+        else:
+            kept.update(next(orbit for orbit in edge_orbits(cur) if e in orbit))
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
     return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
 

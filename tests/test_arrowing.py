@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramseykit import arrowing, symmetry
+from ramseykit import arrowing, minimal, symmetry
 from ramseykit.arrowing import (
     Budget,
     EdgeColouring,
@@ -21,10 +21,10 @@ from ramseykit.arrowing import (
 )
 from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.errors import InputError
-from ramseykit.formats import graph6_encode
+from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph
-from ramseykit.minimal import enumerate_graphs, minimalize
+from ramseykit.minimal import enumerate_graphs, is_minimal, minimalize
 from ramseykit.patterns import (
     Arbitrary,
     Clique,
@@ -298,6 +298,41 @@ class TestArrows:
         assert calls[0] == 1
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
+
+    def test_a_backtrack_stops_at_the_deadline(self, monkeypatch):
+        # a rigid cubic graph on 12 vertices: every backtrack of its
+        # generators fails, in 80 steps together. A fake clock passes the
+        # deadline at the first step, which ends the backtrack and the
+        # generators there
+        g = graph6_decode("K_j?`cCGISAE")
+        now = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(arrowing, "time", clock)
+        monkeypatch.setattr(symmetry, "time", clock)
+        real = symmetry._map_rest
+        steps = [0]
+
+        def map_rest_that_uses_up_the_time(*args):
+            steps[0] += 1
+            now[0] = 601.0
+            return real(*args)
+
+        monkeypatch.setattr(symmetry, "_map_rest", map_rest_that_uses_up_the_time)
+        assert symmetry.generators(g, deadline=600.0) == []
+        assert steps[0] == 1
+        now[0] = 0.0
+        verdict = arrows(g, Clique(3), Clique(3), Budget(seconds=600))
+        assert steps[0] == 2
+        assert verdict.outcome is Outcome.UNDECIDED
+        assert verdict.nodes == 0
+
+    def test_backtracks_without_a_deadline_read_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock was read")
+
+        monkeypatch.setattr(symmetry, "time", SimpleNamespace(monotonic=no_clock))
+        assert symmetry.generators(graph6_decode("K_j?`cCGISAE")) == []
+        assert len(symmetry.generators(Graph.petersen())) > 0
 
     def test_deadline_is_checked_at_every_node(self, monkeypatch):
         # a clock that moves one second per reading passes a 5 s deadline
@@ -613,6 +648,29 @@ class TestNodeCounts:
         g = minimalize(pendant_gadget_k3(), CliquePendant(3))
         assert graph6_encode(g) == "P~~nNe??G@_F?N?M_FG@x_G?"
         assert check_count[0] <= 151131
+
+    def test_pendant_gadget_minimalize_reuses_colourings(self, check_count, monkeypatch):
+        # a deletion settled by the last good colouring with one edge
+        # recoloured is not searched: 11 searches of 5,504 nodes and
+        # 151,131 checks without the reuse
+        nodes = []
+        real = minimal.arrows
+
+        def spy(g, red, blue, opts=None):
+            verdict = real(g, red, blue, opts)
+            nodes.append(verdict.nodes)
+            return verdict
+
+        monkeypatch.setattr(minimal, "arrows", spy)
+        g = minimalize(pendant_gadget_k3(), CliquePendant(3))
+        assert graph6_encode(g) == "P~~nNe??G@_F?N?M_FG@x_G?"
+        assert len(nodes) <= 9
+        assert sum(nodes) <= 3146
+        assert check_count[0] <= 87772
+        nodes.clear()
+        # 8 searches without the reuse
+        assert is_minimal(g, CliquePendant(3)).is_minimal
+        assert len(nodes) <= 6
 
     def test_k13_witness_for_k3_k5(self):
         # the canonical witness is pinned byte for byte: no pruning rule may

@@ -22,8 +22,9 @@ from ramseykit.graphs import (
 
 from ramseykit.arrowing import arrows, find_pattern
 from ramseykit.cnf import solve_cnf, to_cnf
-from ramseykit.minimal import enumerate_graphs
-from ramseykit.patterns import Arbitrary, Clique, CliquePlusCliques
+from ramseykit.formats import graph6_decode
+from ramseykit.minimal import enumerate_graphs, is_minimal
+from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques
 from ramseykit.symmetry import canonical_key, generators
 
 from oracles import bfs_girth, brute_chromatic_number, brute_clique_number, brute_independence_number
@@ -312,9 +313,10 @@ class TestNoCyclicGarbage:
             lambda: arrows(Graph.complete(6), Clique(3), Clique(3)),
             lambda: solve_cnf(to_cnf(Graph.complete(6), Clique(3), Clique(3))),
             lambda: arrows(Graph.complete(8), Clique(3), CliquePlusCliques(3, 1, 3)),
+            lambda: is_minimal(graph6_decode("P~~nNe??G@_F?N?M_FG@x_G?"), CliquePendant(3)),
         ],
         ids=["canonical_key", "generators", "colourable", "clique_number", "hyper_alpha",
-             "find_pattern", "arrows", "solve_cnf", "arrows_plus"],
+             "find_pattern", "arrows", "solve_cnf", "arrows_plus", "is_minimal"],
     )
     def test_call_leaves_no_cycles(self, call):
         gc.collect()

@@ -1,13 +1,14 @@
 import hashlib
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
-from ramseykit import arrowing, minimal
+from ramseykit import arrowing, minimal, symmetry
 from ramseykit.errors import InputError, Undecided
-from ramseykit.arrowing import Budget, Outcome, arrows, ramsey_number
-from ramseykit.formats import graph6_encode
+from ramseykit.arrowing import Budget, EdgeColouring, Outcome, arrows, find_mono, ramsey_number
+from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph, colourable, components
 from ramseykit.minimal import (
@@ -20,7 +21,7 @@ from ramseykit.minimal import (
     is_minimal,
     minimalize,
 )
-from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques
+from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques, Colour
 from ramseykit.symmetry import (
     _canonical_columns,
     edge_orbits,
@@ -35,6 +36,8 @@ from oracles import (
     brute_subset_orbits,
     per_edge_is_minimal,
     per_edge_minimalize,
+    per_orbit_is_minimal,
+    per_orbit_minimalize,
     unfiltered_classes,
 )
 
@@ -295,6 +298,12 @@ class TestEdgeOrbits:
     def test_path(self):
         assert edge_orbits(Graph.path(4)) == [[(0, 1), (2, 3)], [(1, 2)]]
 
+    def test_passed_deadline_gives_finer_orbits(self):
+        # no generator is found once the deadline has passed: the orbits of
+        # the trivial subgroup split the one orbit of the Petersen graph
+        g = Graph.petersen()
+        assert edge_orbits(g, deadline=-1.0) == [[e] for e in g.edges()]
+
     def test_pendant_gadget(self):
         g = pendant_gadget()
         orbits = edge_orbits(g)
@@ -338,6 +347,74 @@ class TestOrbitSharing:
         # one search per edge orbit; one per edge would be 51 calls
         assert len(seen) <= 11
         assert sum(seen) <= 5_504
+
+
+class TestColouringReuse:
+    """A deletion that the last good colouring, restricted to it and with
+    one edge recoloured, settles is not searched; the reports and graphs are
+    those of one search per orbit, and every colouring the reuse builds is
+    good."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (graph, colouring) pairs the reuse builds, in order."""
+        out = []
+        real = minimal._recoloured
+
+        def spy(good, h, deleted, check):
+            found = real(good, h, deleted, check)
+            if found is not None:
+                out.append((h, found))
+            return found
+
+        monkeypatch.setattr(minimal, "_recoloured", spy)
+        return out
+
+    @staticmethod
+    def assert_good(h, found, p):
+        red, blue, deleted = found
+        assert not h.has_edge(*deleted)
+        assert all(r & b == 0 for r, b in zip(red, blue))
+        assert [r | b for r, b in zip(red, blue)] == list(h.adj)
+        colours = tuple(Colour.RED if (red[u] >> v) & 1 else Colour.BLUE for u, v in h.edges())
+        c = EdgeColouring(h, colours)
+        assert find_mono(c, p, Colour.RED) is None
+        assert find_mono(c, p, Colour.BLUE) is None
+
+    def assert_matches_reference(self, g, p, built) -> int:
+        """The number of colourings the reuse builds for ``g``."""
+        before = len(built)
+        rep = is_minimal(g, p)
+        assert rep == per_orbit_is_minimal(g, p)
+        if rep.is_ramsey:
+            assert minimalize(g, p) == per_orbit_minimalize(g, p)
+        for h, found in built[before:]:
+            self.assert_good(h, found, p)
+        return len(built) - before
+
+    @pytest.mark.parametrize("p", [Clique(3), CliquePendant(3)], ids=str)
+    def test_matches_per_orbit_search(self, p, built):
+        # a graph that arrows K3, or K3·K2, needs chi >= R(3, 3) = 6: the 97
+        # graphs on 6 to 8 vertices that need 6 colours. On 6 vertices that
+        # is K6, with one edge orbit, so only the larger ones reuse colourings
+        hosts = [g for g in enumerate_graphs(8) if g.n >= 6 and not colourable(g, 5)]
+        assert len(hosts) == 97
+        cases_with_reuse = 0
+        for g in hosts:
+            cases_with_reuse += self.assert_matches_reference(g, p, built) > 0
+        # hosts with a reuse, and colourings built
+        assert (cases_with_reuse, len(built)) == {Clique(3): (1, 4), CliquePendant(3): (53, 109)}[p]
+
+    @pytest.mark.parametrize(
+        "host, p, reuses",
+        [
+            (pendant_gadget, CliquePendant(3), 2),
+            (lambda: build_g0(3, Graph.petersen()).graph, Clique(3), 1),
+        ],
+        ids=["pendant", "g0-petersen"],
+    )
+    def test_gadgets_match_per_orbit_search(self, host, p, reuses, built):
+        assert self.assert_matches_reference(host(), p, built) == reuses
 
 
 class TestDegreeSurvey:
@@ -451,6 +528,53 @@ class TestSharedBudget:
         assert not rep.decided
         assert len(seen) > 1
         assert sum(nodes for _, nodes in seen) <= 20
+
+    def test_edge_orbits_share_the_deadline(self, monkeypatch):
+        deadlines = []
+        real = minimal.edge_orbits
+
+        def spy(g, deadline=None):
+            deadlines.append(deadline)
+            return real(g, deadline)
+
+        monkeypatch.setattr(minimal, "edge_orbits", spy)
+        budget = Budget(seconds=600)
+        is_minimal(Graph.complete(7), Clique(3), budget)
+        assert len(deadlines) == 1
+        minimalize(Graph.complete(7), Clique(3), budget)
+        assert len(deadlines) > 1
+        assert all(d == budget.deadline for d in deadlines)
+
+    def test_deadline_stops_the_orbit_generators(self, monkeypatch):
+        # a rigid cubic graph on 12 vertices arrows K2, and the generators
+        # of its trivial group fail 80 backtrack steps; a fake clock passes
+        # the deadline at the first step of the orbit computation, which
+        # stops it there and leaves the next search undecided
+        g = graph6_decode("K_j?`cCGISAE")
+        assert symmetry.generators(g) == []
+        now = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(arrowing, "time", clock)
+        monkeypatch.setattr(symmetry, "time", clock)
+        in_orbits = [False]
+        steps = [0]
+        real_orbits, real_map_rest = minimal.edge_orbits, symmetry._map_rest
+
+        def orbits(h, deadline=None):
+            in_orbits[0] = True
+            return real_orbits(h, deadline)
+
+        def map_rest_that_uses_up_the_time(*args):
+            if in_orbits[0]:
+                steps[0] += 1
+                now[0] = 601.0
+            return real_map_rest(*args)
+
+        monkeypatch.setattr(minimal, "edge_orbits", orbits)
+        monkeypatch.setattr(symmetry, "_map_rest", map_rest_that_uses_up_the_time)
+        rep = is_minimal(g, Clique(2), Budget(seconds=600))
+        assert rep.is_ramsey and not rep.decided
+        assert steps[0] == 1
 
     def test_spent_budget_is_undecided(self):
         spent = Budget(seconds=0)

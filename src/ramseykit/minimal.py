@@ -40,10 +40,23 @@ gave it and which was then kept; restricted to h it needs only uv. If
 ``arrowing._through_edge_checker`` allows uv red, or else blue, on the
 restricted classes (whose lack of a copy is the checker's precondition),
 the result is a good colouring of h, so h does not arrow the target, and
-it becomes the stored colouring. Otherwise h is searched, and a NOT_ARROW
-witness is stored in its place. One colouring is stored, so a deletion
-costs O(m) more work at most; the verdicts, and so the reports and graphs,
-are the ones one search per deletion gives.
+it becomes the stored colouring. Otherwise h is searched, and when h does
+not arrow, the search's good colouring of h, in h's labels, is stored in
+its place. One colouring is stored, so a deletion costs O(m) more work at
+most; the verdicts, and so the reports and graphs, are the ones one search
+per deletion gives.
+
+These loops, the survey and ``distinguish`` read verdicts only, so they
+search the host relabelled in smallest-last order (Matula & Beck, JACM
+1983; ``_search``). The search branches on edges in lexicographic order,
+and this order puts the dense core, where the copies of the target lie,
+first; the gadgets' construction labellings, and the canonical labellings
+the survey enumerates (ascending refinement class), put low-degree
+vertices first. The verdict does not depend on the labelling. The
+colouring mapped back from the relabelled witness is good but not the
+canonical witness of ``arrows``, so the colourings stored for reuse, and
+which deletions they settle, depend on the order, while the verdicts do
+not.
 """
 from __future__ import annotations
 
@@ -56,7 +69,7 @@ from . import arrowing
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
-from .graphs import Graph, clique_number, colourable, induced_subgraph, mask_of
+from .graphs import Graph, bits, clique_number, colourable, induced_subgraph, mask_of
 from .patterns import Clique, Colour, TargetPattern, pattern_graph, pattern_text
 from .symmetry import (
     canonical_graph,
@@ -169,12 +182,47 @@ def _require_no_isolated(p: TargetPattern) -> None:
         raise InputError(f"target {pattern_text(p)} has an isolated vertex; minimality needs none")
 
 
-def _good_classes(verdict, deleted: tuple[int, int]):
-    """The colouring to store after a NOT_ARROW search of a deletion: the
-    witness's red and blue class adjacencies and the deleted edge, which
-    the witness leaves uncoloured."""
+def _smallest_last(g: Graph) -> list[int]:
+    """The vertices of ``g`` in smallest-last order (Matula & Beck, JACM
+    1983): a vertex of least degree among those left, the least label on
+    ties, is deleted until none is left, and the order is the reverse of
+    the deletions, so the densest part of ``g`` comes first."""
+    left = (1 << g.n) - 1
+    deleted = []
+    while left:
+        v = min(bits(left), key=lambda w: (g.adj[w] & left).bit_count())
+        deleted.append(v)
+        left &= ~(1 << v)
+    return deleted[::-1]
+
+
+def _relabelled(adj, label: list[int]) -> tuple[int, ...]:
+    """The adjacency ``adj`` with each vertex v renamed ``label[v]``."""
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[label[v]] = mask_of(label[w] for w in bits(row))
+    return tuple(out)
+
+
+def _search(g: Graph, p: TargetPattern, budget: Budget):
+    """The outcome of ``arrows(g, p, p, budget)`` and, for NOT_ARROW, the red
+    and blue class adjacencies of a good colouring of ``g`` (else None).
+
+    The search runs on ``g`` relabelled in smallest-last order (see the
+    module docstring); the witness, mapped back to ``g``'s labels, is good
+    but not canonical."""
+    order = _smallest_last(g)
+    label = [0] * g.n
+    for i, v in enumerate(order):
+        label[v] = i
+    verdict = arrows(Graph._trusted(g.n, _relabelled(g.adj, label)), p, p, budget)
+    if verdict.outcome is not Outcome.NOT_ARROW:
+        return verdict.outcome, None
     w = verdict.witness
-    return w.class_adj(Colour.RED), w.class_adj(Colour.BLUE), deleted
+    return verdict.outcome, (
+        _relabelled(w.class_adj(Colour.RED), order),
+        _relabelled(w.class_adj(Colour.BLUE), order),
+    )
 
 
 def _recoloured(good, h: Graph, deleted: tuple[int, int], check):
@@ -215,10 +263,10 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
     _require_no_isolated(p)
     budget = opts or Budget()
     isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
-    verdict = arrows(g, p, p, budget)
-    if verdict.outcome is Outcome.UNDECIDED:
+    outcome, _ = _search(g, p, budget)
+    if outcome is Outcome.UNDECIDED:
         return MinimalityReport(g, p, False, False, None, isolated)
-    if verdict.outcome is Outcome.NOT_ARROW:
+    if outcome is Outcome.NOT_ARROW:
         return MinimalityReport(g, p, True, False, None, isolated)
     check = arrowing._through_edge_checker(p)
     good = None  # the last good colouring of a deletion
@@ -228,13 +276,13 @@ def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Minima
         h = g.without_edge(*e)
         found = None if good is None else _recoloured(good, h, e, check)
         if found is None:
-            sub = arrows(h, p, p, budget)
-            if sub.outcome is Outcome.UNDECIDED:
+            outcome, classes = _search(h, p, budget)
+            if outcome is Outcome.UNDECIDED:
                 return MinimalityReport(g, p, False, True, None, isolated)
-            if sub.outcome is Outcome.ARROW:
+            if outcome is Outcome.ARROW:
                 failing = e
                 break
-            found = _good_classes(sub, e)
+            found = (*classes, e)
         good = found
     return MinimalityReport(g, p, True, True, failing, isolated)
 
@@ -258,10 +306,10 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     target with an isolated vertex raises ``InputError``."""
     _require_no_isolated(p)
     budget = opts or Budget()
-    verdict = arrows(g, p, p, budget)
-    if verdict.outcome is Outcome.UNDECIDED:
+    outcome, _ = _search(g, p, budget)
+    if outcome is Outcome.UNDECIDED:
         raise Undecided("arrowing of the input graph undecided within budget")
-    if verdict.outcome is Outcome.NOT_ARROW:
+    if outcome is Outcome.NOT_ARROW:
         raise InputError("minimalize requires a graph that arrows the pattern")
     check = arrowing._through_edge_checker(p)
     good = None  # the last good colouring of a deletion
@@ -274,14 +322,14 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
         smaller = cur.without_edge(*e)
         found = None if good is None else _recoloured(good, smaller, e, check)
         if found is None:
-            sub = arrows(smaller, p, p, budget)
-            if sub.outcome is Outcome.UNDECIDED:
+            outcome, classes = _search(smaller, p, budget)
+            if outcome is Outcome.UNDECIDED:
                 raise Undecided(f"deletion of edge {e} undecided within budget")
-            if sub.outcome is Outcome.ARROW:
+            if outcome is Outcome.ARROW:
                 cur = smaller
                 orbits = None
                 continue
-            found = _good_classes(sub, e)
+            found = (*classes, e)
         good = found
         if orbits is None:
             orbits = edge_orbits(cur, budget.deadline)
@@ -458,16 +506,16 @@ def distinguish(
         checked += 1
         if colourable(g, chi_floor - 1):
             continue  # chi(G) < R(omega(h1), omega(h1)): G does not arrow h1
-        v1 = arrows(g, h1, h1, budget)
-        if v1.outcome is Outcome.UNDECIDED:
+        v1, _ = _search(g, h1, budget)
+        if v1 is Outcome.UNDECIDED:
             complete = False
             continue
-        if v1.outcome is not Outcome.ARROW:
+        if v1 is not Outcome.ARROW:
             continue
-        v2 = arrows(g, h2, h2, budget)
-        if v2.outcome is Outcome.UNDECIDED:
+        v2, _ = _search(g, h2, budget)
+        if v2 is Outcome.UNDECIDED:
             complete = False
             continue
-        if v2.outcome is Outcome.NOT_ARROW:
+        if v2 is Outcome.NOT_ARROW:
             return DistinguishReport(g, complete, checked)
     return DistinguishReport(None, complete, checked)

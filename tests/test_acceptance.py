@@ -334,3 +334,21 @@ def test_criterion_11_k3_plus_k2_is_not_ramsey_equivalent_to_k3():
     for colour in Colour:
         ok &= find_mono(verdict.witness, plus, colour) is None
     report(11, "k3-plus-k2-distinguished", ok, t0)
+
+
+def test_criterion_12_minimal_subgraphs_of_pendant_gadgets():
+    # s(K3·K2) = 2: greedy minimalization of the k = 3 pendant gadget keeps
+    # a Ramsey-minimal subgraph of minimum degree k - 1 = 2 for every seed
+    t0 = time.time()
+    ok = True
+    for seed, n, m, g6 in [
+        (Graph.cycle(5), 17, 49, "P~~nNe??G@_F?N?M_FG@x_G?"),
+        (Graph.cycle(7), 21, 65, "T~~nNF`{K??@?B?B_@w?\\?Bc?MG?[G?]E?G?"),
+        (Graph.petersen(), 17, 49, "P~zvvY??G@_F?M?N?Fo@u_G?"),
+    ]:
+        g = build_pendant_gadget(3, [build_g0(3, seed)] * 2).graph
+        out = minimalize(g, CliquePendant(3))
+        ok &= graph6_encode(out) == g6
+        ok &= (out.n, out.num_edges, min(out.degrees())) == (n, m, 2)
+    ok &= time.time() - t0 < 60
+    report(12, "pendant-gadget-minimalization", ok, t0)

@@ -236,8 +236,8 @@ class TestMinimalCommand:
         assert doc["minimalized_graph6"] is None
 
     def test_max_nodes_caps_the_whole_command(self, files, capsys, monkeypatch):
-        # K7: the report takes 26 nodes and the minimalization 164 more, at
-        # most 35 in one search
+        # K7: the report takes 26 nodes and the minimalization 106 more, at
+        # most 17 in one search
         path = files / "K7.g6"
         path.write_text(graph6_encode(Graph.complete(7)) + "\n")
         nodes = []

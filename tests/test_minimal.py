@@ -344,9 +344,11 @@ class TestOrbitSharing:
         monkeypatch.setattr(minimal, "arrows", spy)
         out = minimalize(pendant_gadget(), CliquePendant(3))
         assert graph6_encode(out) == "P~~nNe??G@_F?N?M_FG@x_G?"
-        # one search per edge orbit; one per edge would be 51 calls
+        # one search per edge orbit; one per edge would be 51 calls. The
+        # searches run on smallest-last relabellings: 538 nodes, and 3,146
+        # on the gadget's own labelling
         assert len(seen) <= 11
-        assert sum(seen) <= 5_504
+        assert sum(seen) <= 560
 
 
 class TestColouringReuse:
@@ -402,8 +404,9 @@ class TestColouringReuse:
         cases_with_reuse = 0
         for g in hosts:
             cases_with_reuse += self.assert_matches_reference(g, p, built) > 0
-        # hosts with a reuse, and colourings built
-        assert (cases_with_reuse, len(built)) == {Clique(3): (1, 4), CliquePendant(3): (53, 109)}[p]
+        # hosts with a reuse, and colourings built; the stored colourings
+        # come from searches of smallest-last relabellings
+        assert (cases_with_reuse, len(built)) == {Clique(3): (1, 4), CliquePendant(3): (55, 109)}[p]
 
     @pytest.mark.parametrize(
         "host, p, reuses",
@@ -415,6 +418,43 @@ class TestColouringReuse:
     )
     def test_gadgets_match_per_orbit_search(self, host, p, reuses, built):
         assert self.assert_matches_reference(host(), p, built) == reuses
+
+
+class TestSmallestLastSearch:
+    """Minimality checks search a smallest-last relabelling of the host and
+    get the verdict of ``arrows`` and a good colouring of the host."""
+
+    def test_order(self):
+        for g in labellings(6, seed=21):
+            order = minimal._smallest_last(g)
+            assert sorted(order) == list(range(g.n))
+            assert minimal._smallest_last(g) == order
+            # each vertex has the least degree, then the least label, among
+            # itself and the vertices before it
+            for i, v in enumerate(order):
+                before = order[: i + 1]
+                degree = {w: sum(g.has_edge(w, x) for x in before) for w in before}
+                assert v == min(before, key=lambda w: (degree[w], w))
+        assert minimal._smallest_last(Graph.complete(5)) == [4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "p", [Clique(3), CliquePendant(3), CliquePlusCliques(3, 1, 3)], ids=str
+    )
+    def test_matches_arrows(self, p):
+        for g in labellings(6, seed=22):
+            outcome, classes = minimal._search(g, p, Budget())
+            assert outcome is arrows(g, p, p).outcome
+            if outcome is not Outcome.NOT_ARROW:
+                assert classes is None
+                continue
+            red, blue = classes
+            assert all(r & b == 0 for r, b in zip(red, blue))
+            assert [r | b for r, b in zip(red, blue)] == list(g.adj)
+            c = EdgeColouring(
+                g, tuple(Colour.RED if (red[u] >> v) & 1 else Colour.BLUE for u, v in g.edges())
+            )
+            assert find_mono(c, p, Colour.RED) is None
+            assert find_mono(c, p, Colour.BLUE) is None
 
 
 class TestDegreeSurvey:
@@ -523,7 +563,7 @@ class TestSharedBudget:
         self.assert_shared(seen, budget)
 
     def test_node_cap_covers_all_calls(self, seen):
-        # K6 and K6 - e take 13 nodes each: each call fits in 20, both do not
+        # K6 takes 13 nodes and K6 - e 9: each call fits in 20, both do not
         rep = is_minimal(Graph.complete(6), Clique(3), Budget(nodes=20))
         assert not rep.decided
         assert len(seen) > 1

@@ -4,11 +4,9 @@ from .arrowing import (
     ArrowingVerdict,
     Budget,
     EdgeColouring,
-    EpsilonReport,
     Outcome,
     RamseyNumberReport,
     arrows,
-    epsilon_arrows,
     find_mono,
     find_pattern,
     ramsey_number,

@@ -47,14 +47,11 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import ceil
 from typing import Iterator, Mapping, Optional
 
 from .errors import FormatError, InputError
 from .formats import read_counted_lines
-from .graphs import Graph, bits, induced_subgraph, mask_of
+from .graphs import Graph, bits, mask_of
 from .patterns import (
     Arbitrary,
     Clique,
@@ -75,8 +72,6 @@ __all__ = [
     "find_mono",
     "find_pattern",
     "arrows",
-    "epsilon_arrows",
-    "EpsilonReport",
     "ramsey_number",
     "RamseyNumberReport",
     "write_colouring",
@@ -689,51 +684,6 @@ def arrows(
         budget.nodes_left -= nodes
     witness = None if wit is None else EdgeColouring(g, wit)
     return ArrowingVerdict(outcome, witness, nodes, time.monotonic() - start)
-
-
-# -- epsilon arrowing -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    holds: bool | None  # None when undecided within budget
-    subset_size: int
-    failing_subset: tuple[int, ...] | None
-    subsets_checked: int
-
-
-def _eps_fraction(eps) -> Fraction:
-    """``eps`` as an exact fraction, a float read as its shortest decimal
-    form; InputError unless it lies in (0, 1]."""
-    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-    if not 0 < eps <= 1:
-        raise InputError("eps must lie in (0, 1]")
-    return eps
-
-
-def epsilon_arrows(
-    f: Graph,
-    p: TargetPattern,
-    eps,
-    opts: Budget | None = None,
-) -> EpsilonReport:
-    """Check that every induced subgraph on ceil(eps * n) vertices arrows ``p``
-    in both colours. Supersets inherit arrowing by monotonicity, so only the
-    minimum subset size is tested. ``eps`` must lie in (0, 1]."""
-    eps = _eps_fraction(eps)
-    size = ceil(eps * f.n)
-    budget = opts or Budget()
-    checked = 0
-    for subset in combinations(range(f.n), size):
-        if budget.spent():
-            return EpsilonReport(None, size, None, checked)
-        verdict = arrows(induced_subgraph(f, subset), p, p, budget)
-        checked += 1
-        if verdict.outcome is Outcome.UNDECIDED:
-            return EpsilonReport(None, size, None, checked)
-        if verdict.outcome is Outcome.NOT_ARROW:
-            return EpsilonReport(False, size, subset, checked)
-    return EpsilonReport(True, size, None, checked)
 
 
 # -- Ramsey numbers --------------------------------------------------------------

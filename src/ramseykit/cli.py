@@ -41,7 +41,7 @@ from .gadgets import (
     gen_hypergraph,
     schedule_params,
 )
-from .minimal import degree_survey, distinguish, is_minimal, minimalize
+from .minimal import _minimality, _minimalized, degree_survey, distinguish
 from .patterns import parse_pattern, pattern_text
 
 EXIT_OK = 0
@@ -165,7 +165,9 @@ def _cmd_minimal(args) -> int:
     budget = _options(args)
     g = read_graph(args.graph)
     p = parse_pattern(args.pattern)
-    report = is_minimal(g, p, budget)
+    # the report reads the first part of minimalize's pass, and
+    # --minimalize runs the rest of the same pass
+    report, rest = _minimality(g, p, budget)
     payload = {
         "pattern": pattern_text(p),
         "decided": report.decided,
@@ -178,7 +180,7 @@ def _cmd_minimal(args) -> int:
     if args.minimalize and report.decided and report.is_ramsey:
         # a minimalization cut by the budget keeps the decided report
         try:
-            reduced = minimalize(g, p, budget)
+            reduced = _minimalized(g, rest)
         except Undecided:
             reduced = None
         payload["minimalized_graph6"] = None if reduced is None else graph6_encode(reduced)
@@ -243,7 +245,7 @@ def _cmd_gadget_product(args) -> int:
     g0 = read_graph(args.g0)
     fs = [read_graph(path) for path in args.blocks]
     params = schedule_params(args.k, args.t, args.r_value, [f.n for f in fs], budget)
-    bg = build_product(params, g0, fs, strict=args.strict, opts=budget)
+    bg = build_product(params, g0, fs)
     payload = {
         "gadget": "product",
         "k": args.k,
@@ -405,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r-value", type=int, default=None, dest="r_value")
     g.add_argument("--g0", required=True, help="template graph file")
     g.add_argument("--blocks", nargs="+", required=True, help="block graph files")
-    g.add_argument(
-        "--strict",
-        action="store_true",
-        help="certify every block against its shrink factor; fails for blocks "
-        "of at most 2^(r_value + k - 1) vertices, which are certified on "
-        "single vertices",
-    )
     g.add_argument("-o", "--out", required=True)
     common(g)
     g.set_defaults(func=_cmd_gadget_product)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arrowing import Budget, EdgeColouring, _eps_fraction, epsilon_arrows, find_mono, ramsey_number
+from .arrowing import Budget, EdgeColouring, find_mono, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
 from .graphs import (
@@ -223,6 +223,15 @@ def blockgraph_from_json(text: str) -> BlockGraph:
 # -- randomized hypergraph generation ----------------------------------------------
 
 
+def _eps_fraction(eps) -> Fraction:
+    """``eps`` as an exact fraction, a float read as its shortest decimal
+    form; InputError unless it lies in (0, 1]."""
+    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 < eps <= 1:
+        raise InputError("eps must lie in (0, 1]")
+    return eps
+
+
 def gen_hypergraph(
     u: int,
     girth_min: int,
@@ -413,26 +422,16 @@ def assemble_product(h: int, g0: Graph, fs: Sequence[Graph]) -> tuple[Graph, dic
     return Graph.from_edges(off, edges), blocks
 
 
-def build_product(
-    params: GadgetParams,
-    g0: Graph,
-    fs: Sequence[Graph],
-    strict: bool = False,
-    opts: Budget | None = None,
-) -> BlockGraph:
+def build_product(params: GadgetParams, g0: Graph, fs: Sequence[Graph]) -> BlockGraph:
     """Product instance under ``params``.
 
-    Always enforces the clique-freeness preconditions: the template must be
-    K_{k-1}-free and every block K_t-free. ``strict`` additionally certifies
-    every block against its scheduled shrink factor (block j must arrow
-    K_{t-1} on every ceil(eps_j * v) vertices); relaxed mode skips only that
-    certification. Every eps_j is at most 2^-h with h = r_value + k - 1 >= 5,
-    so a block of at most 2^h vertices is certified on single vertices,
-    which arrow nothing: ``strict`` fails for every block small enough to
-    search (``schedule_params(4, 3, 4, [v] * 5)`` gives ceil(eps_j * v) = 1
-    for v = 5, 10 and 20) and can pass only for far larger blocks.
-    The certifications share the budget ``opts``; one that it leaves
-    undecided raises ``Undecided``.
+    Enforces the clique-freeness preconditions: the template must be
+    K_{k-1}-free and every block K_t-free. The blocks are not certified
+    against their scheduled shrink factors (block j arrowing K_{t-1} on
+    every ceil(eps_j * v) vertices): every eps_j is at most 2^-h with
+    h = r_value + k - 1 >= 5, so a block of at most 2^h vertices would be
+    certified on single vertices, which arrow nothing, and larger blocks
+    have too many subsets to search.
     """
     if len(fs) != g0.n or params.n0 != g0.n:
         raise InputError("template order, block count, and schedule must agree")
@@ -447,23 +446,13 @@ def build_product(
             raise InputError(
                 f"block {j + 1} contains a K_{params.t}; blocks must be K_{params.t}-free"
             )
-    if strict:
-        for j, f in enumerate(fs):
-            rep = epsilon_arrows(f, Clique(params.t - 1), params.eps_schedule[j], opts)
-            if rep.holds is None:
-                raise Undecided(f"block {j + 1} shrink certification undecided within budget")
-            if not rep.holds:
-                raise InputError(
-                    f"block {j + 1} fails its shrink certification: subsets of "
-                    f"size {rep.subset_size} do not all arrow K_{params.t - 1}"
-                )
     graph, blocks = assemble_product(params.h, g0, fs)
     return BlockGraph(
         graph=graph,
         blocks=blocks,
         special={},
         provenance="build_product",
-        meta={"k": params.k, "t": params.t, "strict": strict},
+        meta={"k": params.k, "t": params.t},
         params=params,
         g0=g0,
     )

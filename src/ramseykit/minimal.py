@@ -22,18 +22,26 @@ vertices of a K_w in G have distinct colours, so a monochromatic K_w in G
 would give one in K_{chi(G)}. The pulled-back colouring thus has no
 monochromatic K_w, and no monochromatic H, which contains a K_w.
 
-``is_minimal`` and ``minimalize`` search one edge deletion per orbit of
-Aut(G) on the edges (``symmetry.edge_orbits``): an automorphism sigma maps
-G - e onto G - sigma(e), so every edge of an orbit has the same verdict.
-``minimalize`` keeps a whole orbit once one deletion from it breaks
-arrowing; by monotonicity the later, smaller graphs cannot arrow without
-those edges either. The orbits come from ``generators`` under the caller's
-deadline; cut short, they are the orbits of a subgroup, which are finer,
-so sharing one verdict per orbit stays sound.
+``is_minimal`` and ``minimalize`` run one deletion pass (``_deletions``):
+it tries the edges of G in lexicographic order and deletes each one whose
+deletion still arrows. One pass suffices, since an edge whose deletion
+broke arrowing cannot become deletable after further deletions
+(monotonicity). A kept edge e keeps its whole orbit under Aut(cur), cur the
+current graph (``symmetry.edge_orbits``): an automorphism sigma maps
+cur - e onto cur - sigma(e), and every later graph is a subgraph of cur, so
+no deletion from the orbit can arrow. Until the first deletion, then, the
+edges tried are the least edges of the orbits of Aut(G), in order, and the
+first edge deleted is the least edge of G whose deletion arrows.
+``is_minimal`` stops there and reports it as ``failing_edge``;
+``minimalize`` runs the pass to the end, and ``minimal --minimalize`` reads
+its report from the first part and runs the rest of the same pass. The
+orbits are computed when an edge is first kept, and again after each
+deletion, under the caller's deadline; cut short, they are the orbits of a
+subgroup, which are finer, so sharing one verdict per orbit stays sound.
 
-Both loops keep the last good colouring they hold, a colouring with no
-monochromatic copy of the target, and try it on a deletion before they
-search it. A restriction of a good colouring to a subgraph is good, since
+The pass keeps the last good colouring it holds, a colouring with no
+monochromatic copy of the target, and tries it on a deletion before it
+searches it. A restriction of a good colouring to a subgraph is good, since
 each colour class only loses edges. The stored colouring colours a graph
 with every edge of the next deletion h but one, uv, the edge whose deletion
 gave it and which was then kept; restricted to h it needs only uv. If
@@ -46,7 +54,7 @@ its place. One colouring is stored, so a deletion costs O(m) more work at
 most; the verdicts, and so the reports and graphs, are the ones one search
 per deletion gives.
 
-These loops, the survey and ``distinguish`` read verdicts only, so they
+The pass, the survey and ``distinguish`` read verdicts only, so they
 search the host relabelled in smallest-last order (Matula & Beck, JACM
 1983; ``_search``). The search branches on edges in lexicographic order,
 and this order puts the dense core, where the copies of the target lie,
@@ -63,6 +71,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from . import arrowing
@@ -245,97 +254,96 @@ def _recoloured(good, h: Graph, deleted: tuple[int, int], check):
     return None
 
 
-def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
-    """Check that ``g`` arrows ``p`` while no proper subgraph does.
-
-    Edge deletions suffice by monotonicity; isolated vertices violate
-    vertex-minimality on their own. One deletion is decided per orbit of
-    Aut(g) on the edges, the orbit's least edge: for an automorphism sigma,
-    g - sigma(e) is isomorphic to g - e, so the whole orbit shares its
-    verdict. The orbits are decided in the order of their least edges, so
-    the first one whose deletion arrows gives the least such edge of ``g``,
-    ``failing_edge``. A deletion is searched only when the last good
-    colouring, of the previous deletion, restricted to it and with the
-    previously deleted edge recoloured, is not good (see the module
-    docstring). Every ``arrows`` call and the orbits share ``opts``. A
-    target with an isolated vertex raises ``InputError``.
-    """
-    _require_no_isolated(p)
-    budget = opts or Budget()
-    isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
-    outcome, _ = _search(g, p, budget)
-    if outcome is Outcome.UNDECIDED:
-        return MinimalityReport(g, p, False, False, None, isolated)
-    if outcome is Outcome.NOT_ARROW:
-        return MinimalityReport(g, p, True, False, None, isolated)
-    check = arrowing._through_edge_checker(p)
-    good = None  # the last good colouring of a deletion
-    failing = None
-    for orbit in edge_orbits(g, budget.deadline):
-        e = orbit[0]
-        h = g.without_edge(*e)
-        found = None if good is None else _recoloured(good, h, e, check)
-        if found is None:
-            outcome, classes = _search(h, p, budget)
-            if outcome is Outcome.UNDECIDED:
-                return MinimalityReport(g, p, False, True, None, isolated)
-            if outcome is Outcome.ARROW:
-                failing = e
-                break
-            found = (*classes, e)
-        good = found
-    return MinimalityReport(g, p, True, True, failing, isolated)
-
-
-def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
-    """Greedy minimal Ramsey subgraph: delete edges in lexicographic order
-    whenever arrowing survives, then drop isolated vertices.
-
-    One pass suffices: an edge whose deletion broke arrowing once can never
-    become deletable after further deletions (monotonicity). The same
-    argument spares searches. When ``cur - e`` does not arrow, neither does
-    ``cur - e2`` for any e2 in the orbit of e under Aut(cur), which is
-    isomorphic to it, and every later graph ``cur2`` is a subgraph of
-    ``cur``, so ``cur2 - e2`` does not arrow either: the whole orbit is kept
-    without a search. The orbits are those of the current graph; they are
-    computed again, when next needed, after each deletion. A deletion is
-    searched only when the last good colouring, restricted to it and with
-    the last kept edge recoloured, is not good (see the module docstring):
-    the current graph has lost edges since that colouring was stored, but
-    kept that edge. Every ``arrows`` call and the orbits share ``opts``. A
-    target with an isolated vertex raises ``InputError``."""
-    _require_no_isolated(p)
-    budget = opts or Budget()
-    outcome, _ = _search(g, p, budget)
-    if outcome is Outcome.UNDECIDED:
-        raise Undecided("arrowing of the input graph undecided within budget")
-    if outcome is Outcome.NOT_ARROW:
-        raise InputError("minimalize requires a graph that arrows the pattern")
+def _deletions(
+    g: Graph, p: TargetPattern, budget: Budget
+) -> Iterator[tuple[tuple[int, int], Optional[Graph]]]:
+    """The deletion pass over ``g``, which arrows ``p`` (see the module
+    docstring): each deleted edge e with the graph left after it, ended by
+    (e, None) at an undecided deletion. A deletion the last good colouring
+    settles is not searched. The searches and the orbits share ``budget``."""
     check = arrowing._through_edge_checker(p)
     good = None  # the last good colouring of a deletion
     cur = g
     orbits = None  # edge orbits of Aut(cur), None until needed
     kept: set[tuple[int, int]] = set()
     for e in g.edges():
-        if not cur.has_edge(*e) or e in kept:
+        if e in kept:
             continue
         smaller = cur.without_edge(*e)
         found = None if good is None else _recoloured(good, smaller, e, check)
         if found is None:
             outcome, classes = _search(smaller, p, budget)
             if outcome is Outcome.UNDECIDED:
-                raise Undecided(f"deletion of edge {e} undecided within budget")
+                yield e, None
+                return
             if outcome is Outcome.ARROW:
                 cur = smaller
                 orbits = None
+                yield e, cur
                 continue
             found = (*classes, e)
         good = found
         if orbits is None:
             orbits = edge_orbits(cur, budget.deadline)
         kept.update(next(orbit for orbit in orbits if e in orbit))
+
+
+def _minimality(g: Graph, p: TargetPattern, budget: Budget) -> tuple[MinimalityReport, Iterator]:
+    """The report of ``is_minimal``, read from the pass up to its first
+    deletion, and the rest of the pass from that deletion on, which
+    ``_minimalized`` runs; the rest is empty unless ``g`` arrows ``p``."""
+    _require_no_isolated(p)
+    isolated = tuple(v for v in range(g.n) if g.degree(v) == 0)
+    outcome, _ = _search(g, p, budget)
+    if outcome is not Outcome.ARROW:
+        decided = outcome is Outcome.NOT_ARROW
+        return MinimalityReport(g, p, decided, False, None, isolated), iter(())
+    rest = _deletions(g, p, budget)
+    first = next(rest, None)
+    if first is None:
+        return MinimalityReport(g, p, True, True, None, isolated), rest
+    e, left = first
+    decided = left is not None
+    report = MinimalityReport(g, p, decided, True, e if decided else None, isolated)
+    return report, chain([first], rest)
+
+
+def _minimalized(g: Graph, rest: Iterator) -> Graph:
+    """What the pass ``rest`` leaves of ``g``, without isolated vertices;
+    ``Undecided`` when one of its deletions is."""
+    cur = g
+    for e, cur in rest:
+        if cur is None:
+            raise Undecided(f"deletion of edge {e} undecided within budget")
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
     return induced_subgraph(cur, keep) if len(keep) < cur.n else cur
+
+
+def is_minimal(g: Graph, p: TargetPattern, opts: Budget | None = None) -> MinimalityReport:
+    """Check that ``g`` arrows ``p`` while no proper subgraph does.
+
+    Edge deletions suffice by monotonicity; isolated vertices violate
+    vertex-minimality on their own. The deletions tried are those of
+    ``minimalize``'s pass up to its first: one per orbit of Aut(g) on the
+    edges, the orbit's least edge, since g - sigma(e) is isomorphic to
+    g - e (see the module docstring). The first that still arrows is
+    ``failing_edge``. Every ``arrows`` call and the orbits share ``opts``.
+    A target with an isolated vertex raises ``InputError``.
+    """
+    return _minimality(g, p, opts or Budget())[0]
+
+
+def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
+    """Greedy minimal Ramsey subgraph: delete edges in lexicographic order
+    whenever arrowing survives, then drop isolated vertices (the pass of the
+    module docstring). Every ``arrows`` call and the orbits share ``opts``.
+    A target with an isolated vertex raises ``InputError``."""
+    report, rest = _minimality(g, p, opts or Budget())
+    if not report.is_ramsey:
+        if not report.decided:
+            raise Undecided("arrowing of the input graph undecided within budget")
+        raise InputError("minimalize requires a graph that arrows the pattern")
+    return _minimalized(g, rest)
 
 
 # -- the chromatic prefilter ----------------------------------------------------

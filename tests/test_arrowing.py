@@ -1,7 +1,6 @@
 import hashlib
 import random
 import time
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -13,7 +12,6 @@ from ramseykit.arrowing import (
     EdgeColouring,
     Outcome,
     arrows,
-    epsilon_arrows,
     find_mono,
     find_pattern,
     ramsey_number,
@@ -694,44 +692,6 @@ class TestNodeCounts:
         assert verdict.outcome is Outcome.NOT_ARROW
         for colour in Colour:
             assert find_mono(verdict.witness, CliquePendant(4), colour) is None
-
-
-class TestEpsilonArrows:
-    def test_half_of_c5(self):
-        rep = epsilon_arrows(Graph.cycle(5), Clique(2), Fraction(1, 2))
-        assert rep.holds is True and rep.subset_size == 3
-
-    def test_two_fifths_of_c5(self):
-        rep = epsilon_arrows(Graph.cycle(5), Clique(2), Fraction(2, 5))
-        assert rep.holds is False and rep.subset_size == 2
-        assert rep.failing_subset == (0, 2)
-
-    def test_whole_triangle_fails(self):
-        rep = epsilon_arrows(Graph.complete(3), Clique(3), 1)
-        assert rep.holds is False
-
-    def test_eps_out_of_range(self):
-        with pytest.raises(InputError):
-            epsilon_arrows(Graph.cycle(5), Clique(2), 0)
-
-    def test_budget_covers_all_subsets(self, monkeypatch):
-        seen = []
-        real = arrowing.arrows
-
-        def spy(g, red, blue, opts=None):
-            seen.append(opts)
-            return real(g, red, blue, opts)
-
-        monkeypatch.setattr(arrowing, "arrows", spy)
-        budget = Budget(seconds=60, nodes=10**9)
-        # the 7 subsets of size 6 are all K6, which arrows K3
-        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), budget)
-        assert rep.holds is True and len(seen) == 7
-        assert all(b is budget for b in seen)
-
-    def test_spent_budget_is_undecided(self):
-        rep = epsilon_arrows(Graph.complete(7), Clique(3), Fraction(6, 7), Budget(seconds=0))
-        assert rep.holds is None and rep.subsets_checked == 0
 
 
 class TestRamseyNumber:

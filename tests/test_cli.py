@@ -9,7 +9,6 @@ import pytest
 from ramseykit import cli, gadgets, minimal
 from ramseykit.arrowing import Budget, find_mono, read_colouring
 from ramseykit.cli import main
-from ramseykit.errors import Undecided
 from ramseykit.formats import graph6_encode, read_graphs, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
@@ -187,18 +186,21 @@ class TestMinimalCommand:
         assert error_of(capsys, argv) == (3, "input-error")
 
     def test_minimalize_gets_only_the_time_left(self, files, capsys, monkeypatch):
-        # the report and the minimalization share the command's one budget
-        seen = []
+        # the report and the minimalization are one pass on the command's
+        # one budget
+        budgets, seen = [], []
+        real_options, real_arrows = cli._options, minimal.arrows
 
-        def recording(real):
-            def spy(g, p, opts=None):
-                seen.append(opts)
-                return real(g, p, opts)
+        def options(args):
+            budgets.append(real_options(args))
+            return budgets[-1]
 
-            return spy
+        def spy(g, red, blue, opts=None):
+            seen.append(opts)
+            return real_arrows(g, red, blue, opts)
 
-        monkeypatch.setattr(cli, "is_minimal", recording(cli.is_minimal))
-        monkeypatch.setattr(cli, "minimalize", recording(cli.minimalize))
+        monkeypatch.setattr(cli, "_options", options)
+        monkeypatch.setattr(minimal, "arrows", spy)
         code, out = run(
             capsys,
             ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
@@ -206,38 +208,37 @@ class TestMinimalCommand:
         )
         assert code == 0
         assert json.loads(out)["minimalized_graph6"] == graph6_encode(Graph.complete(6))
-        assert len(seen) == 2 and isinstance(seen[0], Budget) and seen[1] is seen[0]
+        assert len(budgets) == 1 and isinstance(budgets[0], Budget)
+        assert seen and all(b is budgets[0] for b in seen)
 
     @pytest.mark.parametrize("spent", [False, True])
     def test_undecided_minimalization_keeps_the_report(self, files, capsys, monkeypatch, spent):
-        # the budget is spent before minimalize would run, or minimalize raises
-        if spent:
-            real = cli.is_minimal
+        # K7 is not minimal, so its report ends at the pass's first deletion,
+        # and the rest of the pass runs out of nodes: spent before its next
+        # search, or one node left, which that search overruns
+        path = files / "K7.g6"
+        path.write_text(graph6_encode(Graph.complete(7)) + "\n")
+        real = cli._minimality
 
-            def decide_then_spend(g, p, opts=None):
-                report = real(g, p, opts)
-                opts.nodes_left = 0
-                return report
+        def decide_then_spend(g, p, budget):
+            report, rest = real(g, p, budget)
+            budget.nodes_left = 0 if spent else 1
+            return report, rest
 
-            monkeypatch.setattr(cli, "is_minimal", decide_then_spend)
-        else:
-            def undecided(g, p, opts=None):
-                raise Undecided("deletion of edge (0, 1) undecided within budget")
-
-            monkeypatch.setattr(cli, "minimalize", undecided)
+        monkeypatch.setattr(cli, "_minimality", decide_then_spend)
         code, out = run(
             capsys,
-            ["minimal", str(files / "K6.g6"), "--pattern", "K3", "--minimalize",
+            ["minimal", str(path), "--pattern", "K3", "--minimalize",
              "--budget", "60", "--no-timing"],
         )
         assert code == 10
         doc = json.loads(out)
-        assert doc["decided"] and doc["is_ramsey"] and doc["is_minimal"]
+        assert doc["decided"] and doc["is_ramsey"] and doc["failing_edge"] == [0, 1]
         assert doc["minimalized_graph6"] is None
 
     def test_max_nodes_caps_the_whole_command(self, files, capsys, monkeypatch):
-        # K7: the report takes 26 nodes and the minimalization 106 more, at
-        # most 17 in one search
+        # K7: the report takes 26 of the pass's 106 nodes, at most 17 in one
+        # search
         path = files / "K7.g6"
         path.write_text(graph6_encode(Graph.complete(7)) + "\n")
         nodes = []
@@ -258,6 +259,30 @@ class TestMinimalCommand:
         doc = json.loads(out)
         assert doc["decided"] and doc["minimalized_graph6"] is None
         assert sum(nodes) <= 100
+
+    def test_report_and_minimalization_search_once(self, files, capsys, monkeypatch):
+        # the k = 3 pendant gadget: the report's 5 searches are the first 5
+        # of the pass's 9, and the minimalization does not make them again
+        g0 = gadgets.build_g0(3, Graph.cycle(5))
+        path = files / "pendant.g6"
+        path.write_text(graph6_encode(gadgets.build_pendant_gadget(3, [g0, g0]).graph) + "\n")
+        nodes = []
+        real = minimal.arrows
+
+        def spy(g, red, blue, opts=None):
+            verdict = real(g, red, blue, opts)
+            nodes.append(verdict.nodes)
+            return verdict
+
+        monkeypatch.setattr(minimal, "arrows", spy)
+        code = main(["minimal", str(path), "--pattern", "K3.K2", "--minimalize", "--no-timing"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{"decided":true,"failing_edge":[0,9],"is_minimal":false,"is_ramsey":true,'
+            '"isolated_vertices":[],"minimalized_graph6":"P~~nNe??G@_F?N?M_FG@x_G?",'
+            '"pattern":"K3.K2"}\n'
+        )
+        assert len(nodes) == 9 and sum(nodes) == 538
 
 
 class TestSurveyCommand:
@@ -372,17 +397,40 @@ class TestGadgetCommands:
         assert doc["status"] == "ok" and doc["verified"]
         assert doc["J"] == [1, 2, 3, 4, 5]
 
-    def test_strict_product_out_of_budget_is_undecided(self, files, capsys):
+    def test_strict_is_a_usage_error(self, files, capsys):
         blocks = [str(files / "C5.g6")] * 5
-        code = main(
+        argv = ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
+                "--g0", str(files / "C5.g6"), "--blocks", *blocks, "--strict",
+                "-o", str(files / "prod.json")]
+        assert error_of(capsys, argv) == (2, "usage-error")
+        assert not (files / "prod.json").exists()
+
+    def test_strict_meta_key_still_loads(self, files, capsys):
+        # block-graph documents written when ``gadget product`` took
+        # --strict carry "strict": false in their meta
+        prod = files / "prod.json"
+        run(
+            capsys,
             ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
-             "--g0", str(files / "C5.g6"), "--blocks", *blocks, "--strict",
-             "--max-nodes", "0", "-o", str(files / "prod.json")]
+             "--g0", str(files / "C5.g6"), "--blocks", *[str(files / "C5.g6")] * 5,
+             "-o", str(prod), "--no-timing"],
         )
-        captured = capsys.readouterr()
-        assert code == 10
-        assert captured.out == ""
-        assert json.loads(captured.err)["error"] == "undecided"
+        doc = json.loads(prod.read_text())
+        assert doc["meta"] == {"k": 4, "t": 3}
+        doc["meta"]["strict"] = False
+        old = files / "old.json"
+        old.write_text(json.dumps(doc))
+        col = files / "g2.txt"
+        run(capsys, ["colour", str(prod), "--kind", "g2", "-o", str(col)])
+        outputs = []
+        for path in (prod, old):
+            code, coloured = run(capsys, ["colour", str(path), "--kind", "g2", "--check", "--no-timing"])
+            assert code == 0
+            code, focused = run(capsys, ["focus", str(path), str(col), "--no-timing"])
+            assert code == 0
+            outputs.append((coloured, focused))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1][1])["verified"]
 
     @pytest.mark.parametrize("bad_line", ["x 1 r", "1 0 b"], ids=["not-an-int", "twice"])
     def test_bad_colouring_is_input_error(self, files, capsys, bad_line):

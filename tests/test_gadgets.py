@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from ramseykit import gadgets
-from ramseykit.arrowing import Budget, EpsilonReport, find_mono
+from ramseykit.arrowing import Budget, find_mono
 from ramseykit.errors import InfeasibleError, InputError, Undecided
 from ramseykit.gadgets import (
     ColouringKind,
@@ -100,6 +100,11 @@ class TestGenHypergraph:
         h = gen_hypergraph(3, 4, Fraction(4, 5), 15, seed=1)
         assert hyper_girth(h) >= 4
         assert hyper_alpha(h) < Fraction(4, 5) * 15
+
+    def test_eps_out_of_range(self):
+        for eps in (0, Fraction(3, 2)):
+            with pytest.raises(InputError, match=r"eps must lie in \(0, 1\]"):
+                gen_hypergraph(3, 2, eps, 6, seed=5)
 
     def test_documented_infeasible_set(self):
         with pytest.raises(InfeasibleError):
@@ -274,28 +279,6 @@ class TestProduct:
         with pytest.raises(InputError) as err:
             build_product(self.params(), Graph.cycle(5), fs)
         assert "block 5" in str(err.value)
-
-    def test_strict_mode_rejects_uncertified_blocks(self):
-        with pytest.raises(InputError):
-            build_product(
-                self.params(), Graph.cycle(5), [Graph.cycle(5)] * 5, strict=True
-            )
-
-    def test_strict_certification_shares_one_budget(self, monkeypatch):
-        seen = []
-
-        def certify(f, p, eps, opts=None):
-            seen.append(opts)
-            return EpsilonReport(True, f.n, None, 1)
-
-        monkeypatch.setattr(gadgets, "epsilon_arrows", certify)
-        fs = [Graph.cycle(5)] * 5
-        budget = Budget(seconds=60, nodes=10**9)
-        build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=budget)
-        assert len(seen) == 5 and all(b is budget for b in seen)
-        monkeypatch.undo()
-        with pytest.raises(Undecided, match="undecided within budget"):
-            build_product(self.params(), Graph.cycle(5), fs, strict=True, opts=Budget(seconds=0))
 
     def test_sidecar_round_trip(self):
         bg = build_product(self.params(), Graph.cycle(5), [Graph.cycle(5)] * 5)

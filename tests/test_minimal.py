@@ -579,19 +579,22 @@ class TestSharedBudget:
 
         monkeypatch.setattr(minimal, "edge_orbits", spy)
         budget = Budget(seconds=600)
-        is_minimal(Graph.complete(7), Clique(3), budget)
+        # K6 - e does not arrow K3, so its one orbit is computed; K7 - e
+        # would arrow, and is_minimal would stop before any orbit
+        is_minimal(Graph.complete(6), Clique(3), budget)
         assert len(deadlines) == 1
         minimalize(Graph.complete(7), Clique(3), budget)
         assert len(deadlines) > 1
         assert all(d == budget.deadline for d in deadlines)
 
     def test_deadline_stops_the_orbit_generators(self, monkeypatch):
-        # a rigid cubic graph on 12 vertices arrows K2, and the generators
-        # of its trivial group fail 80 backtrack steps; a fake clock passes
-        # the deadline at the first step of the orbit computation, which
-        # stops it there and leaves the next search undecided
-        g = graph6_decode("K_j?`cCGISAE")
-        assert symmetry.generators(g) == []
+        # a minimal Ramsey graph of K3.K2 on 8 vertices: its first edge
+        # deletion does not arrow, so the orbits are computed, and their
+        # generators take 9 backtrack steps; a fake clock passes the
+        # deadline at the first step, which stops the orbit computation
+        # there and leaves the next search undecided
+        g = graph6_decode("G@lz~{")
+        assert is_minimal(g, CliquePendant(3)).is_minimal
         now = [0.0]
         clock = SimpleNamespace(monotonic=lambda: now[0])
         monkeypatch.setattr(arrowing, "time", clock)
@@ -612,7 +615,7 @@ class TestSharedBudget:
 
         monkeypatch.setattr(minimal, "edge_orbits", orbits)
         monkeypatch.setattr(symmetry, "_map_rest", map_rest_that_uses_up_the_time)
-        rep = is_minimal(g, Clique(2), Budget(seconds=600))
+        rep = is_minimal(g, CliquePendant(3), Budget(seconds=600))
         assert rep.is_ramsey and not rep.decided
         assert steps[0] == 1
 

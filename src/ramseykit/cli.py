@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import cnf as cnfmod
@@ -82,16 +83,15 @@ def _budget(text: str, source: str = "--budget") -> float:
     return value
 
 
-def _max_nodes(text: str) -> int:
-    """Search nodes for the whole command: an integer, at least 0. Like
-    ``_budget`` it raises ``_UsageError``, so a bad value ends in the JSON
-    usage-error line."""
+def _count(text: str) -> int:
+    """The ``--nmax`` and ``--max-nodes`` type: an integer, at least 0.
+    argparse names the flag in the usage error."""
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise _UsageError(f"--max-nodes must be an integer >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -235,8 +235,8 @@ def _cmd_gadget_g0(args) -> int:
 
 def _cmd_gadget_pendant(args) -> int:
     seed_block = read_graph(args.block) if args.block else None
-    copies = [build_g0(args.k, seed_block) for _ in range(args.k - 1)]
-    bg = build_pendant_gadget(args.k, copies)
+    g0 = build_g0(args.k, seed_block)
+    bg = build_pendant_gadget(args.k, [g0] * (args.k - 1))
     return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
 
 
@@ -333,7 +333,11 @@ def _cmd_cnf(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged,
+    and a new tree per call would leave its reference cycles for the
+    cycle collector."""
     parser = _Parser(
         prog="ramseykit",
         description="Exact two-colour arrowing toolkit",
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=_budget, default=None,
                            help="wall seconds for the whole command")
-            p.add_argument("--max-nodes", type=_max_nodes, default=None, dest="max_nodes",
+            p.add_argument("--max-nodes", type=_count, default=None, dest="max_nodes",
                            help="search nodes for the whole command")
 
     p = sub.add_parser("arrow", help="decide arrowing for one graph")
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="minimum-degree survey of minimal graphs")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_count, required=True)
     p.add_argument("--graphs", help="graph6 stream overriding built-in enumeration")
     p.add_argument("--r-value", type=int, default=None, dest="r_value")
     common(p)
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguish", help="search for a separating graph")
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_count, required=True)
     common(p)
     p.set_defaults(func=_cmd_distinguish)
 

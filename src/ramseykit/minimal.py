@@ -12,12 +12,15 @@ more than one vertex, are removed by the canonical form of ``symmetry``.
 Survey results only ever bound the smallest minimum degree from above within
 the searched order range; no claim is made beyond it.
 
-The survey and ``distinguish`` read only verdicts, so they drop a graph
-without a search when its chromatic number already decides it (Burr, Erdős
-& Lovász 1976): if G arrows H then chi(G) >= R(w, w) with w = omega(H).
-Proof: if chi(G) < R(w, w), the complete graph K_{chi(G)} has a colouring
-with no monochromatic K_w. Pull it back along a proper colouring of G: the
-edge uv takes the colour of the edge between the colours of u and v. The
+The survey and ``distinguish`` read only verdicts, and one scan,
+``_candidates``, feeds them both. It counts each graph in range and drops,
+without a search, a graph that cannot arrow H: one with fewer than
+2e(H) - 1 edges, which a colouring can split so that neither class has
+e(H); one with no copy of H, whose all-red colouring is good; and one with
+chi(G) < R(w, w), w = omega(H) (the chi rule; Burr, Erdős & Lovász 1976).
+Proof of the chi rule: the complete graph K_{chi(G)} has a colouring with
+no monochromatic K_w. Pull it back along a proper colouring of G: the edge
+uv takes the colour of the edge between the colours of u and v. The
 vertices of a K_w in G have distinct colours, so a monochromatic K_w in G
 would give one in K_{chi(G)}. The pulled-back colouring thus has no
 monochromatic K_w, and no monochromatic H, which contains a K_w.
@@ -101,7 +104,7 @@ __all__ = [
     "enumerate_graphs",
 ]
 
-_ENUM_LIMIT = 8  # built-in generation bound; larger orders need external streams
+_ENUM_LIMIT = 8  # built-in generation bound
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -159,10 +162,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     """All non-isomorphic graphs with 1..n_max vertices, canonical
     representatives, ordered by vertex count and then canonical form."""
     if n_max > _ENUM_LIMIT:
-        raise InputError(
-            f"built-in enumeration is limited to {_ENUM_LIMIT} vertices; "
-            "pass an external graph stream for larger orders"
-        )
+        raise InputError(f"built-in enumeration is limited to {_ENUM_LIMIT} vertices, got n_max = {n_max}")
     for n in range(1, n_max + 1):
         yield from _classes(n)
 
@@ -346,7 +346,7 @@ def minimalize(g: Graph, p: TargetPattern, opts: Budget | None = None) -> Graph:
     return _minimalized(g, rest)
 
 
-# -- the chromatic prefilter ----------------------------------------------------
+# -- the scan behind the survey and distinguish ---------------------------------
 
 
 def _chromatic_floor(p: TargetPattern, n_max: int, budget: Budget) -> int:
@@ -362,6 +362,30 @@ def _chromatic_floor(p: TargetPattern, n_max: int, budget: Budget) -> int:
     w = clique_number(pattern_graph(p))
     r = ramsey_number(Clique(w), Clique(w), budget, n_max=min(n_max, _ENUM_LIMIT))
     return r.n if r.decided else r.checked_up_to + 1
+
+
+def _candidates(
+    p: TargetPattern, n_max: int, graphs: Iterable[Graph] | None, budget: Budget, result
+) -> Iterator[Graph]:
+    """The graphs of ``graphs`` (by default the built-in enumeration) on at
+    most ``n_max`` vertices that may arrow ``p``, in order.
+
+    Each graph in range counts in ``result.graphs_checked``; the three rules
+    of the module docstring drop a counted graph without a search. Once
+    ``budget`` is spent the scan sets ``result.complete`` to False and
+    stops."""
+    min_edges = 2 * pattern_graph(p).num_edges - 1
+    chi_floor = _chromatic_floor(p, n_max, budget)
+    for g in enumerate_graphs(n_max) if graphs is None else graphs:
+        if budget.spent():
+            result.complete = False
+            return
+        if g.n > n_max:
+            continue
+        result.graphs_checked += 1
+        if g.num_edges < min_edges or find_pattern(g, p) is None or colourable(g, chi_floor - 1):
+            continue
+        yield g
 
 
 # -- degree survey --------------------------------------------------------------
@@ -425,33 +449,16 @@ def degree_survey(
     r(H) - 1 next to the always-available lower bound 2*delta(H) - 1. The
     survey stops, incomplete, once the budget ``opts`` is spent.
 
-    A graph with chi(G) < R(omega(H), omega(H)) is counted in
-    ``graphs_checked`` and skipped without a search: a good colouring of
-    K_{chi(G)} pulled back along a proper colouring of G shows that G does
-    not arrow H (see the module docstring). A target with an isolated vertex
-    raises ``InputError``.
+    The graphs are those of the scan of the module docstring, less those
+    with an isolated vertex, which are never minimal. A target with an
+    isolated vertex raises ``InputError``.
     """
     _require_no_isolated(p)
     survey = DegreeSurvey(p, n_max, upper_bound=None if r_value is None else r_value - 1)
     budget = opts or Budget()
-    min_edges = 2 * pattern_graph(p).num_edges - 1
-    chi_floor = _chromatic_floor(p, n_max, budget)
-    source = graphs if graphs is not None else enumerate_graphs(n_max)
-    for g in source:
-        if budget.spent():
-            survey.complete = False
-            break
-        if g.n > n_max:
+    for g in _candidates(p, n_max, graphs, budget, survey):
+        if 0 in g.degrees():
             continue
-        survey.graphs_checked += 1
-        if any(g.degree(v) == 0 for v in range(g.n)):
-            continue  # isolated vertices can never be minimal
-        if g.num_edges < min_edges:
-            continue  # a colouring can halve the edges, so arrowing is impossible
-        if find_pattern(g, p) is None:
-            continue  # the all-red colouring would already be a witness
-        if colourable(g, chi_floor - 1):
-            continue  # chi(G) < R(omega(H), omega(H)): G does not arrow H
         report = is_minimal(g, p, budget)
         if not report.decided:
             survey.complete = False
@@ -476,11 +483,11 @@ def degree_survey(
 # -- Ramsey-equivalence refutation ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class DistinguishReport:
-    graph: Optional[Graph]  # arrows h1 but not h2
-    complete: bool
-    graphs_checked: int
+    graph: Optional[Graph] = None  # arrows h1 but not h2
+    complete: bool = True
+    graphs_checked: int = 0
 
 
 def distinguish(
@@ -494,36 +501,20 @@ def distinguish(
 
     A returned graph refutes Ramsey-equivalence of the two patterns; absence
     within the searched range proves nothing. The search stops, incomplete,
-    once the budget ``opts`` is spent.
-
-    A graph with chi(G) < R(omega(h1), omega(h1)) is counted in
-    ``graphs_checked`` and skipped without a search: a good colouring of
-    K_{chi(G)} pulled back along a proper colouring of G shows that G does
-    not arrow ``h1`` (see the module docstring).
+    once the budget ``opts`` is spent. The graphs searched are those of the
+    scan of the module docstring for ``h1``.
     """
+    report = DistinguishReport()
     if h1 == h2:
-        return DistinguishReport(None, True, 0)
+        return report
     budget = opts or Budget()
-    chi_floor = _chromatic_floor(h1, n_max, budget)
-    checked = 0
-    complete = True
-    for g in enumerate_graphs(n_max):
-        if budget.spent():
-            complete = False
-            break
-        checked += 1
-        if colourable(g, chi_floor - 1):
-            continue  # chi(G) < R(omega(h1), omega(h1)): G does not arrow h1
-        v1, _ = _search(g, h1, budget)
-        if v1 is Outcome.UNDECIDED:
-            complete = False
-            continue
-        if v1 is not Outcome.ARROW:
-            continue
-        v2, _ = _search(g, h2, budget)
-        if v2 is Outcome.UNDECIDED:
-            complete = False
-            continue
-        if v2 is Outcome.NOT_ARROW:
-            return DistinguishReport(g, complete, checked)
-    return DistinguishReport(None, complete, checked)
+    for g in _candidates(h1, n_max, None, budget, report):
+        outcome, _ = _search(g, h1, budget)
+        if outcome is Outcome.ARROW:
+            outcome, _ = _search(g, h2, budget)
+            if outcome is Outcome.NOT_ARROW:
+                report.graph = g
+                return report
+        if outcome is Outcome.UNDECIDED:
+            report.complete = False
+    return report

@@ -337,6 +337,25 @@ class TestDistinguishCommand:
         assert not doc["found"] and not doc["complete"]
 
 
+class TestNmaxRange:
+    def test_nmax_zero_checks_no_graph(self, capsys):
+        code, out = run(capsys, ["survey", "--pattern", "K3", "--nmax", "0", "--no-timing"])
+        assert code == 0
+        assert json.loads(out)["graphs_checked"] == 0
+        code, out = run(capsys, ["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "0", "--no-timing"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["complete"] and doc["graphs_checked"] == 0
+
+    def test_distinguish_past_the_enumeration_limit(self, capsys):
+        code = main(["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "9"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "input-error"
+        assert err["message"] == "built-in enumeration is limited to 8 vertices, got n_max = 9"
+
+
 class TestBudgetThatNeverFires:
     @pytest.mark.parametrize(
         "argv",
@@ -373,6 +392,22 @@ class TestGadgetCommands:
         doc = json.loads(out)
         assert doc["clean"] is True
         assert read_colouring(col.read_text()).graph == bg.graph
+
+    def test_pendant_builds_one_core_gadget(self, files, capsys, monkeypatch):
+        built = []
+
+        def spy(k, block=None):
+            built.append(gadgets.build_g0(k, block))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_g0", spy)
+        out_json = files / "pendant.json"
+        argv = ["gadget", "pendant", "--k", "3", "--block", str(files / "C5.g6"), "-o", str(out_json),
+                "--no-timing"]
+        assert run(capsys, argv)[0] == 0
+        assert len(built) == 1
+        g0 = built[0]
+        assert blockgraph_from_json(out_json.read_text()) == gadgets.build_pendant_gadget(3, [g0, g0])
 
     def test_product_focus_pipeline(self, files, capsys):
         prod = files / "prod.json"
@@ -538,8 +573,11 @@ class TestUsageErrors:
             ["colour", "prod.json", "--kind", "nope"],
             ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "abc", "--n", "9", "-o", "h.txt"],
             ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "1/0", "--n", "9", "-o", "h.txt"],
+            ["survey", "--pattern", "K3", "--nmax", "-1"],
+            ["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "-3"],
         ],
-        ids=["no-arguments", "nmax-not-an-int", "unknown-kind", "eps-not-a-number", "eps-zero-denominator"],
+        ids=["no-arguments", "nmax-not-an-int", "unknown-kind", "eps-not-a-number", "eps-zero-denominator",
+             "survey-nmax-negative", "distinguish-nmax-negative"],
     )
     def test_usage_error_is_the_json_line(self, capsys, argv):
         assert error_of(capsys, argv) == (2, "usage-error")

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.errors import InputError
 from ramseykit.graphs import (
     Graph,
@@ -23,7 +24,7 @@ from ramseykit.graphs import (
 from ramseykit.arrowing import arrows, find_pattern
 from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.formats import graph6_decode
-from ramseykit.minimal import enumerate_graphs, is_minimal
+from ramseykit.minimal import degree_survey, distinguish, enumerate_graphs, is_minimal
 from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques
 from ramseykit.symmetry import canonical_key, generators
 
@@ -314,11 +315,31 @@ class TestNoCyclicGarbage:
             lambda: solve_cnf(to_cnf(Graph.complete(6), Clique(3), Clique(3))),
             lambda: arrows(Graph.complete(8), Clique(3), CliquePlusCliques(3, 1, 3)),
             lambda: is_minimal(graph6_decode("P~~nNe??G@_F?N?M_FG@x_G?"), CliquePendant(3)),
+            lambda: degree_survey(CliquePendant(3), 6),
+            lambda: distinguish(Clique(3), CliquePlusCliques(3, 1, 2), 6),
         ],
         ids=["canonical_key", "generators", "colourable", "clique_number", "hyper_alpha",
-             "find_pattern", "arrows", "solve_cnf", "arrows_plus", "is_minimal"],
+             "find_pattern", "arrows", "solve_cnf", "arrows_plus", "is_minimal", "degree_survey",
+             "distinguish"],
     )
     def test_call_leaves_no_cycles(self, call):
+        self.assert_no_cycles(call)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ramsey", "--red", "K3", "--blue", "K3"],
+            ["survey", "--pattern", "K3.K2", "--nmax", "6"],
+            ["survey", "--pattern", "K3", "--nmax", "-1"],
+        ],
+        ids=["ramsey", "survey", "usage-error"],
+    )
+    def test_repeated_cli_call_leaves_no_cycles(self, argv, capsys):
+        cli.main(argv)  # the first call builds the parser, which is kept
+        self.assert_no_cycles(lambda: cli.main(argv))
+
+    @staticmethod
+    def assert_no_cycles(call):
         gc.collect()
         gc.disable()
         try:

@@ -521,6 +521,68 @@ class TestDistinguish:
         assert rep.graph.n == 6
 
 
+# the targets of the scan and distinguish checks: every pattern shape with
+# at most 2 + 2 * 2 vertices, and three arbitrary graphs
+SCAN_TARGETS = {
+    "K2": Clique(2),
+    "K3": Clique(3),
+    "K3.K2": CliquePendant(3),
+    "K3+1K2": CliquePlusCliques(3, 1, 2),
+    "K2+1K2": CliquePlusCliques(2, 1, 2),
+    "K2+2K2": CliquePlusCliques(2, 2, 2),
+    "K3+1K1": CliquePlusCliques(3, 1, 1),
+    "K2.K2": CliquePendant(2),
+    "P3": Arbitrary(Graph.path(3)),
+    "C4": Arbitrary(Graph.cycle(4)),
+    "P4": Arbitrary(Graph.path(4)),
+}
+
+
+class TestScan:
+    """``_candidates`` counts every graph in range and drops only graphs
+    that do not arrow the target."""
+
+    @pytest.mark.parametrize("name", list(SCAN_TARGETS))
+    def test_dropped_graphs_do_not_arrow(self, name):
+        p = SCAN_TARGETS[name]
+        result = minimal.DistinguishReport()
+        kept = set(minimal._candidates(p, 6, None, Budget(), result))
+        assert (result.complete, result.graphs_checked) == (True, 208)
+        dropped = [g for g in enumerate_graphs(6) if g not in kept]
+        assert dropped
+        for g in dropped:
+            assert arrows(g, p, p).outcome is Outcome.NOT_ARROW, g.edges()
+
+    def test_graphs_past_n_max_are_not_counted(self):
+        result = minimal.DistinguishReport()
+        graphs = [Graph.complete(6), Graph.complete(7), Graph.complete(2)]
+        kept = list(minimal._candidates(Clique(3), 6, graphs, Budget(), result))
+        assert kept == [Graph.complete(6)] and result.graphs_checked == 2
+
+
+class TestDistinguishPinned:
+    """``distinguish`` results on graphs with at most 6 vertices, pinned as
+    graph6 of the separating graph, ``complete`` and ``graphs_checked``."""
+
+    @pytest.mark.parametrize(
+        "h1, h2, expected",
+        [
+            ("K3", "K3+1K2", ("E~~w", True, 208)),
+            ("C4", "K3.K2", ("E~~w", True, 208)),
+            ("K2+1K2", "K2.K2", ("E@Q?", True, 91)),
+            ("K2+1K2", "K3", ("DLo", True, 41)),
+            ("P4", "C4", ("DL{", True, 42)),
+            ("P3", "K2+1K2", ("Bw", True, 7)),
+            ("K2", "P4", ("A_", True, 3)),
+            ("K3.K2", "K3", (None, True, 208)),
+            ("K2+2K2", "K3+1K2", (None, True, 208)),
+        ],
+    )
+    def test_pinned(self, h1, h2, expected):
+        rep = distinguish(SCAN_TARGETS[h1], SCAN_TARGETS[h2], 6)
+        assert (rep.graph and graph6_encode(rep.graph), rep.complete, rep.graphs_checked) == expected
+
+
 class TestSharedBudget:
     """The caller's one ``Budget`` reaches every inner ``arrows`` call, and
     each call charges its nodes to it, so the limits cover the whole call."""

@@ -227,17 +227,14 @@ def _write_blockgraph(bg, out: str, payload: dict, args) -> int:
     return EXIT_OK
 
 
-def _cmd_gadget_g0(args) -> int:
+def _cmd_gadget_clique(args) -> int:
+    """``gadget g0`` and ``gadget pendant``: the core gadget, and for the
+    pendant gadget k - 1 copies of it joined."""
     seed_block = read_graph(args.block) if args.block else None
     bg = build_g0(args.k, seed_block)
-    return _write_blockgraph(bg, args.out, {"gadget": "g0", "k": args.k}, args)
-
-
-def _cmd_gadget_pendant(args) -> int:
-    seed_block = read_graph(args.block) if args.block else None
-    g0 = build_g0(args.k, seed_block)
-    bg = build_pendant_gadget(args.k, [g0] * (args.k - 1))
-    return _write_blockgraph(bg, args.out, {"gadget": "pendant", "k": args.k}, args)
+    if args.kind == "pendant":
+        bg = build_pendant_gadget(args.k, [bg] * (args.k - 1))
+    return _write_blockgraph(bg, args.out, {"gadget": args.kind, "k": args.k}, args)
 
 
 def _cmd_gadget_product(args) -> int:
@@ -391,19 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="build a construction")
     gsub = p.add_subparsers(dest="kind", required=True)
 
-    g = gsub.add_parser("g0", help="core gadget")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--block", help="seed block graph file (needed for k >= 3)")
-    g.add_argument("-o", "--out", required=True)
-    common(g, budget=False)
-    g.set_defaults(func=_cmd_gadget_g0)
-
-    g = gsub.add_parser("pendant", help="pendant-vertex gadget")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--block", help="seed block graph file")
-    g.add_argument("-o", "--out", required=True)
-    common(g, budget=False)
-    g.set_defaults(func=_cmd_gadget_pendant)
+    for kind, what, block_help in (
+        ("g0", "core gadget", "seed block graph file (needed for k >= 3)"),
+        ("pendant", "pendant-vertex gadget", "seed block graph file"),
+    ):
+        g = gsub.add_parser(kind, help=what)
+        g.add_argument("--k", type=int, required=True)
+        g.add_argument("--block", help=block_help)
+        g.add_argument("-o", "--out", required=True)
+        common(g, budget=False)
+        g.set_defaults(func=_cmd_gadget_clique)
 
     g = gsub.add_parser("product", help="block product instance")
     g.add_argument("--k", type=int, required=True)

@@ -41,11 +41,6 @@ class CnfInstance:
     def num_vars(self) -> int:
         return self.graph.num_edges
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """``edges[i]`` is the edge of variable i+1."""
-        return tuple(self.graph.edges())
-
 
 def to_cnf(g: Graph, red: TargetPattern, blue: TargetPattern) -> CnfInstance:
     """CNF instance satisfiable iff some colouring of ``g`` avoids both targets."""

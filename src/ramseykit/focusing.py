@@ -193,10 +193,6 @@ class FocusFailure:
     required_clique: int
 
 
-def _block_vertices(bg: BlockGraph, j: int) -> tuple[int, ...]:
-    return bg.block(f"V{j}")
-
-
 def iterated_focus(bg: BlockGraph, chi: EdgeColouring) -> FocusReport | FocusFailure:
     """Run the two-stage focusing procedure on a colouring of a product graph.
 
@@ -224,7 +220,7 @@ def iterated_focus(bg: BlockGraph, chi: EdgeColouring) -> FocusReport | FocusFai
     stage1: dict[int, tuple[int, ...]] = {}
     functions: dict[int, tuple[int, ...]] = {}
     for j in range(1, n0 + 1):
-        bc = BipartiteColouring.between(chi, vh, _block_vertices(bg, j))
+        bc = BipartiteColouring.between(chi, vh, bg.block(f"V{j}"))
         rows = focus_rows(bc)
         stage1[j] = rows.b_prime
         functions[j] = _pattern_key(tuple(rows.row_colours[a] for a in vh))
@@ -329,7 +325,7 @@ def verify_focus_report(bg: BlockGraph, chi: EdgeColouring, report: FocusReport)
         if w is None:
             violations.append(Violation("b", f"j={j}", "missing clique"))
             continue
-        block = set(_block_vertices(bg, j))
+        block = set(bg.block(f"V{j}"))
         if not set(w) <= block:
             violations.append(Violation("b", f"j={j}", "clique leaves its block"))
         if len(w) != t - 1:

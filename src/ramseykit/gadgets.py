@@ -15,10 +15,11 @@ Canonical labellings (all constructors are deterministic given their inputs):
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .arrowing import Budget, EdgeColouring, find_mono, ramsey_number
@@ -266,10 +267,7 @@ def gen_hypergraph(
             attempts=0,
         )
 
-    max_edges = 1
-    for i in range(u):
-        max_edges = max_edges * (n - i) // (i + 1)
-
+    max_edges = math.comb(n, u)
     for attempt in range(retry_cap):
         rng = random.Random(f"{seed}:{attempt}")
         density = 1.0 + 0.5 * (attempt % 8)
@@ -362,29 +360,21 @@ def build_pendant_gadget(k: int, g0s: Sequence[BlockGraph]) -> BlockGraph:
             raise InputError(f"gadget {i + 1} lacks an H block of size {k}")
     edges: list[tuple[int, int]] = []
     blocks: dict = {}
-    v_picks: list[int] = []
-    offsets: list[int] = []
+    picks: list[int] = []
     off = 0
     for i, bg in enumerate(g0s):
-        offsets.append(off)
         edges += [(u + off, v + off) for u, v in bg.graph.edges()]
         for name, vs in bg.blocks.items():
             blocks[f"G{i + 1}.{name}"] = tuple(x + off for x in vs)
-        v_picks.append(off + min(bg.blocks["H"]))
+        picks.append(off + min(bg.blocks["H"]))
         off += bg.graph.n
-    edges += list(combinations(v_picks, 2))
-    h2 = sorted(x + offsets[1] for x in g0s[1].blocks["H"])
-    v2 = v_picks[1]
-    vk = next(x for x in h2 if x != v2)
-    edges.append((v_picks[0], vk))
     pendant = off
-    edges += [(pendant, x) for x in v_picks]
-    g = Graph.from_edges(off + 1, edges)
-    special = {f"v{i + 1}": x for i, x in enumerate(v_picks)}
-    special["vk"] = vk
-    special["v"] = pendant
+    vk = next(x for x in sorted(blocks["G2.H"]) if x != picks[1])
+    edges += [*combinations(picks, 2), (picks[0], vk), *((pendant, x) for x in picks)]
+    special = {f"v{i + 1}": x for i, x in enumerate(picks)}
+    special.update(vk=vk, v=pendant)
     return BlockGraph(
-        graph=g,
+        graph=Graph.from_edges(pendant + 1, edges),
         blocks=blocks,
         special=special,
         provenance="build_pendant_gadget",
@@ -404,22 +394,19 @@ def assemble_product(h: int, g0: Graph, fs: Sequence[Graph]) -> tuple[Graph, dic
         raise InputError(
             f"need one block per template vertex: {g0.n} != {len(fs)}"
         )
-    edges = list(combinations(range(h), 2))
-    blocks: dict = {"V_H": tuple(range(h))}
-    offsets = []
-    off = h
-    for j, f in enumerate(fs):
-        offsets.append(off)
-        blocks[f"V{j + 1}"] = tuple(range(off, off + f.n))
-        edges += [(off + a, off + b) for a, b in f.edges()]
-        off += f.n
-    for hvertex in range(h):
-        edges += [(hvertex, w) for w in range(h, off)]
+    ranges = [range(h)]
+    for f in fs:
+        ranges.append(range(ranges[-1].stop, ranges[-1].stop + f.n))
+    vh, *vs = ranges
+    n = ranges[-1].stop
+    edges = list(combinations(vh, 2))
+    for f, r in zip(fs, vs):
+        edges += [(r[a], r[b]) for a, b in f.edges()]
+    edges += product(vh, range(h, n))
     for i, j in g0.edges():
-        for a in range(fs[i].n):
-            for b in range(fs[j].n):
-                edges.append((offsets[i] + a, offsets[j] + b))
-    return Graph.from_edges(off, edges), blocks
+        edges += product(vs[i], vs[j])
+    blocks = {"V_H": tuple(vh), **{f"V{j + 1}": tuple(r) for j, r in enumerate(vs)}}
+    return Graph.from_edges(n, edges), blocks
 
 
 def build_product(params: GadgetParams, g0: Graph, fs: Sequence[Graph]) -> BlockGraph:
@@ -497,15 +484,12 @@ def canonical_colouring(kind: str, bg: BlockGraph) -> EdgeColouring:
             raise InputError("pendant vertex must carry the last label")
         adj = tuple(row & ~(1 << pendant) for row in graph.adj[:pendant])
         graph = Graph(pendant, adj)
-    owner = {}
-    for name, vs in bg.blocks.items():
-        for v in vs:
-            owner[v] = name
-    colours = {}
-    for u, v in graph.edges():
-        same = owner.get(u) is not None and owner.get(u) == owner.get(v)
-        colours[(u, v)] = Colour.RED if same else Colour.BLUE
-    return EdgeColouring.from_mapping(graph, colours)
+    owner = {v: name for name, vs in bg.blocks.items() for v in vs}
+    colours = tuple(
+        Colour.RED if u in owner and owner[u] == owner.get(v) else Colour.BLUE
+        for u, v in graph.edges()
+    )
+    return EdgeColouring(graph, colours)
 
 
 def colouring_checks(kind: str, bg: BlockGraph, chi: EdgeColouring) -> dict:

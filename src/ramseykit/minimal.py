@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -110,8 +109,11 @@ _ENUM_LIMIT = 8  # built-in generation bound
 # -- enumeration ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[Graph, ...]:
+# _orders[n]: the classes on n vertices, for every order built in full
+_orders: list[tuple[Graph, ...]] = [(), (Graph.empty(1),)]
+
+
+def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     """Canonical representatives of the graphs on ``n`` vertices, ascending by
     canonical key.
 
@@ -133,13 +135,20 @@ def _classes(n: int) -> tuple[Graph, ...]:
     a smaller degree fails before it is refined. A top class of more than
     one vertex can still pass two children of one class; the key set
     removes them.
+
+    Each order is kept in ``_orders`` once it is built in full. ``budget``
+    is checked before each parent; once it is spent the order being built
+    is dropped, and the result is None.
     """
-    if n == 0:
-        return ()
-    if n == 1:
-        return (Graph.empty(1),)
+    if n < len(_orders):
+        return _orders[n]
+    parents = _classes(n - 1, budget)
+    if parents is None:
+        return None
     keys: set[tuple[int, int]] = set()
-    for parent in _classes(n - 1):
+    for parent in parents:
+        if budget is not None and budget.spent():
+            return None
         degrees = parent.degrees()
         top = max(degrees)
         top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
@@ -155,16 +164,24 @@ def _classes(n: int) -> tuple[Graph, ...]:
             if colour[n - 1] != max(colour):
                 continue
             keys.add(canonical_key(child, colour))
-    return tuple(Graph.from_bits(*k) for k in sorted(keys))
+    _orders.append(tuple(Graph.from_bits(*k) for k in sorted(keys)))
+    return _orders[n]
 
 
 def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     """All non-isomorphic graphs with 1..n_max vertices, canonical
     representatives, ordered by vertex count and then canonical form."""
+    return _enumerated(n_max, None)
+
+
+def _enumerated(n_max: int, budget: Budget | None) -> Iterator[Graph | None]:
+    """``enumerate_graphs(n_max)``, with a None in place of the first order
+    that ``budget`` leaves unbuilt."""
     if n_max > _ENUM_LIMIT:
         raise InputError(f"built-in enumeration is limited to {_ENUM_LIMIT} vertices, got n_max = {n_max}")
     for n in range(1, n_max + 1):
-        yield from _classes(n)
+        order = _classes(n, budget)
+        yield from (None,) if order is None else order
 
 
 # -- minimality ---------------------------------------------------------------
@@ -373,11 +390,11 @@ def _candidates(
     Each graph in range counts in ``result.graphs_checked``; the three rules
     of the module docstring drop a counted graph without a search. Once
     ``budget`` is spent the scan sets ``result.complete`` to False and
-    stops."""
+    stops, and it builds no further order of the enumeration."""
     min_edges = 2 * pattern_graph(p).num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
-    for g in enumerate_graphs(n_max) if graphs is None else graphs:
-        if budget.spent():
+    for g in _enumerated(n_max, budget) if graphs is None else graphs:
+        if g is None or budget.spent():
             result.complete = False
             return
         if g.n > n_max:
@@ -446,8 +463,10 @@ def degree_survey(
 
     ``graphs`` overrides the built-in enumeration (for externally generated
     graph6 streams). ``r_value``, when supplied, records the upper bound
-    r(H) - 1 next to the always-available lower bound 2*delta(H) - 1. The
-    survey stops, incomplete, once the budget ``opts`` is spent.
+    r(H) - 1 next to the always-available lower bound 2*delta(H) - 1; an
+    ``r_value`` with r_value - 1 below that bound raises ``InputError``, as
+    s(H) <= r(H) - 1 holds for every H. The survey stops, incomplete, once
+    the budget ``opts`` is spent.
 
     The graphs are those of the scan of the module docstring, less those
     with an isolated vertex, which are never minimal. A target with an
@@ -455,6 +474,11 @@ def degree_survey(
     """
     _require_no_isolated(p)
     survey = DegreeSurvey(p, n_max, upper_bound=None if r_value is None else r_value - 1)
+    if r_value is not None and survey.upper_bound < survey.lower_bound:
+        raise InputError(
+            f"r_value - 1 = {survey.upper_bound} is below the lower bound "
+            f"2*delta(H) - 1 = {survey.lower_bound}, so r_value cannot be r(H)"
+        )
     budget = opts or Budget()
     for g in _candidates(p, n_max, graphs, budget, survey):
         if 0 in g.degrees():

@@ -9,6 +9,7 @@ import pytest
 from ramseykit import cli, gadgets, minimal
 from ramseykit.arrowing import Budget, find_mono, read_colouring
 from ramseykit.cli import main
+from ramseykit.focusing import report_from_json, report_to_json, verify_focus_report
 from ramseykit.formats import graph6_encode, read_graphs, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
@@ -311,6 +312,17 @@ class TestSurveyCommand:
         code, out = run(capsys, ["survey", "--pattern", "K2", "--nmax", "3", "--graphs", str(path)])
         assert code == 3 and out == ""
 
+    @pytest.mark.parametrize("r_value", ["-4", "3"])
+    def test_r_value_below_the_lower_bound_is_input_error(self, capsys, r_value):
+        # s(K3) >= 2*delta(K3) - 1 = 3, and s(H) <= r(H) - 1
+        argv = ["survey", "--pattern", "K3", "--nmax", "3", "--r-value", r_value]
+        assert error_of(capsys, argv) == (3, "input-error")
+
+    def test_r_value_gives_the_upper_bound(self, capsys):
+        code, out = run(capsys, ["survey", "--pattern", "K3", "--nmax", "3", "--r-value", "6", "--no-timing"])
+        assert code == 0
+        assert json.loads(out)["upper_bound"] == 5
+
     def test_env_var_budget_caps_the_survey(self, files, capsys, monkeypatch):
         monkeypatch.setenv("RAMSEYKIT_BUDGET", "0")
         code, out = run(capsys, ["survey", "--pattern", "K3", "--nmax", "6"])
@@ -409,28 +421,57 @@ class TestGadgetCommands:
         g0 = built[0]
         assert blockgraph_from_json(out_json.read_text()) == gadgets.build_pendant_gadget(3, [g0, g0])
 
-    def test_product_focus_pipeline(self, files, capsys):
-        prod = files / "prod.json"
-        blocks = [str(files / "C5.g6")] * 5
+    def product_and_colouring(self, files, capsys, block: Graph):
+        """A product over C5 with five copies of ``block``, and the file of
+        its g2 colouring."""
+        (files / "block.g6").write_text(graph6_encode(block) + "\n")
+        prod, col = files / "prod.json", files / "g2.txt"
         code, out = run(
             capsys,
             ["gadget", "product", "--k", "4", "--t", "3", "--r-value", "4",
-             "--g0", str(files / "C5.g6"), "--blocks", *blocks,
+             "--g0", str(files / "C5.g6"), "--blocks", *[str(files / "block.g6")] * 5,
              "-o", str(prod), "--no-timing"],
         )
         assert code == 0
         assert json.loads(out)["h"] == 7
-        col = files / "g2.txt"
         code, _ = run(
             capsys,
             ["colour", str(prod), "--kind", "g2", "-o", str(col), "--no-timing"],
         )
         assert code == 0
+        return prod, col
+
+    def test_product_focus_pipeline(self, files, capsys):
+        prod, col = self.product_and_colouring(files, capsys, Graph.cycle(5))
         code, out = run(capsys, ["focus", str(prod), str(col), "--no-timing"])
         assert code == 0
         doc = json.loads(out)
         assert doc["status"] == "ok" and doc["verified"]
         assert doc["J"] == [1, 2, 3, 4, 5]
+        # with -o the same line, and a report file that reads back and verifies
+        report = files / "focus.json"
+        assert run(capsys, ["focus", str(prod), str(col), "-o", str(report), "--no-timing"]) == (0, out)
+        text = report.read_text()
+        again = report_from_json(text)
+        assert report_to_json(again) == text
+        bg = blockgraph_from_json(prod.read_text())
+        assert verify_focus_report(bg, read_colouring(col.read_text()), again).ok
+
+    def test_focus_failure_writes_no_report(self, files, capsys):
+        prod, col = self.product_and_colouring(files, capsys, Graph.empty(5))
+        report = files / "focus.json"
+        code, out = run(capsys, ["focus", str(prod), str(col), "-o", str(report), "--no-timing"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["block"], doc["required_clique"]) == ("focus-failed", 1, 2)
+        assert not report.exists()
+
+    def test_product_without_r_value_is_undecided_within_max_nodes(self, files, capsys):
+        argv = ["gadget", "product", "--k", "4", "--t", "3", "--g0", str(files / "C5.g6"),
+                "--blocks", *[str(files / "C5.g6")] * 5, "--max-nodes", "0",
+                "-o", str(files / "prod.json")]
+        assert error_of(capsys, argv) == (10, "undecided")
+        assert not (files / "prod.json").exists()
 
     def test_strict_is_a_usage_error(self, files, capsys):
         blocks = [str(files / "C5.g6")] * 5

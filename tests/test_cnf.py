@@ -17,9 +17,15 @@ class TestEncoding:
         assert len(inst.clauses) == 40  # one clause per triangle per colour
 
     def test_variable_order_is_edge_order(self):
-        g = Graph.complete(4)
+        # variable i + 1 is the i-th edge of g.edges(): setting it alone
+        # true reds exactly that edge
+        g = Graph.cycle(5)
         inst = to_cnf(g, Clique(3), Clique(3))
-        assert inst.edges == tuple(g.edges())
+        for i, edge in enumerate(g.edges()):
+            chi = decode_model(inst, {x: x == i + 1 for x in range(1, inst.num_vars + 1)})
+            assert [e for e, c in zip(g.edges(), chi.colours) if c is Colour.RED] == [edge]
+        # and the triangle 0, 1, 2 of K4 is the clause over edges 01, 02, 12
+        assert to_cnf(Graph.complete(4), Clique(3), Clique(3)).clauses[0] == (-1, -2, -4)
 
     def test_red_clauses_negative_blue_positive(self):
         inst = to_cnf(Graph.complete(3), Clique(3), Clique(3))

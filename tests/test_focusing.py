@@ -56,6 +56,40 @@ def reduced_instance():
     return bg, canonical_colouring(ColouringKind.G2, bg)
 
 
+class TestBipartiteColouring:
+    @pytest.mark.parametrize(
+        "a, b, colours, message",
+        [
+            ((0, 1), (1, 2), (Colour.RED,) * 4, "disjoint"),
+            ((1, 0), (2, 3), (Colour.RED,) * 4, "sorted"),
+            ((0, 1), (3, 2), (Colour.RED,) * 4, "sorted"),
+            ((0, 1), (2, 3), (Colour.RED,) * 3, "all pairs"),
+        ],
+        ids=["overlapping", "unsorted-a", "unsorted-b", "wrong-count"],
+    )
+    def test_malformed_sides_and_colours(self, a, b, colours, message):
+        with pytest.raises(InputError, match=message):
+            BipartiteColouring(a, b, colours)
+
+    def test_pair_missing_from_the_mapping(self):
+        mapping = {(0, 2): Colour.RED, (0, 3): Colour.BLUE, (1, 2): Colour.RED}
+        with pytest.raises(InputError, match=r"pair \(1, 3\) missing"):
+            BipartiteColouring.from_mapping((0, 1), (2, 3), mapping)
+
+    def test_mapping_keyed_b_then_a(self):
+        forward = {(0, 2): Colour.RED, (0, 3): Colour.BLUE, (1, 2): Colour.BLUE, (1, 3): Colour.RED}
+        backward = {(y, x): c for (x, y), c in forward.items()}
+        bc = BipartiteColouring.from_mapping((1, 0), (3, 2), backward)
+        assert bc == BipartiteColouring.from_mapping((0, 1), (2, 3), forward)
+        assert bc.colours == (Colour.RED, Colour.BLUE, Colour.BLUE, Colour.RED)
+
+    def test_between_needs_every_pair_to_be_an_edge(self):
+        chi = EdgeColouring.constant(Graph.path(3), Colour.RED)
+        assert BipartiteColouring.between(chi, (1,), (0, 2)).colours == (Colour.RED,) * 2
+        with pytest.raises(InputError, match=r"\(0, 2\) is not an edge"):
+            BipartiteColouring.between(chi, (0,), (1, 2))
+
+
 class TestFocusRows:
     def test_all_red(self):
         bc = constant_bipartite((0, 1), (2, 3, 4, 5), Colour.RED)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -99,6 +100,27 @@ class TestCanonicalForm:
             assert canonical_key(g) == (g.n, canonical_graph(g).bits()), g.edges()
 
 
+def cold_orders() -> list:
+    """``minimal._orders`` as before any order beyond 1 is built."""
+    return [(), (Graph.empty(1),)]
+
+
+class CountingBudget(Budget):
+    """A budget spent from its ``checks``-th ``spent()`` call on. It notes
+    how many orders the enumeration held when it was first spent."""
+
+    def __init__(self, checks: int):
+        super().__init__()
+        self.left = checks
+        self.orders_when_spent = None
+
+    def spent(self) -> bool:
+        self.left -= 1
+        if self.left <= 0 and self.orders_when_spent is None:
+            self.orders_when_spent = len(minimal._orders)
+        return self.left <= 0
+
+
 class TestEnumeration:
     def test_extension_subsets_hit_each_orbit_once(self):
         for g in labellings(5, seed=71):
@@ -108,8 +130,9 @@ class TestEnumeration:
                 hit = [m for m in reps if m in orbit]
                 assert hit == [min(orbit)], g.edges()
 
-    # the count tests run before the cold enumeration below, which clears
-    # the cache, so that n = 8 is shared with the acceptance survey
+    # the cold enumerations below build into an `_orders` of their own and
+    # leave the shared one, with n = 8 from the count tests, to the
+    # acceptance survey
     def test_class_counts(self):
         # the number of isomorphism classes of simple graphs by order (OEIS A000088)
         expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -155,12 +178,49 @@ class TestEnumeration:
             return real(g, *args)
 
         monkeypatch.setattr(minimal, "canonical_key", spy)
-        minimal._classes.cache_clear()
-        try:
-            assert len(minimal._classes(7)) == 1044
-        finally:
-            minimal._classes.cache_clear()
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        assert len(minimal._classes(7)) == 1044
         assert len(calls) <= 1253
+
+    def test_spent_budget_builds_no_order(self, monkeypatch):
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        assert minimal._classes(4, Budget(nodes=0)) is None
+        assert minimal._classes(1, Budget(nodes=0)) == (Graph.empty(1),)
+        survey = degree_survey(Clique(3), 6, opts=Budget(nodes=0))
+        report = distinguish(Clique(3), CliquePendant(3), 6, opts=Budget(nodes=0))
+        for result in (survey, report):
+            assert (result.complete, result.graphs_checked) == (False, 0)
+        assert len(minimal._orders) == 2
+
+    def test_order_cut_short_is_not_kept(self, monkeypatch):
+        # the budget is spent at its k-th check, for every k until the scan
+        # completes, wherever that check falls: in the chi floor's search,
+        # before a graph, before a parent, or in the search of a graph the
+        # scan yields (one check each here). Once spent, no order is built
+        # further or kept, and the orders kept are whole
+        keys_after = []
+        real = minimal.canonical_key
+
+        def spy(g, *args):
+            if budget.orders_when_spent is not None:
+                keys_after.append(g)
+            return real(g, *args)
+
+        monkeypatch.setattr(minimal, "canonical_key", spy)
+        for checks in range(1, 1000):
+            budget = CountingBudget(checks)
+            monkeypatch.setattr(minimal, "_orders", cold_orders())
+            result = minimal.DistinguishReport()
+            for _ in minimal._candidates(Clique(2), 5, None, budget, result):
+                budget.spent()
+            if result.complete:
+                break
+            assert not keys_after, checks
+            assert len(minimal._orders) == budget.orders_when_spent, checks
+            assert minimal._orders == unfiltered_classes(len(minimal._orders) - 1)
+            assert result.graphs_checked <= sum(len(order) for order in minimal._orders)
+        assert result.complete and checks > 50 and result.graphs_checked == 52
+        assert minimal._classes(5) == unfiltered_classes(5)[5]
 
     def test_no_duplicates(self):
         seen = set()
@@ -503,6 +563,38 @@ class TestDegreeSurvey:
         survey = degree_survey(Clique(3), 6, opts=Budget(seconds=0))
         assert not survey.complete
 
+    def test_undecided_graph_leaves_the_survey_incomplete(self, monkeypatch):
+        # the first graph searched comes back undecided; the later ones are
+        # still searched, and their records are those of the full survey
+        p = CliquePendant(2)
+        full = degree_survey(p, 6)
+        searched = []
+        real = minimal.is_minimal
+
+        def first_undecided(g, p, budget):
+            searched.append(g)
+            report = real(g, p, budget)
+            return replace(report, decided=False) if len(searched) == 1 else report
+
+        monkeypatch.setattr(minimal, "is_minimal", first_undecided)
+        survey = degree_survey(p, 6)
+        assert not survey.complete
+        first = graph6_encode(searched[0])
+        assert survey.records == [r for r in full.records if r["graph6"] != first]
+        assert [r["graph6"] for r in full.records] == ["Bw", "CF", "DLo"]
+        assert survey.graphs_checked == full.graphs_checked == 208
+        assert len(searched) == 151
+
+    @pytest.mark.parametrize("r_value", [-4, 3])
+    def test_r_value_below_the_lower_bound_is_an_input_error(self, r_value):
+        # s(K3) >= 2*delta(K3) - 1 = 3 and s(H) <= r(H) - 1, so r(K3) >= 4
+        with pytest.raises(InputError, match="below the lower bound"):
+            degree_survey(Clique(3), 3, r_value=r_value)
+
+    def test_r_value_sets_the_upper_bound(self):
+        assert degree_survey(Clique(3), 3, r_value=4).upper_bound == 3
+        assert degree_survey(Clique(3), 3, r_value=6).upper_bound == 5
+
 
 class TestDistinguish:
     def test_edge_vs_triangle(self):
@@ -519,6 +611,23 @@ class TestDistinguish:
         rep = distinguish(Clique(3), CliquePendant(3), 6)
         assert rep.graph is not None
         assert rep.graph.n == 6
+
+    def test_undecided_search_leaves_the_scan_incomplete(self, monkeypatch):
+        # the first search comes back undecided; the scan goes on and still
+        # finds the pinned graph after the same 91 graphs
+        searched = []
+        real = minimal.arrows
+
+        def first_undecided(g, red, blue, budget):
+            searched.append(g)
+            if len(searched) == 1:
+                return arrowing.ArrowingVerdict(Outcome.UNDECIDED, None, 0, 0.0)
+            return real(g, red, blue, budget)
+
+        monkeypatch.setattr(minimal, "arrows", first_undecided)
+        rep = distinguish(SCAN_TARGETS["K2+1K2"], SCAN_TARGETS["K2.K2"], 6)
+        assert (graph6_encode(rep.graph), rep.complete, rep.graphs_checked) == ("E@Q?", False, 91)
+        assert len(searched) > 2
 
 
 # the targets of the scan and distinguish checks: every pattern shape with

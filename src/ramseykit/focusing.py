@@ -389,5 +389,9 @@ def report_from_json(text: str) -> FocusReport:
             for key, c in doc["c_pair"].items()
         },
         row_colours={int(a): Colour(c) for a, c in doc["c_row"].items()},
-        sizes=doc.get("sizes", {}),
+        # JSON object keys are strings; the block indices are ints
+        sizes={
+            stage: {int(j): v for j, v in by_block.items()}
+            for stage, by_block in doc.get("sizes", {}).items()
+        },
     )

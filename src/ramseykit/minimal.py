@@ -9,8 +9,14 @@ its top refinement class, the one with the largest id from
 canonical augmentation, J. Algorithms 1998, with the top class in place of
 the canonically last orbit). The few duplicates left, from top classes of
 more than one vertex, are removed by the canonical form of ``symmetry``.
-Survey results only ever bound the smallest minimum degree from above within
-the searched order range; no claim is made beyond it.
+An order is built on up to the usable CPUs: its parents are split into
+interleaved shares, and each share but the caller's goes to a worker made
+with ``os.fork``, only in a single-threaded POSIX process and only for
+orders with enough parents to repay a fork. The keys of all shares are
+merged and sorted, so the order, and every output built on it, does not
+depend on the number of workers. Survey results only ever bound the
+smallest minimum degree from above within the searched order range; no
+claim is made beyond it.
 
 The survey and ``distinguish`` read only verdicts, and one scan,
 ``_candidates``, feeds them both. It counts each graph in range and drops,
@@ -72,6 +78,9 @@ not.
 from __future__ import annotations
 
 import json
+import marshal
+import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
@@ -112,6 +121,10 @@ _ENUM_LIMIT = 8  # built-in generation bound
 # _orders[n]: the classes on n vertices, for every order built in full
 _orders: list[tuple[Graph, ...]] = [(), (Graph.empty(1),)]
 
+# a worker is forked per this many parents; at fewer, a fork and its pipe
+# cost more than the share saves
+_PARENTS_PER_WORKER = 16
+
 
 def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     """Canonical representatives of the graphs on ``n`` vertices, ascending by
@@ -136,18 +149,34 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     one vertex can still pass two children of one class; the key set
     removes them.
 
+    The parents are split into ``_workers(len(parents))`` interleaved
+    shares (``_keys``). Every key comes from one parent alone, so the
+    union of the shares' key sets, sorted, is the same order for any number
+    of shares.
+
     Each order is kept in ``_orders`` once it is built in full. ``budget``
-    is checked before each parent; once it is spent the order being built
-    is dropped, and the result is None.
+    is checked before each parent, in every share; once it is spent the
+    order being built is dropped, and the result is None.
     """
     if n < len(_orders):
         return _orders[n]
     parents = _classes(n - 1, budget)
     if parents is None:
         return None
-    keys: set[tuple[int, int]] = set()
+    keys = _keys(parents, n, budget, _workers(len(parents)))
+    if keys is None:
+        return None
+    _orders.append(tuple(Graph.from_bits(n, k) for k in sorted(keys)))
+    return _orders[n]
+
+
+def _share(parents, n: int, budget: Budget | None, caller: int | None = None) -> set[int] | None:
+    """The packed canonical keys of the children of ``parents`` that pass
+    the top-class test of ``_classes``; None once ``budget`` is spent, or
+    once the process ``caller`` is no longer this process's parent."""
+    keys: set[int] = set()
     for parent in parents:
-        if budget is not None and budget.spent():
+        if (budget is not None and budget.spent()) or (caller is not None and os.getppid() != caller):
             return None
         degrees = parent.degrees()
         top = max(degrees)
@@ -163,9 +192,106 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
             colour = refine(child)
             if colour[n - 1] != max(colour):
                 continue
-            keys.add(canonical_key(child, colour))
-    _orders.append(tuple(Graph.from_bits(*k) for k in sorted(keys)))
-    return _orders[n]
+            keys.add(canonical_key(child, colour)[1])
+    return keys
+
+
+def _worker_count(parents: int, cpus: int) -> int:
+    """Shares for ``parents`` parents on ``cpus`` usable CPUs: one per
+    ``_PARENTS_PER_WORKER`` parents, at most one per CPU, at least one."""
+    return max(1, min(cpus, parents // _PARENTS_PER_WORKER))
+
+
+def _workers(parents: int) -> int:
+    """``_worker_count`` on this process's usable CPUs; 1 where ``os.fork``
+    is missing or more than one thread is alive, since a forked child holds
+    only the forking thread, and any lock another thread held stays taken."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _worker_count(parents, cpus)
+
+
+def _keys(parents, n: int, budget: Budget | None, w: int) -> set[int] | None:
+    """The union of ``_share`` over the shares ``parents[i::w]``, None when
+    any share is cut short.
+
+    Share 0 runs in this process, and each other share in a child made with
+    ``os.fork`` that sends its keys back over a pipe (``_work``). All
+    processes read one ``time.monotonic()`` clock, so the budget's deadline
+    holds for all of them. A child ends in ``os._exit``, so it never returns
+    into its caller's frames or flushes the stdio buffers it inherited, and
+    it stops at its next parent once this process is gone. Each child is
+    reaped before this returns or raises, killed first unless its whole pipe
+    was read; an exception in a child raises ``RuntimeError`` here."""
+    if w == 1:
+        return _share(parents, n, budget)
+    caller = os.getpid()
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    code = _work(parents[i::w], n, budget, caller, wr)
+                finally:
+                    os._exit(code)
+            children[pid] = r
+            os.close(wr)
+        keys = _share(parents[::w], n, budget)
+        if keys is None:
+            return None
+        for pid, r in list(children.items()):
+            # to EOF before the wait: a large list outgrows the pipe buffer
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            sent = marshal.loads(b"".join(chunks)) if chunks else None
+            if code != 0:
+                raise RuntimeError(f"enumeration worker {pid} failed (exit {code}): {sent}")
+            if sent is None:
+                return None
+            keys.update(sent)
+        return keys
+    finally:
+        if children:
+            _stop(children)
+
+
+def _stop(children: dict[int, int]) -> None:
+    """Close the read end of each child's pipe, then kill and reap it."""
+    import signal  # needed only here: the command's start-up imports stay as they were
+
+    for pid, r in children.items():
+        os.close(r)
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped just before an interrupt
+
+
+def _work(share, n: int, budget: Budget | None, caller: int, wr: int) -> int:
+    """A forked child's task: ``_share`` of ``share`` written to the pipe end
+    ``wr`` as a ``marshal``led list of keys (None when cut short), and exit
+    status 0; or the traceback of its exception, and exit status 1."""
+    try:
+        keys = _share(share, n, budget, caller)
+        out, code = marshal.dumps(None if keys is None else list(keys)), 0
+    except BaseException:  # reported, not re-raised: a child must not unwind into its caller's frames
+        import traceback
+
+        out, code = marshal.dumps(traceback.format_exc()), 1
+    view = memoryview(out)
+    while view:
+        view = view[os.write(wr, view) :]
+    return code
 
 
 def enumerate_graphs(n_max: int) -> Iterator[Graph]:

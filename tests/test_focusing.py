@@ -310,8 +310,5 @@ class TestReportJson:
         bg, chi = reduced_instance()
         report = iterated_focus(bg, chi)
         again = report_from_json(report_to_json(report))
-        assert again.j_set == report.j_set
-        assert again.w_sets == report.w_sets
-        assert again.w_colours == report.w_colours
-        assert again.pair_colours == report.pair_colours
-        assert again.row_colours == report.row_colours
+        assert again == report
+        assert report_to_json(again) == report_to_json(report)

@@ -1,5 +1,10 @@
 import hashlib
+import os
 import random
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations, permutations
 from types import SimpleNamespace
@@ -105,6 +110,36 @@ def cold_orders() -> list:
     return [(), (Graph.empty(1),)]
 
 
+def pin_workers(monkeypatch, w: int) -> None:
+    """Make ``_classes`` split every order into ``w`` shares, whatever the
+    CPU count."""
+    monkeypatch.setattr(minimal, "_workers", lambda parents: w)
+
+
+def assert_no_children() -> None:
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so that
+    a caller waiting for a worker that never ends fails instead of hanging.
+    Not nestable: there is one alarm per process."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class CountingBudget(Budget):
     """A budget spent from its ``checks``-th ``spent()`` call on. It notes
     how many orders the enumeration held when it was first spent."""
@@ -179,6 +214,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(minimal, "canonical_key", spy)
         monkeypatch.setattr(minimal, "_orders", cold_orders())
+        pin_workers(monkeypatch, 1)  # the spy sees the calls of this process only
         assert len(minimal._classes(7)) == 1044
         assert len(calls) <= 1253
 
@@ -207,6 +243,7 @@ class TestEnumeration:
             return real(g, *args)
 
         monkeypatch.setattr(minimal, "canonical_key", spy)
+        pin_workers(monkeypatch, 1)  # the budget counts the checks of this process only
         for checks in range(1, 1000):
             budget = CountingBudget(checks)
             monkeypatch.setattr(minimal, "_orders", cold_orders())
@@ -246,6 +283,156 @@ class TestEnumeration:
         assert hashlib.sha256(keys.encode()).hexdigest() == (
             "931d1a1b2d484e9056fb669859fdcec61b941060929cdfd8d7e9561fd394161f"
         )
+
+
+class OnlyInWorkers(Budget):
+    """A budget spent in every process but the one that made it."""
+
+    def __init__(self):
+        super().__init__()
+        self.caller = os.getpid()
+
+    def spent(self) -> bool:
+        return os.getpid() != self.caller
+
+
+class TestEnumerationPool:
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        with within(60):
+            yield
+
+    @pytest.fixture
+    def serial(self, monkeypatch):
+        """The orders up to 7, built in one process from cold."""
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        pin_workers(monkeypatch, 1)
+        minimal._classes(7)
+        return minimal._orders
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_orders_do_not_depend_on_the_worker_count(self, monkeypatch, serial, w):
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        pin_workers(monkeypatch, w)
+        assert minimal._classes(7) == serial[7]
+        assert minimal._orders == serial
+        assert_no_children()
+
+    def test_budget_spent_in_a_worker_keeps_no_order(self, monkeypatch, serial):
+        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        pin_workers(monkeypatch, 2)
+        assert minimal._classes(6, Budget()) == serial[6]
+        del minimal._orders[6]
+        assert minimal._classes(6, OnlyInWorkers()) is None
+        assert len(minimal._orders) == 6
+        assert_no_children()
+        assert minimal._classes(6) == serial[6]
+
+    def test_budget_spent_in_the_caller_stops_the_workers(self, monkeypatch, serial):
+        class OnlyInCaller(OnlyInWorkers):
+            def spent(self) -> bool:
+                return not super().spent()
+
+        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        pin_workers(monkeypatch, 3)
+        assert minimal._classes(6, OnlyInCaller()) is None
+        assert len(minimal._orders) == 6
+        assert_no_children()
+
+    @pytest.mark.parametrize("raised", [ValueError("boom"), KeyboardInterrupt()])
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, serial, raised):
+        caller = os.getpid()
+        real = minimal.refine
+
+        def refine_failing_in_workers(g):
+            if os.getpid() != caller:
+                raise raised
+            return real(g)
+
+        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        monkeypatch.setattr(minimal, "refine", refine_failing_in_workers)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=type(raised).__name__):
+            minimal._classes(6)
+        assert len(minimal._orders) == 6
+        assert_no_children()
+
+    def test_interrupt_in_the_caller_reaps_the_workers(self, monkeypatch, serial):
+        caller = os.getpid()
+        real = minimal.refine
+
+        def refine_interrupted_in_caller(g):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real(g)
+
+        monkeypatch.setattr(minimal, "_orders", serial[:7])
+        monkeypatch.setattr(minimal, "refine", refine_interrupted_in_caller)
+        pin_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            minimal._classes(7)
+        assert len(minimal._orders) == 7
+        assert_no_children()
+
+    def test_share_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch):
+        # 300,000 keys marshal to about 1.5 MB, far past the 64 KB a pipe
+        # holds: a caller that waits before it has read them all waits forever
+        def share(parents, n, budget, caller=None):
+            return set(range(parents[0], 300_000, 3))
+
+        monkeypatch.setattr(minimal, "_share", share)
+        assert minimal._keys([0, 1, 2], 8, None, 3) == set(range(300_000))
+        assert_no_children()
+
+    def test_busy_workers_are_killed_when_the_caller_stops(self, monkeypatch):
+        caller = os.getpid()
+
+        def share(parents, n, budget, caller_pid=None):
+            if os.getpid() != caller:
+                time.sleep(120)  # far longer than the test may wait
+            return None
+
+        monkeypatch.setattr(minimal, "_share", share)
+        assert minimal._keys([0, 1, 2], 8, None, 3) is None
+        assert_no_children()
+
+    def test_share_stops_once_its_caller_is_gone(self):
+        # a worker forked by `caller` sees another parent process once the
+        # caller has exited; this process is not its own parent
+        parents = minimal._classes(4)
+        assert minimal._share(parents, 5, None, caller=os.getpid()) is None
+        assert minimal._share(parents, 5, None, caller=os.getppid()) == minimal._share(parents, 5, None)
+
+    @pytest.mark.parametrize(
+        "parents, cpus, w",
+        [
+            (0, 1, 1),
+            (0, 64, 1),
+            (11, 2, 1),  # order 5: a fork costs more than the share saves
+            (15, 64, 1),
+            (16, 64, 1),
+            (32, 64, 2),
+            (34, 1, 1),
+            (34, 2, 2),  # order 6
+            (156, 1, 1),
+            (156, 2, 2),  # order 7
+            (156, 64, 9),
+            (1044, 2, 2),  # order 8
+            (1044, 64, 64),
+        ],
+    )
+    def test_worker_count_rule(self, parents, cpus, w):
+        assert minimal._worker_count(parents, cpus) == w
+
+    def test_one_share_while_another_thread_runs(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert minimal._workers(10**6) == 1
+        finally:
+            done.set()
+            thread.join()
 
 
 class TestIsMinimal:

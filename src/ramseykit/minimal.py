@@ -30,6 +30,10 @@ uv takes the colour of the edge between the colours of u and v. The
 vertices of a K_w in G have distinct colours, so a monochromatic K_w in G
 would give one in K_{chi(G)}. The pulled-back colouring thus has no
 monochromatic K_w, and no monochromatic H, which contains a K_w.
+The chi rule is tried first by edge count: chi(G) >= k needs C(k, 2)
+edges, since a colouring with k = chi(G) colours has an edge between every
+two colour classes, or two of them could merge. A graph with fewer than
+C(R(w, w), 2) edges is therefore dropped before any copy of H is sought.
 
 ``is_minimal`` and ``minimalize`` run one deletion pass (``_deletions``):
 it tries the edges of G in lexicographic order and deletes each one whose
@@ -507,18 +511,27 @@ def _chromatic_floor(p: TargetPattern, n_max: int, budget: Budget) -> int:
     return r.n if r.decided else r.checked_up_to + 1
 
 
+def _chromatic_edges(k: int) -> int:
+    """C(k, 2), the fewest edges of a graph with chi(G) >= k (see the module
+    docstring); K_k has exactly these."""
+    return k * (k - 1) // 2
+
+
 def _candidates(
     p: TargetPattern, n_max: int, graphs: Iterable[Graph] | None, budget: Budget, result
 ) -> Iterator[Graph]:
     """The graphs of ``graphs`` (by default the built-in enumeration) on at
     most ``n_max`` vertices that may arrow ``p``, in order.
 
-    Each graph in range counts in ``result.graphs_checked``; the three rules
-    of the module docstring drop a counted graph without a search. Once
-    ``budget`` is spent the scan sets ``result.complete`` to False and
-    stops, and it builds no further order of the enumeration."""
+    Each graph in range counts in ``result.graphs_checked``; the rules of
+    the module docstring drop a counted graph without a search, and the
+    first that drops it counts it: too few edges for H, too few for the
+    chi rule, no copy of H, and the chi rule itself. Once ``budget`` is
+    spent the scan sets ``result.complete`` to False and stops, and it
+    builds no further order of the enumeration."""
     min_edges = 2 * pattern_graph(p).num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
+    chi_edges = _chromatic_edges(chi_floor)
     for g in _enumerated(n_max, budget) if graphs is None else graphs:
         if g is None or budget.spent():
             result.complete = False
@@ -526,9 +539,16 @@ def _candidates(
         if g.n > n_max:
             continue
         result.graphs_checked += 1
-        if g.num_edges < min_edges or find_pattern(g, p) is None or colourable(g, chi_floor - 1):
-            continue
-        yield g
+        if g.num_edges < min_edges:
+            result.dropped_sparse += 1
+        elif g.num_edges < chi_edges:
+            result.dropped_chi_edges += 1
+        elif find_pattern(g, p) is None:
+            result.dropped_no_copy += 1
+        elif colourable(g, chi_floor - 1):
+            result.dropped_chi += 1
+        else:
+            yield g
 
 
 # -- degree survey --------------------------------------------------------------
@@ -547,6 +567,12 @@ class DegreeSurvey:
     upper_bound: Optional[int] = None  # r(H) - 1 when supplied
     complete: bool = True
     graphs_checked: int = 0
+    # the graphs each rule of ``_candidates`` dropped, in its order; not
+    # compared, so that equal reports still mean equal results
+    dropped_sparse: int = field(default=0, compare=False)
+    dropped_chi_edges: int = field(default=0, compare=False)
+    dropped_no_copy: int = field(default=0, compare=False)
+    dropped_chi: int = field(default=0, compare=False)
 
     @property
     def min_delta(self) -> Optional[int]:
@@ -638,6 +664,11 @@ class DistinguishReport:
     graph: Optional[Graph] = None  # arrows h1 but not h2
     complete: bool = True
     graphs_checked: int = 0
+    # as in ``DegreeSurvey``
+    dropped_sparse: int = field(default=0, compare=False)
+    dropped_chi_edges: int = field(default=0, compare=False)
+    dropped_no_copy: int = field(default=0, compare=False)
+    dropped_chi: int = field(default=0, compare=False)
 
 
 def distinguish(

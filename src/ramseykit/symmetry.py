@@ -86,12 +86,12 @@ def _canonical_columns(g: Graph, colour: list[int] | None = None) -> list[int]:
     adj = g.adj
     if colour is None:
         colour = refine(g)
-    cells: dict[int, list[int]] = {}
+    cells: dict[int, int] = {}
     for v, c in enumerate(colour):
-        cells.setdefault(c, []).append(v)
-    pos_cell: list[list[int]] = []
+        cells[c] = cells.get(c, 0) | (1 << v)
+    pos_cell: list[int] = []
     for c in sorted(cells):
-        pos_cell.extend([cells[c]] * len(cells[c]))
+        pos_cell.extend([cells[c]] * cells[c].bit_count())
 
     best: list[int] = []  # empty until the first string is completed
     _least_columns(adj, pos_cell, [], [], best, 0, False)
@@ -101,39 +101,55 @@ def _canonical_columns(g: Graph, colour: list[int] | None = None) -> list[int]:
 def _least_columns(adj, pos_cell: list, placed: list, cols: list, best: list, used: int, tight: bool):
     """The backtrack of ``_canonical_columns``: ``placed`` lists the vertices
     at positions 0..j-1, ``used`` is their mask, ``cols`` their columns, and
-    ``pos_cell[j]`` the class that position j draws from. ``best`` is
-    overwritten in place by each string that is smaller than it, or by the
-    first one; ``tight`` says that ``cols`` is a prefix of ``best``."""
-    j = len(placed)
-    if j == len(pos_cell):
-        if not tight:  # a strictly smaller prefix, or the first string
-            best[:] = cols
-        return
-    options: dict[int, list[int]] = {}
-    for v in pos_cell[j]:
-        if (used >> v) & 1:
-            continue
-        col = 0
-        row = adj[v]
+    ``pos_cell[j]`` the mask of the class that position j draws from.
+    ``best`` is overwritten in place by each string that is smaller than it,
+    or by the first one; ``tight`` says that ``cols`` is a prefix of
+    ``best``.
+
+    The least column, and the candidates that have it, come from one pass
+    over the placed vertices: at each one, in position order, the candidates
+    that miss it are kept if there are any, and its bit of the column is 0,
+    else it is 1. A position whose least column only one candidate has is
+    forced: the candidate is placed in a loop, and a call recurses only
+    where two or more candidates share the least column, in ascending
+    order. The positions a call fills are emptied again before it
+    returns."""
+    start = len(placed)
+    while True:
+        j = len(placed)
+        if j == len(pos_cell):
+            if not tight:  # a strictly smaller prefix, or the first string
+                best[:] = cols
+            break
+        least = pos_cell[j] & ~used
+        value = 0
         for u in placed:
-            col = (col << 1) | ((row >> u) & 1)
-        options.setdefault(col, []).append(v)
-    value = min(options)
-    if tight:
-        if value > best[j]:
-            return
-        tight = value == best[j]
-    cols.append(value)
-    reps: list[int] = []
-    for v in options[value]:
-        if any((adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps):
-            continue  # the transposition (v w) is an automorphism fixing the prefix
-        reps.append(v)
-        placed.append(v)
-        _least_columns(adj, pos_cell, placed, cols, best, used | (1 << v), tight)
-        placed.pop()
-        tight = True  # best now extends cols
-    cols.pop()
+            apart = least & ~adj[u]
+            if apart:
+                least = apart
+                value <<= 1
+            else:
+                value = (value << 1) | 1
+        if tight:
+            if value > best[j]:
+                break
+            tight = value == best[j]
+        cols.append(value)
+        if least & (least - 1) == 0:
+            placed.append(least.bit_length() - 1)
+            used |= least
+            continue
+        reps: list[int] = []
+        for v in bits(least):
+            if any((adj[v] & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in reps):
+                continue  # the transposition (v w) is an automorphism fixing the prefix
+            reps.append(v)
+            placed.append(v)
+            _least_columns(adj, pos_cell, placed, cols, best, used | (1 << v), tight)
+            placed.pop()
+            tight = True  # best now extends cols
+        break
+    del placed[start:], cols[start:]
 
 
 def canonical_key(g: Graph, colour: list[int] | None = None) -> tuple[int, int]:

@@ -4,14 +4,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete. Stated runtime limits are asserted.
 """
 import dataclasses
+import hashlib
+import io
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.arrowing import (
     Budget,
     EdgeColouring,
@@ -313,6 +317,15 @@ def test_criterion_10_minimality_and_survey():
     # budget flags honored: a zero budget flags the survey incomplete
     cut = degree_survey(CliquePendant(3), 8, opts=Budget(seconds=0))
     ok &= not cut.complete
+    # the command's output to 8 vertices, pinned: order 8 is built by now
+    for pattern, sha in [
+        ("K3.K2", "d2031673b9fe8214262ab69049848799a20f2b8a6c6f5a8ff237927bd7e6fd1f"),
+        ("K3", "7e4638ac11adfb65d7b9a5d478d0c6b644d264f0b276fd2e23e214a0ca52e945"),
+    ]:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["survey", "--pattern", pattern, "--nmax", "8", "--no-timing"])
+        ok &= code == 0 and hashlib.sha256(out.getvalue().encode()).hexdigest() == sha
     report(10, "minimality-and-survey", ok, t0)
 
 

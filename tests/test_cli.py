@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,30 @@ class TestDistinguishCommand:
         assert code == 10
         doc = json.loads(out)
         assert not doc["found"] and not doc["complete"]
+
+
+class TestPinnedScanOutput:
+    """``--no-timing`` stdout of the commands that scan the enumeration,
+    pinned by sha256: enumeration, canonical forms and the scan's filters
+    may change how fast they run, never what they print."""
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (
+                ["survey", "--pattern", "K3.K2", "--nmax", "7", "--no-timing"],
+                "f5ff88ac85c4d52150bcfc4e5cc88a162282830175758ffa6f837112113d0232",
+            ),
+            (
+                ["distinguish", "--h1", "K3", "--h2", "K3+1K2", "--nmax", "6", "--no-timing"],
+                "e253460ec1fcb3599f1bdd2ea732d1ec3c0a4306a125b2064a4f1694cba864b2",
+            ),
+        ],
+    )
+    def test_stdout(self, capsys, argv, sha):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestNmaxRange:

@@ -93,6 +93,18 @@ class TestCanonicalForm:
         for g in labellings(6, seed=61):
             assert _canonical_columns(g) == brute_canonical_columns(g, refine(g)), g.edges()
 
+    def test_columns_match_brute_force_on_seven_vertices(self):
+        # every class on 7 vertices, each under two seeded relabellings
+        rng = random.Random(71)
+        for g in enumerate_graphs(7):
+            if g.n < 7:
+                continue
+            for _ in range(2):
+                relabel = list(range(7))
+                rng.shuffle(relabel)
+                h = Graph.from_edges(7, [(relabel[u], relabel[v]) for u, v in g.edges()])
+                assert _canonical_columns(h) == brute_canonical_columns(h, refine(h)), h.edges()
+
     def test_key_decodes_to_the_canonical_graph(self):
         for g in labellings(6, seed=67):
             cols = brute_canonical_columns(g, refine(g))
@@ -849,6 +861,19 @@ class TestScan:
         for g in dropped:
             assert arrows(g, p, p).outcome is Outcome.NOT_ARROW, g.edges()
 
+    def test_drop_counts(self):
+        # K3.K2 to 7 vertices: 2e(H) - 1 = 7 edges, C(R(3, 3), 2) = 15 edges,
+        # a copy of K3.K2, chi >= 6; the first rule that drops a graph counts
+        # it, and the counts stay out of the reports' equality
+        scanned = minimal.DegreeSurvey(CliquePendant(3), 7)
+        kept = list(minimal._candidates(CliquePendant(3), 7, None, Budget(), scanned))
+        assert len(kept) == 8 and scanned.graphs_checked == 1252
+        # K3.K2 arrowing implies K3's, so distinguish scans every graph
+        for result in (scanned, degree_survey(CliquePendant(3), 7), distinguish(CliquePendant(3), Clique(3), 7)):
+            counts = (result.dropped_sparse, result.dropped_chi_edges, result.dropped_no_copy, result.dropped_chi)
+            assert counts == (179, 991, 0, 74)
+            assert result == replace(result, dropped_sparse=0, dropped_chi_edges=0, dropped_no_copy=0, dropped_chi=0)
+
     def test_graphs_past_n_max_are_not_counted(self):
         result = minimal.DistinguishReport()
         graphs = [Graph.complete(6), Graph.complete(7), Graph.complete(2)]
@@ -1000,13 +1025,28 @@ class TestChromaticPrefilter:
                     assert arrows(g, p, p).outcome is Outcome.NOT_ARROW, g.edges()
         assert skipped == 1244  # all but the 8 graphs with chi >= 6
 
+    def test_edge_count_rule(self):
+        # chi(G) >= k needs C(k, 2) edges: a graph with fewer is
+        # (k - 1)-colourable, and K_k, with exactly C(k, 2), is not
+        graphs = list(enumerate_graphs(7))
+        for k in range(1, 9):
+            bound = minimal._chromatic_edges(k)
+            assert Graph.complete(k).num_edges == bound and not colourable(Graph.complete(k), k - 1)
+            for g in graphs:
+                if g.num_edges < bound:
+                    assert colourable(g, k - 1), (k, g.edges())
+
     def test_filter_on_and_off_agree(self, monkeypatch):
         runs = {}
         for on in (True, False):
             if not on:
-                monkeypatch.setattr(minimal, "colourable", lambda g, c: False)
+                # every graph with a vertex has chi >= 1, so neither the edge
+                # count nor the colouring half of the chi rule drops a graph
+                monkeypatch.setattr(minimal, "_chromatic_floor", lambda p, n_max, budget: 1)
+            surveys = [degree_survey(p, 7) for p in (Clique(3), CliquePendant(3))]
+            assert all(bool(s.dropped_chi_edges and s.dropped_chi) == on for s in surveys)
             runs[on] = (
-                [list(degree_survey(p, 7).iter_json_lines()) for p in (Clique(3), CliquePendant(3))],
+                [list(s.iter_json_lines()) for s in surveys],
                 distinguish(Clique(3), CliquePendant(3), 6),
                 distinguish(Clique(2), Clique(3), 3),
             )

@@ -18,9 +18,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .arrowing import Budget, EdgeColouring, find_mono, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
@@ -34,6 +33,10 @@ from .graphs import (
     _shortest_circuit,
 )
 from .patterns import Clique, CliquePendant, CliquePlusCliques, Colour
+
+if TYPE_CHECKING:
+    # imported where used: building and colouring gadgets needs no fraction
+    from fractions import Fraction
 
 __all__ = [
     "GadgetParams",
@@ -83,6 +86,8 @@ class GadgetParams:
 
     @property
     def eps0(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(1, 2 ** (self.h + 1))
 
     @property
@@ -91,6 +96,8 @@ class GadgetParams:
 
     @property
     def eps_schedule(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         sizes = self.block_sizes
         return tuple(
             Fraction(1, 2 ** (self.h + self.n0 - j + sum(sizes[: j - 1]))) for j in range(1, self.n0 + 1)
@@ -227,6 +234,8 @@ def blockgraph_from_json(text: str) -> BlockGraph:
 def _eps_fraction(eps) -> Fraction:
     """``eps`` as an exact fraction, a float read as its shortest decimal
     form; InputError unless it lies in (0, 1]."""
+    from fractions import Fraction
+
     eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     if not 0 < eps <= 1:
         raise InputError("eps must lie in (0, 1]")

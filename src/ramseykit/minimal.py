@@ -539,9 +539,10 @@ def _candidates(
         if g.n > n_max:
             continue
         result.graphs_checked += 1
-        if g.num_edges < min_edges:
+        m = g.num_edges  # a property that counts every row
+        if m < min_edges:
             result.dropped_sparse += 1
-        elif g.num_edges < chi_edges:
+        elif m < chi_edges:
             result.dropped_chi_edges += 1
         elif find_pattern(g, p) is None:
             result.dropped_no_copy += 1
@@ -573,6 +574,8 @@ class DegreeSurvey:
     dropped_chi_edges: int = field(default=0, compare=False)
     dropped_no_copy: int = field(default=0, compare=False)
     dropped_chi: int = field(default=0, compare=False)
+    # the graphs the scan kept that have an isolated vertex, never minimal
+    dropped_isolated: int = field(default=0, compare=False)
 
     @property
     def min_delta(self) -> Optional[int]:
@@ -634,6 +637,7 @@ def degree_survey(
     budget = opts or Budget()
     for g in _candidates(p, n_max, graphs, budget, survey):
         if 0 in g.degrees():
+            survey.dropped_isolated += 1
             continue
         report = is_minimal(g, p, budget)
         if not report.decided:

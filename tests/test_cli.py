@@ -35,6 +35,14 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports this ramseykit,
+    with no budget set."""
+    env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def error_of(capsys, argv):
     """The exit code and the error kind of a command that fails: nothing on
     stdout and one JSON line on stderr."""
@@ -95,12 +103,9 @@ class TestRamseyCommand:
 
     def test_python_m_runs_the_cli(self):
         # R(3, 5) = 14, the whole command with no budget
-        src = str(Path(cli.__file__).parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_BUDGET"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "ramseykit", "ramsey", "--red", "K3", "--blue", "K5", "--no-timing"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=fresh_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {
@@ -431,13 +436,14 @@ class TestGadgetCommands:
         assert read_colouring(col.read_text()).graph == bg.graph
 
     def test_pendant_builds_one_core_gadget(self, files, capsys, monkeypatch):
-        built = []
+        # the handler imports build_g0 from gadgets when it runs
+        built, build_g0 = [], gadgets.build_g0
 
         def spy(k, block=None):
-            built.append(gadgets.build_g0(k, block))
+            built.append(build_g0(k, block))
             return built[-1]
 
-        monkeypatch.setattr(cli, "build_g0", spy)
+        monkeypatch.setattr(gadgets, "build_g0", spy)
         out_json = files / "pendant.json"
         argv = ["gadget", "pendant", "--k", "3", "--block", str(files / "C5.g6"), "-o", str(out_json),
                 "--no-timing"]
@@ -445,6 +451,14 @@ class TestGadgetCommands:
         assert len(built) == 1
         g0 = built[0]
         assert blockgraph_from_json(out_json.read_text()) == gadgets.build_pendant_gadget(3, [g0, g0])
+
+    def test_colour_kinds_are_the_gadget_kinds(self, capsys):
+        # cli spells the kinds out so that its parser does not import gadgets
+        assert cli.COLOURING_KINDS == tuple(gadgets.COLOURING_KINDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["colour", "--help"])
+        assert exc.value.code == 0
+        assert "{g0-prop1,g2,lemma7}" in capsys.readouterr().out
 
     def product_and_colouring(self, files, capsys, block: Graph):
         """A product over C5 with five copies of ``block``, and the file of
@@ -652,6 +666,42 @@ class TestUsageErrors:
         argv = ["gadget", "hypergraph", "--u", "3", "--girth-min", "4", "--eps", "4/5", "--n", "9",
                 "--retry-cap", "5", "-o", "h.txt"]
         assert error_of(capsys, argv) == (2, "usage-error")
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """The modules loaded after ``code`` runs in a fresh interpreter: the
+    test process has already imported every ramseykit module."""
+    script = f"import io, json, sys\nfrom contextlib import redirect_stdout\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartupImports:
+    """A command loads only the layers it calls: handlers import
+    ``gadgets``, ``focusing``, ``cnf`` and ``fractions`` when they run."""
+
+    CLI_LAYERS = ["ramseykit", "ramseykit.arrowing", "ramseykit.cli", "ramseykit.errors", "ramseykit.formats",
+                  "ramseykit.graphs", "ramseykit.minimal", "ramseykit.patterns", "ramseykit.symmetry"]
+
+    def test_cli_import(self):
+        loaded = _fresh_modules("import ramseykit.cli")
+        assert [m for m in loaded if m.startswith("ramseykit")] == self.CLI_LAYERS
+        assert "fractions" not in loaded
+
+    def test_gadgets_import(self):
+        loaded = _fresh_modules("import ramseykit.gadgets")
+        assert "ramseykit.gadgets" in loaded and "fractions" not in loaded
+
+    def test_survey_command(self):
+        loaded = _fresh_modules(
+            "from ramseykit import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['survey', '--pattern', 'K3.K2', '--nmax', '5', '--no-timing']) == 0"
+        )
+        # nothing more than the import loaded: neither gadgets nor focusing
+        assert [m for m in loaded if m.startswith("ramseykit")] == self.CLI_LAYERS
+        assert "fractions" not in loaded
 
 
 class TestUnreadableFiles:

@@ -861,18 +861,30 @@ class TestScan:
         for g in dropped:
             assert arrows(g, p, p).outcome is Outcome.NOT_ARROW, g.edges()
 
-    def test_drop_counts(self):
+    def test_drop_counts(self, monkeypatch):
         # K3.K2 to 7 vertices: 2e(H) - 1 = 7 edges, C(R(3, 3), 2) = 15 edges,
         # a copy of K3.K2, chi >= 6; the first rule that drops a graph counts
         # it, and the counts stay out of the reports' equality
         scanned = minimal.DegreeSurvey(CliquePendant(3), 7)
         kept = list(minimal._candidates(CliquePendant(3), 7, None, Budget(), scanned))
         assert len(kept) == 8 and scanned.graphs_checked == 1252
+        checked, is_minimal = [], minimal.is_minimal
+
+        def spy(g, *rest):
+            checked.append(g)
+            return is_minimal(g, *rest)
+
+        monkeypatch.setattr(minimal, "is_minimal", spy)
+        survey = degree_survey(CliquePendant(3), 7)
         # K3.K2 arrowing implies K3's, so distinguish scans every graph
-        for result in (scanned, degree_survey(CliquePendant(3), 7), distinguish(CliquePendant(3), Clique(3), 7)):
+        for result in (scanned, survey, distinguish(CliquePendant(3), Clique(3), 7)):
             counts = (result.dropped_sparse, result.dropped_chi_edges, result.dropped_no_copy, result.dropped_chi)
             assert counts == (179, 991, 0, 74)
             assert result == replace(result, dropped_sparse=0, dropped_chi_edges=0, dropped_no_copy=0, dropped_chi=0)
+        # the survey alone drops a kept graph with an isolated vertex
+        assert (scanned.dropped_isolated, survey.dropped_isolated) == (0, 1)
+        assert (len(checked), len(survey.records)) == (7, 1)
+        assert survey == replace(survey, dropped_isolated=0)
 
     def test_graphs_past_n_max_are_not_counted(self):
         result = minimal.DistinguishReport()

@@ -97,15 +97,19 @@ class Graph:
     def from_bits(cls, n: int, packed: int) -> "Graph":
         """The graph on ``n >= 0`` vertices whose ``bits()`` are ``packed``.
         Bits beyond the n(n-1)/2 of the triangle are ignored. The adjacency
-        is symmetric and loop-free by construction, so it skips validation."""
+        is symmetric and loop-free by construction, so it skips validation.
+        Only the set bits of each column are visited: bit p of column j is
+        the pair (j - 1 - p, j)."""
         adj = [0] * n
         for j in range(n - 1, 0, -1):
             col = packed & ((1 << j) - 1)
             packed >>= j
-            for i in range(j):
-                if (col >> (j - 1 - i)) & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+            while col:
+                low = col & -col
+                col ^= low
+                i = j - low.bit_length()
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
         return cls._trusted(n, tuple(adj))
 
     # -- basic accessors ---------------------------------------------------

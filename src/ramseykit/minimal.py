@@ -9,10 +9,12 @@ its top refinement class, the one with the largest id from
 canonical augmentation, J. Algorithms 1998, with the top class in place of
 the canonically last orbit). The few duplicates left, from top classes of
 more than one vertex, are removed by the canonical form of ``symmetry``.
-An order is built on up to the usable CPUs: its parents are split into
-interleaved shares, and each share but the caller's goes to a worker made
-with ``os.fork``, only in a single-threaded POSIX process and only for
-orders with enough parents to repay a fork. The keys of all shares are
+An order is built on up to the usable CPUs: its parents are dealt out to
+shares in snake order (0, 1, ..., w-1, w-1, ..., 0, 0, 1, ...), so that
+the early parents, which cost the most, spread evenly, and each share but
+the caller's goes to a worker made with ``os.fork``, only in a
+single-threaded POSIX process and only for orders with enough parents to
+repay a fork. The keys of all shares are
 merged and sorted, so the order, and every output built on it, does not
 depend on the number of workers. Survey results only ever bound the
 smallest minimum degree from above within the searched order range; no
@@ -153,10 +155,10 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     one vertex can still pass two children of one class; the key set
     removes them.
 
-    The parents are split into ``_workers(len(parents))`` interleaved
-    shares (``_keys``). Every key comes from one parent alone, so the
+    The parents are dealt out to ``_workers(len(parents))`` shares in
+    snake order (``_keys``). Every key comes from one parent alone, so the
     union of the shares' key sets, sorted, is the same order for any number
-    of shares.
+    of shares and any dealing.
 
     Each order is kept in ``_orders`` once it is built in full. ``budget``
     is checked before each parent, in every share; once it is spent the
@@ -217,9 +219,20 @@ def _workers(parents: int) -> int:
     return _worker_count(parents, cpus)
 
 
+def _dealt(parents, w: int, i: int) -> list:
+    """Share ``i`` of ``w``: the parents dealt out one at a time in snake
+    order, to shares 0, 1, ..., w-1, then w-1, ..., 0, and again. Parents
+    come ascending by key, and the earlier ones cost more to extend (at
+    order 7, the first quarter of the parents a quarter more than the
+    last); dealt out as ``parents[i::w]``, share 0 would get the first,
+    costliest parent of every round of w. Share sizes differ by at most
+    one."""
+    return [p for j, p in enumerate(parents) if j % (2 * w) in (i, 2 * w - 1 - i)]
+
+
 def _keys(parents, n: int, budget: Budget | None, w: int) -> set[int] | None:
-    """The union of ``_share`` over the shares ``parents[i::w]``, None when
-    any share is cut short.
+    """The union of ``_share`` over the ``w`` shares ``_dealt(parents, w,
+    i)``, None when any share is cut short.
 
     Share 0 runs in this process, and each other share in a child made with
     ``os.fork`` that sends its keys back over a pipe (``_work``). All
@@ -241,12 +254,12 @@ def _keys(parents, n: int, budget: Budget | None, w: int) -> set[int] | None:
                 code = 1
                 try:
                     os.close(r)
-                    code = _work(parents[i::w], n, budget, caller, wr)
+                    code = _work(_dealt(parents, w, i), n, budget, caller, wr)
                 finally:
                     os._exit(code)
             children[pid] = r
             os.close(wr)
-        keys = _share(parents[::w], n, budget)
+        keys = _share(_dealt(parents, w, 0), n, budget)
         if keys is None:
             return None
         for pid, r in list(children.items()):

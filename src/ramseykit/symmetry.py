@@ -43,17 +43,26 @@ def refine(g: Graph) -> list[int]:
     identical id multisets and corresponding vertices get equal ids. A
     signature starts with the vertex's previous id, so a vertex of larger
     degree gets a larger id, and the top class holds only maximum-degree
-    vertices.
+    vertices. A class of one vertex cannot split, so its vertex's
+    neighbour colours are not collected (see ``_refine``).
     """
     return _refine([list(bits(row)) for row in g.adj], g.degrees())
 
 
 def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
     """Refinement of the colouring ``colour`` of the graph with neighbour
-    lists ``nbrs``, with the ids ranked as in ``refine``."""
+    lists ``nbrs``, with the ids ranked as in ``refine``.
+
+    A vertex alone in its class gets the signature (id, ()) in place of
+    (id, sorted neighbour colours): no other signature starts with its id,
+    so its rank among the signatures, and every other vertex's, is the same
+    whatever its tuple."""
     count = len(set(colour))
     while True:
-        sig = [(colour[v], tuple(sorted([colour[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        sig = [
+            (c, tuple(sorted([colour[u] for u in nb]))) if colour.count(c) > 1 else (c, ())
+            for c, nb in zip(colour, nbrs)
+        ]
         ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
         colour = [ranks[s] for s in sig]
         # no class split: the partition is stable, and ranking it once more
@@ -172,31 +181,38 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph.from_bits(*canonical_key(g))
 
 
-def _first_automorphism(g: Graph, cell: list[int], v: int, w: int, deadline) -> tuple[int, ...] | None:
-    """The first automorphism, in backtrack order, that fixes ``0..v-1`` and
-    maps ``v`` to ``w``, or None when there is none or ``deadline`` passes
-    first.
-
-    The vertices after ``v`` are mapped one at a time, each into its own
-    refinement class (``cell[x]`` is the mask of x's class), in an order that
-    puts every vertex after as many of its neighbours as possible, so
-    adjacency to mapped vertices cuts the candidates early.
-    """
-    n, adj = g.n, g.adj
-    fixed = (1 << v) - 1
-    if adj[v] & fixed != adj[w] & fixed:
-        return None
-    perm = list(range(n))
-    perm[v] = w
+def _search_order(adj, v: int) -> list[int]:
+    """The vertices after ``v`` in the order ``_first_automorphism`` maps
+    them: each next vertex has the most neighbours among ``0..v`` and the
+    vertices before it, the least label on ties. It depends on ``v`` alone,
+    not on the image of ``v``."""
+    placed = (1 << (v + 1)) - 1
+    rest = list(range(v + 1, len(adj)))
     order: list[int] = []
-    placed = fixed | (1 << v)
-    rest = list(range(v + 1, n))
     while rest:
         x = max(rest, key=lambda y: (adj[y] & placed).bit_count())
         rest.remove(x)
         order.append(x)
         placed |= 1 << x
+    return order
 
+
+def _first_automorphism(adj, cell: list[int], order: list[int], v: int, w: int, deadline) -> tuple[int, ...] | None:
+    """The first automorphism, in backtrack order, of the graph with
+    adjacency ``adj`` that fixes ``0..v-1`` and maps ``v`` to ``w``, or None
+    when there is none or ``deadline`` passes first.
+
+    The vertices after ``v`` are mapped one at a time, in the order
+    ``order = _search_order(adj, v)``, each into its own refinement class
+    (``cell[x]`` is the mask of x's class). That order puts every vertex
+    after as many of its neighbours as possible, so adjacency to mapped
+    vertices cuts the candidates early.
+    """
+    fixed = (1 << v) - 1
+    if adj[v] & fixed != adj[w] & fixed:
+        return None
+    perm = list(range(len(adj)))
+    perm[v] = w
     if _map_rest(adj, cell, order, perm, 0, fixed | (1 << v), fixed | (1 << w), deadline):
         return tuple(perm)
     return None
@@ -221,6 +237,14 @@ def _map_rest(adj, cell: list, order: list, perm: list, t: int, dom: int, img: i
     return False
 
 
+def _cells(colour: list[int]) -> list[int]:
+    """The mask of each vertex's class under ``colour``."""
+    masks: dict[int, int] = {}
+    for x, c in enumerate(colour):
+        masks[c] = masks.get(c, 0) | (1 << x)
+    return [masks[c] for c in colour]
+
+
 def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]:
     """A generating set of Aut(g) as vertex permutation tuples.
 
@@ -233,6 +257,12 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
     Schreier argument the kept permutations then generate the stabiliser of
     ``0..v-1`` at every level, and at level 0 the whole group.
 
+    A base vertex already alone in its class is not individualised: the
+    partition it would give is the one it has, and only the partition is
+    read. Such a level has no ``w`` to try. The backtrack's vertex order is
+    built once per level, and a kept permutation merges orbits only at the
+    vertices it moves.
+
     ``deadline``, a ``time.monotonic()`` value, is checked before each
     backtrack of ``_first_automorphism`` and at every step inside it; once
     it has passed, the automorphisms found so far are returned. A backtrack
@@ -241,15 +271,19 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
     needs, and its orbits are finer than the group's, so a verdict shared
     across one of them is still shared by isomorphic graphs.
     """
-    n = g.n
-    nbrs = [list(bits(row)) for row in g.adj]
-    levels: list[list[int]] = []
+    n, adj = g.n, g.adj
+    nbrs = [list(bits(row)) for row in adj]
+    levels: list[list[int]] = []  # levels[v]: the class masks with 0..v-1 individualised
     colour = _refine(nbrs, g.degrees())
-    while len(set(colour)) < n:  # a discrete level has a trivial stabiliser
-        levels.append(colour)
-        colour = list(colour)
-        colour[len(levels) - 1] = n  # individualise: ranks are below n
-        colour = _refine(nbrs, colour)
+    cell = _cells(colour)
+    while len(set(cell)) < n:  # a discrete level has a trivial stabiliser
+        v = len(levels)
+        levels.append(cell)
+        if cell[v] != 1 << v:
+            colour = list(colour)
+            colour[v] = n  # individualise: ranks are below n
+            colour = _refine(nbrs, colour)
+            cell = _cells(colour)
     orbit = list(range(n))  # union-find over vertex orbits
 
     def find(x: int) -> int:
@@ -260,22 +294,22 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
 
     out: list[tuple[int, ...]] = []
     for v in range(len(levels) - 1, -1, -1):
-        colour = levels[v]
-        masks: dict[int, int] = {}
-        for x, c in enumerate(colour):
-            masks[c] = masks.get(c, 0) | (1 << x)
-        cell = [masks[c] for c in colour]
+        cell = levels[v]
+        order = None
         for w in bits(cell[v] >> (v + 1) << (v + 1)):
             if find(w) == find(v):
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 return out
-            sigma = _first_automorphism(g, cell, v, w, deadline)
+            if order is None:
+                order = _search_order(adj, v)
+            sigma = _first_automorphism(adj, cell, order, v, w, deadline)
             if sigma is None:
                 continue
             out.append(sigma)
-            for x in range(n):
-                orbit[find(x)] = find(sigma[x])
+            for x, y in enumerate(sigma):
+                if x != y:
+                    orbit[find(x)] = find(y)
     return out
 
 

@@ -6,8 +6,9 @@ decided by checking every one of the 2^m colourings against precomputed copy
 masks, search trees by a plain recursion that rescans every edge against the
 copy masks and every permutation at every node, chromatic numbers by trying
 every assignment of colours to vertices, automorphisms by trying every one of
-the n! vertex permutations, and canonical forms by trying every
-class-grouped vertex ordering. Four exceptions lean on the library on
+the n! vertex permutations, canonical forms by trying every
+class-grouped vertex ordering, and refinement by building every vertex's
+full signature in every round. Four exceptions lean on the library on
 purpose, so that each tests one choice only: the unfiltered enumeration
 deduplicates by the library's canonical key, testing which children
 enumeration tries; the per-edge minimality checks call the library's
@@ -249,21 +250,23 @@ def preserves_adjacency(g: Graph, perm) -> bool:
 def brute_automorphism_count(g: Graph) -> int:
     """Number of the n! vertex permutations that preserve adjacency. A
     permutation prefix that already breaks adjacency is dropped together
-    with its extensions, which keeps the Petersen graph's 10! in reach."""
+    with its extensions, which keeps the Petersen graph's 10! and the
+    17-vertex pendant gadget in reach. Vertex v may go to w when w is
+    unused and its neighbours among the images of ``0..v-1`` are the images
+    of v's neighbours among them."""
 
-    def count(perm: list[int]) -> int:
+    def count(perm: list[int], used: int) -> int:
         v = len(perm)
         if v == g.n:
             return 1
+        image = sum(1 << perm[u] for u in range(v) if g.has_edge(u, v))
         total = 0
         for w in range(g.n):
-            if w in perm:
-                continue
-            if all(g.has_edge(u, v) == g.has_edge(perm[u], w) for u in range(v)):
-                total += count(perm + [w])
+            if not (used >> w) & 1 and g.adj[w] & used == image:
+                total += count(perm + [w], used | (1 << w))
         return total
 
-    return count([])
+    return count([], 0)
 
 
 def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
@@ -281,6 +284,20 @@ def automorphisms(g: Graph, limit: int = 2000) -> list[tuple[int, ...]]:
                 seen.add(q)
                 out.append(q)
     return out
+
+
+def reference_refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
+    """Degree refinement of ``colour`` on the graph with neighbour lists
+    ``nbrs``: each round gives every vertex the signature (id, sorted
+    neighbour ids) and ranks the signatures, until no class splits."""
+    count = len(set(colour))
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in nb))) for v, nb in enumerate(nbrs)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [ranks[s] for s in sig]
+        if len(ranks) == count:
+            return colour
+        count = len(ranks)
 
 
 def brute_canonical_columns(g: Graph, colour) -> list[int]:

@@ -434,7 +434,8 @@ class TestSearchModes:
         assert len(generators(Graph.complete(6))) == 5
         assert len(generators(Graph.petersen())) == 4
         rng = random.Random(53)
-        corpus = [Graph.petersen()]
+        gadget = pendant_gadget_k3()
+        corpus = [Graph.petersen(), gadget] + [gadget.without_edge(*e) for e in gadget.edges()]
         for g in enumerate_graphs(6):
             # the canonical labelling and a shuffled one
             relabel = list(range(g.n))
@@ -445,6 +446,24 @@ class TestSearchModes:
             assert all(preserves_adjacency(g, s) for s in generators(g)), g.edges()
             count = brute_automorphism_count(g)
             assert len(automorphisms(g, limit=count + 1)) == count, g.edges()
+
+    def test_generator_lists_are_pinned(self):
+        # lex-leader pruning reads the generators themselves, not only the
+        # group they generate: the lists, in order, on every class with at
+        # most 7 vertices, the pendant gadget and its one-edge deletions,
+        # each also relabelled in smallest-last order
+        gadget = pendant_gadget_k3()
+        corpus = []
+        for g in [*enumerate_graphs(7), gadget, *(gadget.without_edge(*e) for e in gadget.edges())]:
+            label = [0] * g.n
+            for i, v in enumerate(minimal._smallest_last(g)):
+                label[v] = i
+            corpus += [g, Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])]
+        assert len(corpus) == 2606
+        lists = repr([generators(g) for g in corpus])
+        assert hashlib.sha256(lists.encode()).hexdigest() == (
+            "06dd72aa7fb845cbe775c92009b23d3bf52db7a6eca9fcf2a7136392ce07f1cb"
+        )
 
 
 class TestThroughEdgeChecker:

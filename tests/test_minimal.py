@@ -16,7 +16,7 @@ from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import Budget, EdgeColouring, Outcome, arrows, find_mono, ramsey_number
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
-from ramseykit.graphs import Graph, colourable, components
+from ramseykit.graphs import Graph, bits, colourable, components, mask_of
 from ramseykit.minimal import (
     MinimalityReport,
     canonical_graph,
@@ -44,6 +44,7 @@ from oracles import (
     per_edge_minimalize,
     per_orbit_is_minimal,
     per_orbit_minimalize,
+    reference_refine,
     unfiltered_classes,
 )
 
@@ -115,6 +116,27 @@ class TestCanonicalForm:
     def test_key_is_the_bits_of_the_canonical_graph(self):
         for g in labellings(7, seed=73):
             assert canonical_key(g) == (g.n, canonical_graph(g).bits()), g.edges()
+
+
+class TestRefinement:
+    def test_matches_the_reference(self):
+        # every class on at most 7 vertices, each under two seeded
+        # relabellings, refined from its degree colouring and from each
+        # single-vertex individualisation of its stable colouring: the
+        # colourings ``refine`` and ``generators`` start from
+        rng = random.Random(83)
+        for g in enumerate_graphs(7):
+            for _ in range(2):
+                relabel = list(range(g.n))
+                rng.shuffle(relabel)
+                h = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges()])
+                nbrs = [list(bits(row)) for row in h.adj]
+                stable = symmetry._refine(nbrs, h.degrees())
+                assert stable == reference_refine(nbrs, h.degrees()), h.edges()
+                for v in range(h.n):
+                    start = list(stable)
+                    start[v] = h.n
+                    assert symmetry._refine(nbrs, start) == reference_refine(nbrs, start), (h.edges(), v)
 
 
 def cold_orders() -> list:
@@ -322,7 +344,7 @@ class TestEnumerationPool:
         minimal._classes(7)
         return minimal._orders
 
-    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_orders_do_not_depend_on_the_worker_count(self, monkeypatch, serial, w):
         monkeypatch.setattr(minimal, "_orders", cold_orders())
         pin_workers(monkeypatch, w)
@@ -406,6 +428,26 @@ class TestEnumerationPool:
 
         monkeypatch.setattr(minimal, "_share", share)
         assert minimal._keys([0, 1, 2], 8, None, 3) is None
+        assert_no_children()
+
+    def test_shares_are_dealt_in_snake_order(self, monkeypatch):
+        # each share sends its parents back as one mask, and checks in its
+        # own process that they come in ascending order
+        def share(parents, n, budget, caller=None):
+            assert list(parents) == sorted(parents)
+            return {mask_of(parents)} if parents else set()
+
+        monkeypatch.setattr(minimal, "_share", share)
+        for w in range(1, 5):
+            snake = [*range(w), *range(w - 1, -1, -1)] * 41
+            for count in range(41):
+                dealt = [0] * w
+                for j in range(count):
+                    dealt[snake[j]] |= 1 << j
+                masks = minimal._keys(list(range(count)), 8, None, w)
+                assert masks == {m for m in dealt if m}, (w, count)
+                sizes = [m.bit_count() for m in masks] + [0] * (w - len(masks))
+                assert max(sizes) - min(sizes) <= 1, (w, count)
         assert_no_children()
 
     def test_share_stops_once_its_caller_is_gone(self):

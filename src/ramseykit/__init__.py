@@ -3,7 +3,6 @@
 from .arrowing import (
     ArrowingVerdict,
     Budget,
-    EdgeColouring,
     Outcome,
     RamseyNumberReport,
     arrows,
@@ -27,6 +26,7 @@ from .patterns import (
     CliquePendant,
     CliquePlusCliques,
     Colour,
+    EdgeColouring,
     parse_pattern,
     pattern_graph,
 )

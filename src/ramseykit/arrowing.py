@@ -40,32 +40,33 @@ canonical witness is checked once more in full before it is returned.
 Budgets produce an explicit UNDECIDED outcome, never a guess. One
 ``Budget`` (a wall-clock deadline and a count of search nodes) is made by
 the caller and passed down unchanged, so it caps every search of a
-computation together.
+computation together. The clique, packing and embedding tests are the
+kernels of ``graphs``, and copies come from ``patterns.copies``, as in ``cnf``.
 """
 from __future__ import annotations
 
 import enum
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Optional
 
-from .errors import FormatError, InputError
-from .formats import read_counted_lines
-from .graphs import Graph, bits, mask_of
+from .errors import InputError
+from .graphs import Graph, bits, embeddings, has_clique, has_clique_then_packing
 from .patterns import (
     Arbitrary,
     Clique,
     CliquePendant,
     CliquePlusCliques,
     Colour,
+    EdgeColouring,
     TargetPattern,
+    copies,
     largest_component_size,
     pattern_graph,
 )
 from .symmetry import edge_perms
 
 __all__ = [
-    "EdgeColouring",
     "Outcome",
     "ArrowingVerdict",
     "Budget",
@@ -74,237 +75,7 @@ __all__ = [
     "arrows",
     "ramsey_number",
     "RamseyNumberReport",
-    "write_colouring",
-    "read_colouring",
 ]
-
-
-@dataclass(frozen=True)
-class EdgeColouring:
-    """Total red/blue assignment on a graph's edge set.
-
-    ``colours[i]`` is the colour of the i-th edge in sorted-pair order.
-    """
-
-    graph: Graph
-    colours: tuple[Colour, ...]
-
-    def __post_init__(self):
-        if len(self.colours) != self.graph.num_edges:
-            raise InputError("colouring must cover the edge set exactly")
-
-    @classmethod
-    def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], Colour]) -> "EdgeColouring":
-        edges = graph.edges()
-        known = set(edges)
-        norm: dict[tuple[int, int], Colour] = {}
-        for (u, v), col in mapping.items():
-            key = (u, v) if u < v else (v, u)
-            if key not in known:
-                raise InputError(f"({u}, {v}) is not an edge of the graph")
-            norm[key] = col
-        if len(norm) != len(edges):
-            raise InputError("colouring must cover the edge set exactly")
-        return cls(graph, tuple(norm[e] for e in edges))
-
-    @classmethod
-    def constant(cls, graph: Graph, colour: Colour) -> "EdgeColouring":
-        return cls(graph, (colour,) * graph.num_edges)
-
-    def colour_of(self, u: int, v: int) -> Colour:
-        """The colour of the edge uv; InputError when uv is not an edge."""
-        return self.colours[self.graph.edge_index(u, v)]
-
-    def class_adj(self, colour: Colour) -> tuple[int, ...]:
-        adj = [0] * self.graph.n
-        for (u, v), col in zip(self.graph.edges(), self.colours):
-            if col is colour:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return tuple(adj)
-
-    def subgraph(self, colour: Colour) -> Graph:
-        return Graph(self.graph.n, self.class_adj(colour))
-
-    def swapped(self) -> "EdgeColouring":
-        return EdgeColouring(self.graph, tuple(c.swapped for c in self.colours))
-
-
-# -- witness text format ------------------------------------------------------
-
-
-def write_colouring(c: EdgeColouring) -> str:
-    lines = [f"n {c.graph.n}"]
-    lines += [f"{u} {v} {col.letter}" for (u, v), col in zip(c.graph.edges(), c.colours)]
-    return "\n".join(lines) + "\n"
-
-
-def read_colouring(text: str) -> EdgeColouring:
-    n, rows = read_counted_lines(text, "colouring", "colouring", 3)
-    colours = {}
-    for u, v, letter in rows:
-        key = (u, v) if u < v else (v, u)
-        if key in colours:
-            raise FormatError(f"edge {key} is coloured twice")
-        colours[key] = Colour.from_letter(letter)
-    g = Graph.from_edges(n, [(u, v) for u, v, _ in rows])
-    return EdgeColouring.from_mapping(g, colours)
-
-
-# -- embedding primitives (bitmask adjacency) ---------------------------------
-
-
-def _has_clique_within(adj: tuple[int, ...], mask: int, size: int) -> bool:
-    """Does ``mask`` hold a clique on ``size`` vertices?"""
-    if size <= 1:
-        return size <= 0 or mask != 0
-    if size == 2:
-        m = mask
-        while m:
-            b = m & -m
-            if adj[b.bit_length() - 1] & mask:
-                return True
-            m ^= b
-        return False
-    if mask.bit_count() < size:
-        return False
-    while mask:
-        b = mask & -mask
-        v = b.bit_length() - 1
-        mask ^= b
-        if _has_clique_within(adj, mask & adj[v], size - 1):
-            return True
-        if mask.bit_count() < size:
-            return False
-    return False
-
-
-def _cliques_within(adj, mask: int, size: int, prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
-    """All cliques of the given size inside ``mask`` as ascending vertex tuples,
-    in lexicographic order."""
-    if size == 0:
-        yield prefix
-        return
-    while mask:
-        if mask.bit_count() < size:
-            return
-        b = mask & -mask
-        v = b.bit_length() - 1
-        mask ^= b
-        yield from _cliques_within(adj, mask & adj[v], size - 1, prefix + (v,))
-
-
-def _packings(adj, avail: int, k: int, f: int, t: int, prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
-    """Every copy of K_k + fK_t inside ``avail``, as ``prefix`` followed by
-    the K_k's vertex tuple and the f disjoint K_t's tuples ordered by least
-    vertex, in lexicographic order of the K_k, then of the K_t's one by one.
-    With k = 0 these are the packings of f t-cliques."""
-    if avail.bit_count() < k + f * t:
-        return
-    if k:
-        for head in _cliques_within(adj, avail, k, prefix):
-            yield from _packings(adj, avail & ~mask_of(head), 0, f, t, head)
-    elif f == 0:
-        yield prefix
-    else:
-        for tpl in _cliques_within(adj, avail, t, prefix):
-            # the later K_t's start above this one
-            above = avail & ~mask_of(tpl) & ~((2 << tpl[-t]) - 1)
-            yield from _packings(adj, above, 0, f - 1, t, tpl)
-
-
-def _has_packing(adj, avail: int, k: int, f: int, t: int) -> bool:
-    """Does ``avail`` hold a copy of K_k + fK_t? The answer is
-    ``next(_packings(adj, avail, k, f, t), None) is not None``, found by
-    ``_packings``'s recursion (the K_k first, then each later K_t above the
-    previous one's least vertex) without building the packing."""
-    if avail.bit_count() < k + f * t:
-        return False
-    if f == 0:
-        return _has_clique_within(adj, avail, k)
-    if k:
-        return _has_clique_then_packing(adj, avail, k, avail, 0, f, t)
-    if f == 1:
-        return _has_clique_within(adj, avail, t)
-    m = avail
-    while m.bit_count() >= f * t:
-        b = m & -m
-        m ^= b  # the vertices of avail above v, the K_t's least vertex
-        if _has_clique_then_packing(adj, m & adj[b.bit_length() - 1], t - 1, m, 0, f - 1, t):
-            return True
-    return False
-
-
-def _has_clique_then_packing(adj, cand: int, size: int, rest: int, k: int, f: int, t: int) -> bool:
-    """Is there a clique Q on ``size`` vertices inside ``cand`` such that
-    ``rest`` without Q holds a copy of K_k + fK_t?"""
-    if size == 0:
-        return _has_packing(adj, rest, k, f, t)
-    while cand.bit_count() >= size:
-        b = cand & -cand
-        cand ^= b
-        if _has_clique_then_packing(adj, cand & adj[b.bit_length() - 1], size - 1, rest & ~b, k, f, t):
-            return True
-    return False
-
-
-def _extend_embedding(adj, n: int, pat: Graph, partial: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    """Every completion of a partial pattern-vertex to host-vertex
-    monomorphism, as the tuple whose entry i is the image of pattern vertex
-    i, in backtrack order: the next pattern vertex is the one with the most
-    images among its neighbours, the least on ties, and its image ascends."""
-    todo = [a for a in range(pat.n) if a not in partial]
-    return _embed(adj, n, pat, dict(partial), mask_of(partial.values()), todo)
-
-
-def _embed(adj, n: int, pat: Graph, assigned: dict, used: int, todo: list):
-    """The backtrack of ``_extend_embedding``: ``assigned`` maps the pattern
-    vertices placed so far to their images, ``used`` masks those images and
-    ``todo`` lists the pattern vertices left."""
-    if not todo:
-        yield tuple(assigned[a] for a in range(pat.n))
-        return
-    best_i = 0
-    best_cnt = -1
-    for i, a in enumerate(todo):
-        cnt = sum(1 for b in bits(pat.adj[a]) if b in assigned)
-        if cnt > best_cnt:
-            best_cnt, best_i = cnt, i
-    a = todo[best_i]
-    rest = todo[:best_i] + todo[best_i + 1:]
-    cand = ~used & ((1 << n) - 1)
-    for b in bits(pat.adj[a]):
-        if b in assigned:
-            cand &= adj[assigned[b]]
-    for x in bits(cand):
-        assigned[a] = x
-        yield from _embed(adj, n, pat, assigned, used | (1 << x), rest)
-    assigned.pop(a, None)
-
-
-def _copies(adj: tuple[int, ...], n: int, p: TargetPattern) -> Iterator[tuple[int, ...]]:
-    """Every copy of ``p`` in the graph given by bitmask adjacency ``adj``, as
-    the tuple whose entry i is the host vertex of vertex i of
-    ``pattern_graph(p)``, lazily and in a fixed order: cliques by vertex
-    tuple; K_k·K_2 by clique tuple, then attach vertex, then pendant vertex,
-    as (attach, the other clique vertices ascending, pendant); K_k + fK_t as
-    ``_packings`` gives them; arbitrary targets in ``_extend_embedding``'s
-    backtrack order."""
-    full = (1 << n) - 1
-    if isinstance(p, Clique):
-        yield from _cliques_within(adj, full, p.k)
-    elif isinstance(p, CliquePendant):
-        for tpl in _cliques_within(adj, full, p.k):
-            smask = mask_of(tpl)
-            for i, s in enumerate(tpl):
-                for w in bits(adj[s] & ~smask):
-                    yield (s, *tpl[:i], *tpl[i + 1:], w)
-    elif isinstance(p, CliquePlusCliques):
-        yield from _packings(adj, full, p.k, p.f, p.t)
-    elif isinstance(p, Arbitrary):
-        yield from _extend_embedding(adj, n, p.graph, {})
-    else:
-        raise InputError(f"unknown pattern type {type(p).__name__}")
 
 
 # -- through-edge completion checks -------------------------------------------
@@ -343,7 +114,7 @@ def _through_edge_checker(p: TargetPattern):
     K_{k-2} inside C, and the rest of the class without u, v and T holds
     fK_t; or has uv in one of its K_t's, {u, v} + T with T a K_{t-2} inside
     C, and the rest holds K_k + (f-1)K_t. Both questions are asked as
-    yes/no questions over masks (``_has_clique_then_packing``). They cover
+    yes/no questions over masks (``has_clique_then_packing``). They cover
     every copy through uv and find only such copies, so the check is exact
     on any class and needs no precondition. When t = k the copy is
     (f+1)K_k, whose cliques are interchangeable: "uv in a K_t" asks again
@@ -355,7 +126,7 @@ def _through_edge_checker(p: TargetPattern):
             return lambda adj, u, v: False
 
         def check_clique(adj, u, v):
-            return _has_clique_within(adj, adj[u] & adj[v], k - 2)
+            return has_clique(adj, adj[u] & adj[v], k - 2)
 
         return check_clique
 
@@ -371,12 +142,12 @@ def _through_edge_checker(p: TargetPattern):
             if du >= k - 1 or dv >= k - 1:
                 # (b) with any T, else (a)
                 return (
-                    _has_clique_within(adj, common, k - 2)
-                    or (du == k - 1 and _has_clique_within(adj, nu, k - 1))
-                    or (dv == k - 1 and _has_clique_within(adj, nv, k - 1))
+                    has_clique(adj, common, k - 2)
+                    or (du == k - 1 and has_clique(adj, nu, k - 1))
+                    or (dv == k - 1 and has_clique(adj, nv, k - 1))
                 )
             # (a) needs a degree of k - 1; in (b), T = C is the one candidate
-            if not _has_clique_within(adj, common, k - 2):
+            if not has_clique(adj, common, k - 2):
                 return False
             outside = ~(common | (1 << u) | (1 << v))
             for s in bits(common):
@@ -394,8 +165,8 @@ def _through_edge_checker(p: TargetPattern):
         def check_plus(adj, u, v):
             avail = ((1 << len(adj)) - 1) & ~((1 << u) | (1 << v))
             common = adj[u] & adj[v]
-            return (in_k and _has_clique_then_packing(adj, common, k - 2, avail, 0, f, t)) or (
-                in_t and _has_clique_then_packing(adj, common, t - 2, avail, k, f - 1, t)
+            return (in_k and has_clique_then_packing(adj, common, k - 2, avail, 0, f, t)) or (
+                in_t and has_clique_then_packing(adj, common, t - 2, avail, k, f - 1, t)
             )
 
         return check_plus
@@ -409,7 +180,7 @@ def _through_edge_checker(p: TargetPattern):
         n = len(adj)
         for a, b in pedges:
             for x, y in ((u, v), (v, u)):
-                for _ in _extend_embedding(adj, n, pat, {a: x, b: y}):
+                for _ in embeddings(adj, n, pat, {a: x, b: y}):
                     return True
         return False
 
@@ -420,16 +191,16 @@ def _through_edge_checker(p: TargetPattern):
 
 
 def find_pattern(g: Graph, p: TargetPattern) -> tuple[int, ...] | None:
-    """The first copy of ``p`` in ``g`` (colour-blind) in ``_copies`` order,
+    """The first copy of ``p`` in ``g`` (colour-blind) in ``patterns.copies`` order,
     or None. A copy is the tuple whose entry i is the vertex of ``g`` that
     vertex i of ``pattern_graph(p)`` maps to."""
-    return next(_copies(g.adj, g.n, p), None)
+    return next(copies(g.adj, g.n, p), None)
 
 
 def find_mono(c: EdgeColouring, p: TargetPattern, colour: Colour) -> tuple[int, ...] | None:
     """The first copy of ``p`` in the given colour class of ``c``, in
-    ``_copies`` order and shape (see ``find_pattern``), or None."""
-    return next(_copies(c.class_adj(colour), c.graph.n, p), None)
+    ``copies`` order and shape (see ``find_pattern``), or None."""
+    return next(copies(c.class_adj(colour), c.graph.n, p), None)
 
 
 # -- the arrowing search --------------------------------------------------------
@@ -651,8 +422,8 @@ def _dfs_search(
     # canonical: the first leaf in lex order; a copy here means a
     # through-edge check broke its contract
     if (
-        next(_copies(red_adj, n, red), None) is not None
-        or next(_copies(blue_adj, n, blue), None) is not None
+        next(copies(red_adj, n, red), None) is not None
+        or next(copies(blue_adj, n, blue), None) is not None
     ):
         raise RuntimeError("search witness contains a monochromatic target")
     return Outcome.NOT_ARROW, tuple(_COLOURS[x] for x in col), nodes

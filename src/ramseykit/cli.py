@@ -24,18 +24,11 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .arrowing import (
-    Budget,
-    Outcome,
-    arrows,
-    ramsey_number,
-    read_colouring,
-    write_colouring,
-)
+from .arrowing import Budget, Outcome, arrows, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_encode, read_graph, read_graphs, write_hypergraph
 from .minimal import _minimality, _minimalized, degree_survey, distinguish
-from .patterns import parse_pattern, pattern_text
+from .patterns import parse_pattern, pattern_text, read_colouring, write_colouring
 
 if TYPE_CHECKING:
     from fractions import Fraction

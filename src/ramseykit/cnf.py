@@ -6,11 +6,11 @@ the red target the clause forbids the all-red assignment of its edges, and for
 every copy of the blue target the clause demands at least one red edge, so the
 formula is satisfiable exactly when some colouring avoids both targets.
 
-Every target type exports: the copies come from ``arrowing._copies``, each
+Every target type exports: the copies come from ``patterns.copies``, each
 as the tuple of host vertices that the vertices of ``pattern_graph(p)`` map
 to, and a copy's clause holds the variables of the images of the pattern's
 edges. Clause order is canonical: all red-target clauses first, then all
-blue-target clauses, each in ``_copies`` order (cliques by vertex tuple;
+blue-target clauses, each in ``copies`` order (cliques by vertex tuple;
 pendant copies by clique tuple, then attach vertex, then pendant vertex;
 K_k + fK_t copies by K_k tuple, then K_t tuples; arbitrary targets in
 backtrack order). Literals within a clause ascend by variable. Copies with
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrowing import EdgeColouring, _copies
 from .errors import InputError
 from .graphs import Graph
-from .patterns import Colour, TargetPattern, pattern_graph
+from .patterns import Colour, EdgeColouring, TargetPattern, copies, pattern_graph
 
 __all__ = ["CnfInstance", "to_cnf", "decode_model", "to_dimacs", "solve_cnf"]
 
@@ -47,7 +46,7 @@ def to_cnf(g: Graph, red: TargetPattern, blue: TargetPattern) -> CnfInstance:
     clauses: list[tuple[int, ...]] = []
     for p, sign in ((red, -1), (blue, 1)):
         pedges = pattern_graph(p).edges()
-        for img in _copies(g.adj, g.n, p):
+        for img in copies(g.adj, g.n, p):
             variables = sorted(g.edge_index(img[a], img[b]) + 1 for a, b in pedges)
             clauses.append(tuple(sign * x for x in variables))
     return CnfInstance(g, tuple(clauses))

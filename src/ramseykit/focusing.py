@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .arrowing import EdgeColouring, _cliques_within
 from .errors import InputError
 from .gadgets import BlockGraph
-from .graphs import mask_of
-from .patterns import COLOUR_KEY, Colour
+from .graphs import cliques, mask_of
+from .patterns import COLOUR_KEY, Colour, EdgeColouring
 
 __all__ = [
     "BipartiteColouring",
@@ -257,7 +256,7 @@ def iterated_focus(bg: BlockGraph, chi: EdgeColouring) -> FocusReport | FocusFai
     for j in j_set:
         found = None
         for colour in (Colour.RED, Colour.BLUE):
-            tpl = next(_cliques_within(chi.class_adj(colour), mask_of(current[j]), t - 1), None)
+            tpl = next(cliques(chi.class_adj(colour), mask_of(current[j]), t - 1), None)
             if tpl is not None:
                 found = (tpl, colour)
                 break

@@ -1,6 +1,6 @@
 """Text interchange formats: graph6, edge lists, graph files and
 hypergraphs. The edge-colouring format (``write_colouring``,
-``read_colouring``) lives in ``arrowing``, next to ``EdgeColouring``.
+``read_colouring``) lives in ``patterns``, next to ``EdgeColouring``.
 
 graph6 follows the public byte layout bit-exactly: the size field, then
 the upper-triangle bits of ``Graph.bits`` in 6-bit groups offset by 63,

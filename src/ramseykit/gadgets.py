@@ -21,18 +21,11 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .arrowing import Budget, EdgeColouring, find_mono, ramsey_number
+from .arrowing import Budget, find_mono, ramsey_number
 from .errors import InfeasibleError, InputError, Undecided
 from .formats import graph6_decode, graph6_encode
-from .graphs import (
-    Graph,
-    Hypergraph,
-    clique_number,
-    hyper_alpha,
-    hyper_girth,
-    _shortest_circuit,
-)
-from .patterns import Clique, CliquePendant, CliquePlusCliques, Colour
+from .graphs import Graph, Hypergraph, clique_number, hyper_alpha, hyper_girth, shortest_circuit
+from .patterns import Clique, CliquePendant, CliquePlusCliques, Colour, EdgeColouring
 
 if TYPE_CHECKING:
     # imported where used: building and colouring gadgets needs no fraction
@@ -290,7 +283,7 @@ def gen_hypergraph(
         # alteration: delete the lexicographically greatest edge of each
         # remaining short circuit until none is left
         while True:
-            found = _shortest_circuit(h)
+            found = shortest_circuit(h)
             if found is None or found[0] >= girth_min:
                 break
             _length, circuit = found

@@ -311,15 +311,11 @@ def _work(share, n: int, budget: Budget | None, caller: int, wr: int) -> int:
     return code
 
 
-def enumerate_graphs(n_max: int) -> Iterator[Graph]:
+def enumerate_graphs(n_max: int, budget: Budget | None = None) -> Iterator[Graph | None]:
     """All non-isomorphic graphs with 1..n_max vertices, canonical
-    representatives, ordered by vertex count and then canonical form."""
-    return _enumerated(n_max, None)
-
-
-def _enumerated(n_max: int, budget: Budget | None) -> Iterator[Graph | None]:
-    """``enumerate_graphs(n_max)``, with a None in place of the first order
-    that ``budget`` leaves unbuilt."""
+    representatives, ordered by vertex count and then canonical form, with
+    a None in place of the first order that ``budget`` leaves unbuilt (never
+    without a budget)."""
     if n_max > _ENUM_LIMIT:
         raise InputError(f"built-in enumeration is limited to {_ENUM_LIMIT} vertices, got n_max = {n_max}")
     for n in range(1, n_max + 1):
@@ -545,7 +541,7 @@ def _candidates(
     min_edges = 2 * pattern_graph(p).num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
     chi_edges = _chromatic_edges(chi_floor)
-    for g in _enumerated(n_max, budget) if graphs is None else graphs:
+    for g in enumerate_graphs(n_max, budget) if graphs is None else graphs:
         if g is None or budget.spent():
             result.complete = False
             return

@@ -1,4 +1,5 @@
-"""Monochromatic target patterns and the two-colour vocabulary.
+"""Monochromatic target patterns, their copies in a graph (``copies``), and
+the two-colour vocabulary: ``Colour``, ``EdgeColouring`` and its text format.
 
 The pattern mini-language used across the CLI and file formats:
 
@@ -14,11 +15,11 @@ import enum
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import Iterator, Mapping, Union
 
-from .errors import InputError
-from .formats import read_graph
-from .graphs import Graph, components
+from .errors import FormatError, InputError
+from .formats import read_counted_lines, read_graph
+from .graphs import Graph, bits, cliques, components, embeddings, mask_of, packings
 
 __all__ = [
     "Colour",
@@ -30,6 +31,10 @@ __all__ = [
     "parse_pattern",
     "pattern_text",
     "pattern_graph",
+    "copies",
+    "EdgeColouring",
+    "write_colouring",
+    "read_colouring",
 ]
 
 
@@ -56,6 +61,78 @@ class Colour(enum.Enum):
 
 # tie-break key: red sorts before blue
 COLOUR_KEY = {Colour.RED: 0, Colour.BLUE: 1}
+
+
+@dataclass(frozen=True)
+class EdgeColouring:
+    """Total red/blue assignment on a graph's edge set.
+
+    ``colours[i]`` is the colour of the i-th edge in sorted-pair order.
+    """
+
+    graph: Graph
+    colours: tuple[Colour, ...]
+
+    def __post_init__(self):
+        if len(self.colours) != self.graph.num_edges:
+            raise InputError("colouring must cover the edge set exactly")
+
+    @classmethod
+    def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], Colour]) -> "EdgeColouring":
+        edges = graph.edges()
+        known = set(edges)
+        norm: dict[tuple[int, int], Colour] = {}
+        for (u, v), col in mapping.items():
+            key = (u, v) if u < v else (v, u)
+            if key not in known:
+                raise InputError(f"({u}, {v}) is not an edge of the graph")
+            norm[key] = col
+        if len(norm) != len(edges):
+            raise InputError("colouring must cover the edge set exactly")
+        return cls(graph, tuple(norm[e] for e in edges))
+
+    @classmethod
+    def constant(cls, graph: Graph, colour: Colour) -> "EdgeColouring":
+        return cls(graph, (colour,) * graph.num_edges)
+
+    def colour_of(self, u: int, v: int) -> Colour:
+        """The colour of the edge uv; InputError when uv is not an edge."""
+        return self.colours[self.graph.edge_index(u, v)]
+
+    def class_adj(self, colour: Colour) -> tuple[int, ...]:
+        adj = [0] * self.graph.n
+        for (u, v), col in zip(self.graph.edges(), self.colours):
+            if col is colour:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        return tuple(adj)
+
+    def subgraph(self, colour: Colour) -> Graph:
+        return Graph(self.graph.n, self.class_adj(colour))
+
+    def swapped(self) -> "EdgeColouring":
+        return EdgeColouring(self.graph, tuple(c.swapped for c in self.colours))
+
+
+# -- colouring text format (the witness format) -----------------------------
+
+
+def write_colouring(c: EdgeColouring) -> str:
+    lines = [f"n {c.graph.n}"]
+    lines += [f"{u} {v} {col.letter}" for (u, v), col in zip(c.graph.edges(), c.colours)]
+    return "\n".join(lines) + "\n"
+
+
+def read_colouring(text: str) -> EdgeColouring:
+    n, rows = read_counted_lines(text, "colouring", "colouring", 3)
+    colours = {}
+    for u, v, letter in rows:
+        key = (u, v) if u < v else (v, u)
+        if key in colours:
+            raise FormatError(f"edge {key} is coloured twice")
+        colours[key] = Colour.from_letter(letter)
+    g = Graph.from_edges(n, [(u, v) for u, v, _ in rows])
+    return EdgeColouring.from_mapping(g, colours)
 
 
 @dataclass(frozen=True)
@@ -159,3 +236,28 @@ def pattern_graph(p: TargetPattern) -> Graph:
 
 def largest_component_size(p: TargetPattern) -> int:
     return max((c.bit_count() for c in components(pattern_graph(p))), default=0)
+
+
+def copies(adj: tuple[int, ...], n: int, p: TargetPattern) -> Iterator[tuple[int, ...]]:
+    """Every copy of ``p`` in the graph given by bitmask adjacency ``adj``, as
+    the tuple whose entry i is the host vertex of vertex i of
+    ``pattern_graph(p)``, lazily and in a fixed order: cliques by vertex
+    tuple; K_k·K_2 by clique tuple, then attach vertex, then pendant vertex,
+    as (attach, the other clique vertices ascending, pendant); K_k + fK_t as
+    ``packings`` gives them; arbitrary targets in ``embeddings``'s
+    backtrack order."""
+    full = (1 << n) - 1
+    if isinstance(p, Clique):
+        yield from cliques(adj, full, p.k)
+    elif isinstance(p, CliquePendant):
+        for tpl in cliques(adj, full, p.k):
+            smask = mask_of(tpl)
+            for i, s in enumerate(tpl):
+                for w in bits(adj[s] & ~smask):
+                    yield (s, *tpl[:i], *tpl[i + 1:], w)
+    elif isinstance(p, CliquePlusCliques):
+        yield from packings(adj, full, p.k, p.f, p.t)
+    elif isinstance(p, Arbitrary):
+        yield from embeddings(adj, n, p.graph, {})
+    else:
+        raise InputError(f"unknown pattern type {type(p).__name__}")

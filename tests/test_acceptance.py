@@ -16,14 +16,7 @@ from math import ceil
 import pytest
 
 from ramseykit import cli
-from ramseykit.arrowing import (
-    Budget,
-    EdgeColouring,
-    Outcome,
-    arrows,
-    find_mono,
-    ramsey_number,
-)
+from ramseykit.arrowing import Budget, Outcome, arrows, find_mono, ramsey_number
 from ramseykit.cnf import decode_model, solve_cnf, to_cnf
 from ramseykit.errors import InfeasibleError
 from ramseykit.focusing import (
@@ -47,7 +40,7 @@ from ramseykit.gadgets import (
 from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph, clique_number, components, hyper_alpha, hyper_girth
 from ramseykit.minimal import degree_survey, distinguish, enumerate_graphs, is_minimal, minimalize
-from ramseykit.patterns import Clique, CliquePendant, CliquePlusCliques, Colour
+from ramseykit.patterns import Clique, CliquePendant, CliquePlusCliques, Colour, EdgeColouring
 
 from oracles import naive_arrows
 

@@ -6,22 +6,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramseykit import arrowing, minimal, symmetry
+from ramseykit import arrowing, minimal, patterns, symmetry
 from ramseykit.arrowing import (
     Budget,
-    EdgeColouring,
     Outcome,
     arrows,
     find_mono,
     find_pattern,
     ramsey_number,
-    write_colouring,
 )
 from ramseykit.cnf import solve_cnf, to_cnf
 from ramseykit.errors import InputError
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
-from ramseykit.graphs import Graph
+from ramseykit.graphs import Graph, _has_packing, packings
 from ramseykit.minimal import enumerate_graphs, is_minimal, minimalize
 from ramseykit.patterns import (
     Arbitrary,
@@ -29,9 +27,11 @@ from ramseykit.patterns import (
     CliquePendant,
     CliquePlusCliques,
     Colour,
+    EdgeColouring,
     largest_component_size,
     parse_pattern,
     pattern_graph,
+    write_colouring,
 )
 from ramseykit.symmetry import generators
 
@@ -137,14 +137,14 @@ def mask_in_colour(chi: EdgeColouring, mask: int, colour: Colour) -> bool:
 
 
 class TestCopies:
-    """``_copies`` yields every copy of every target type, each as the tuple
+    """``copies`` yields every copy of every target type, each as the tuple
     of host vertices that the pattern's vertices map to."""
 
     @pytest.mark.parametrize("p", COPY_TARGETS, ids=str)
     def test_edge_masks_match_the_oracle(self, p):
         h = pattern_graph(p)
         for g in enumerate_graphs(6):
-            copies = list(arrowing._copies(g.adj, g.n, p))
+            copies = list(patterns.copies(g.adj, g.n, p))
             assert all(len(set(c)) == h.n for c in copies), g.edges()
             got = {image_edge_mask(g, p, c) for c in copies}
             assert got == set(copy_edge_masks(g, p)), g.edges()
@@ -157,7 +157,7 @@ class TestCopies:
         monomorphism once."""
         h = pattern_graph(p)
         for g in enumerate_graphs(6):
-            copies = list(arrowing._copies(g.adj, g.n, p))
+            copies = list(patterns.copies(g.adj, g.n, p))
             if isinstance(p, Arbitrary):
                 expected = [
                     img for img in permutations(range(g.n), h.n)
@@ -497,8 +497,8 @@ class TestThroughEdgeChecker:
         for g in enumerate_graphs(6):
             for avail in range(1 << g.n):
                 for k, f, t in product(range(4), range(3), range(1, 4)):
-                    expected = next(arrowing._packings(g.adj, avail, k, f, t), None) is not None
-                    got = arrowing._has_packing(g.adj, avail, k, f, t)
+                    expected = next(packings(g.adj, avail, k, f, t), None) is not None
+                    got = _has_packing(g.adj, avail, k, f, t)
                     assert got is expected, (g.edges(), avail, k, f, t)
 
 

@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from ramseykit import cli, gadgets, minimal
-from ramseykit.arrowing import Budget, find_mono, read_colouring
+from ramseykit.arrowing import Budget, find_mono
 from ramseykit.cli import main
 from ramseykit.focusing import report_from_json, report_to_json, verify_focus_report
 from ramseykit.formats import graph6_encode, read_graphs, read_hypergraph
 from ramseykit.gadgets import blockgraph_from_json
 from ramseykit.graphs import Graph, hyper_alpha, hyper_girth
 from ramseykit.minimal import enumerate_graphs
-from ramseykit.patterns import Clique, CliquePlusCliques, Colour
+from ramseykit.patterns import Clique, CliquePlusCliques, Colour, read_colouring
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ from math import ceil
 
 import pytest
 
-from ramseykit.arrowing import EdgeColouring
 from ramseykit.errors import InputError
 from ramseykit import focusing
 from ramseykit.focusing import (
@@ -27,7 +26,7 @@ from ramseykit.gadgets import (
     schedule_params,
 )
 from ramseykit.graphs import Graph
-from ramseykit.patterns import Colour
+from ramseykit.patterns import Colour, EdgeColouring
 
 
 def constant_bipartite(a, b, colour):

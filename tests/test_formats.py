@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseykit.arrowing import EdgeColouring, read_colouring, write_colouring
 from ramseykit.errors import FormatError, Graph6Error, InputError
 from ramseykit.formats import (
     graph6_decode,
@@ -18,7 +17,7 @@ from ramseykit.formats import (
     write_hypergraph,
 )
 from ramseykit.graphs import Graph, Hypergraph
-from ramseykit.patterns import Colour
+from ramseykit.patterns import Colour, EdgeColouring, read_colouring, write_colouring
 
 
 class TestGraph6Vectors:

@@ -12,9 +12,11 @@ from ramseykit.graphs import (
     Hypergraph,
     bits,
     clique_number,
+    cliques,
     colourable,
     components,
     hyper_alpha,
+    has_clique,
     hyper_girth,
     independence_number,
     induced_subgraph,
@@ -93,9 +95,24 @@ class TestCliqueNumber:
         assert clique_number(Graph.complete(40)) == 40
         assert clique_number(Graph.cycle(64)) == 2
         assert independence_number(Graph.cycle(64)) == 32
+        assert independence_number(Graph.cycle(63)) == 31
         rng = random.Random(97)
         g = random_graph(24, 0.5, rng)
         assert clique_number(g) == independence_number(g.complement())
+
+
+class TestCliqueKernels:
+    def test_match_subset_enumeration(self):
+        """``has_clique`` and ``cliques`` on every graph with at most 6
+        vertices, every mask and every size up to one past the mask."""
+        for g in enumerate_graphs(6):
+            is_clique = [all((g.adj[v] | (1 << v)) & sub == sub for v in bits(sub)) for sub in range(1 << g.n)]
+            for mask in range(1 << g.n):
+                subs = [sub for sub in range(1 << g.n) if sub & mask == sub and is_clique[sub]]
+                for size in range(mask.bit_count() + 2):
+                    expected = sorted(tuple(bits(sub)) for sub in subs if sub.bit_count() == size)
+                    assert has_clique(g.adj, mask, size) is bool(expected), (g.edges(), mask, size)
+                    assert list(cliques(g.adj, mask, size)) == expected, (g.edges(), mask, size)
 
 
 def chromatic_number(g: Graph) -> int:

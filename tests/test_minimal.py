@@ -13,7 +13,7 @@ import pytest
 
 from ramseykit import arrowing, minimal, symmetry
 from ramseykit.errors import InputError, Undecided
-from ramseykit.arrowing import Budget, EdgeColouring, Outcome, arrows, find_mono, ramsey_number
+from ramseykit.arrowing import Budget, Outcome, arrows, find_mono, ramsey_number
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.gadgets import build_g0, build_pendant_gadget
 from ramseykit.graphs import Graph, bits, colourable, components, mask_of
@@ -27,7 +27,7 @@ from ramseykit.minimal import (
     is_minimal,
     minimalize,
 )
-from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques, Colour
+from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliques, Colour, EdgeColouring
 from ramseykit.symmetry import (
     _canonical_columns,
     edge_orbits,

@@ -32,6 +32,10 @@ uncoloured or the two differ (lex-leader symmetry breaking). The good
 colourings are closed under Aut(G) and, for equal targets, under the colour
 swap, so their least member is no larger than any of its images: neither
 rule cuts it, and neither changes the verdict or the canonical witness.
+A search from a root, a partial colouring fixed before the first
+propagation, decides the colourings that extend it and finds the least
+good completion; it runs without both rules, since its completions are
+closed under neither Aut(G) nor the swap unless the root is.
 Every placement is checked before it is made, so no colour class ever holds
 a copy, and the through-edge checks use that: asked whether adding uv to a
 class completes a copy, they look only for copies through uv, and the
@@ -260,6 +264,7 @@ def _dfs_search(
     red: TargetPattern,
     blue: TargetPattern,
     budget: Budget,
+    root: list[int] | None = None,
 ) -> tuple[Outcome, tuple[Colour, ...] | None, int]:
     """Exhaustive search with forced-colour propagation, on int colours.
 
@@ -303,6 +308,17 @@ def _dfs_search(
     classes are searched in full once more, and a copy raises RuntimeError
     instead of returning a wrong witness.
 
+    ``root``, when given, holds the int colour of each edge, ``_FREE`` for
+    an edge it leaves open, and the search decides the colourings that
+    extend it. Its edges are placed before the first propagation, which
+    checks every free edge against both classes as they are. There is no
+    lex-leader pruning and no colour swap, and ``edge_perms`` is not
+    called: the good completions of a root are closed under neither
+    Aut(g) nor the swap unless the root is. Restricted to completions, the
+    argument of the module docstring holds as it stands, so the first leaf
+    is the least good completion. Neither root class may hold a copy of
+    its target, as the invariant below needs; ``arrows`` checks that.
+
     The generators of Aut(g) behind ``edge_perms`` run before the first
     node and stop at ``budget.deadline``, keeping the automorphisms found
     so far. The budget is checked once after them, and at every node, so a
@@ -323,7 +339,10 @@ def _dfs_search(
     col = [_FREE] * m
     max_nodes = budget.nodes_left
     deadline = budget.deadline
-    perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g, deadline)]
+    if root is None:
+        perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g, deadline)]
+    else:
+        sym, perms = False, []
     if budget.spent():  # the generators may have stopped at the deadline
         return Outcome.UNDECIDED, None, 0
 
@@ -334,6 +353,10 @@ def _dfs_search(
         a[u] |= 1 << v
         a[v] |= 1 << u
         col[e] = c
+
+    for e, c in enumerate(root or ()):
+        if c != _FREE:
+            place(e, c)
 
     def propagate(free, red_grew: bool, blue_grew: bool) -> bool:
         """Colour every forced edge, to the fixpoint; False on a conflict.
@@ -429,11 +452,37 @@ def _dfs_search(
     return Outcome.NOT_ARROW, tuple(_COLOURS[x] for x in col), nodes
 
 
+def _root_colours(g: Graph, root) -> list[int]:
+    """The int colour of each edge of ``g`` under ``root``, a pair (red,
+    blue) of class adjacencies, ``_FREE`` for an edge in neither; an
+    ``InputError`` unless the classes are disjoint symmetric subgraphs of
+    ``g``."""
+    red, blue = (list(a) for a in root)
+    if len(red) != g.n or len(blue) != g.n:
+        raise InputError(f"root classes need {g.n} adjacency rows")
+    col = []
+    rebuilt = ([0] * g.n, [0] * g.n)
+    for u, v in g.edges():
+        r, b = (red[u] >> v) & 1, (blue[u] >> v) & 1
+        if r and b:
+            raise InputError(f"root colours edge ({u}, {v}) both red and blue")
+        c = _RED if r else _BLUE if b else _FREE
+        col.append(c)
+        if c != _FREE:
+            rebuilt[c][u] |= 1 << v
+            rebuilt[c][v] |= 1 << u
+    if rebuilt != (red, blue):
+        raise InputError("root classes must be symmetric and hold only edges of the host")
+    return col
+
+
 def arrows(
     g: Graph,
     red: TargetPattern,
     blue: TargetPattern,
     opts: Budget | None = None,
+    *,
+    root: tuple | None = None,
 ) -> ArrowingVerdict:
     """Decide whether every red/blue colouring of E(g) contains a red copy of
     ``red`` or a blue copy of ``blue``.
@@ -441,16 +490,29 @@ def arrows(
     NOT_ARROW verdicts carry the canonical witness colouring. A budget that
     is spent on entry or runs out during the search yields UNDECIDED; the
     nodes explored are charged to ``opts``.
+
+    ``root``, a pair (red, blue) of disjoint class adjacencies, each a
+    subgraph of ``g``, asks instead about the colourings that extend it: the
+    search fixes its edges before the first propagation and runs without
+    lex-leader pruning and without the colour swap, which an asymmetric root
+    would make unsound. A NOT_ARROW witness is then the least good
+    completion of the root, and a root class that holds a copy of its
+    target gives ARROW with 0 nodes. A root that is not such a pair raises
+    ``InputError``.
     """
+    col = None if root is None else _root_colours(g, root)
     budget = opts or Budget()
     if budget.spent():
         return ArrowingVerdict(Outcome.UNDECIDED, None, 0, 0.0)
     start = time.monotonic()
 
-    if _edgeless_arrow(g, red) or _edgeless_arrow(g, blue):
+    trivial = _edgeless_arrow(g, red) or _edgeless_arrow(g, blue)
+    if root is not None and not trivial:
+        trivial = any(next(copies(a, g.n, p), None) is not None for a, p in zip(root, (red, blue)))
+    if trivial:
         return ArrowingVerdict(Outcome.ARROW, None, 0, time.monotonic() - start)
 
-    outcome, wit, nodes = _dfs_search(g, red, blue, budget)
+    outcome, wit, nodes = _dfs_search(g, red, blue, budget, col)
     if budget.nodes_left is not None:
         budget.nodes_left -= nodes
     witness = None if wit is None else EdgeColouring(g, wit)

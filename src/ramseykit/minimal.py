@@ -1,7 +1,7 @@
 """Ramsey-minimality checks, minimalization, degree surveys, and
 Ramsey-equivalence refutation by distinguishing witnesses.
 
-Graph enumeration is built in for up to 8 vertices: graphs are grown one
+Graph enumeration is built in for up to 9 vertices: graphs are grown one
 vertex at a time, once per orbit of the parent's automorphism group on the
 new vertex's neighbourhoods. A child is kept only when its new vertex lies in
 its top refinement class, the one with the largest id from
@@ -55,19 +55,24 @@ deletion, under the caller's deadline; cut short, they are the orbits of a
 subgroup, which are finer, so sharing one verdict per orbit stays sound.
 
 The pass keeps the last good colouring it holds, a colouring with no
-monochromatic copy of the target, and tries it on a deletion before it
-searches it. A restriction of a good colouring to a subgraph is good, since
-each colour class only loses edges. The stored colouring colours a graph
-with every edge of the next deletion h but one, uv, the edge whose deletion
-gave it and which was then kept; restricted to h it needs only uv. If
-``arrowing._through_edge_checker`` allows uv red, or else blue, on the
-restricted classes (whose lack of a copy is the checker's precondition),
-the result is a good colouring of h, so h does not arrow the target, and
-it becomes the stored colouring. Otherwise h is searched, and when h does
-not arrow, the search's good colouring of h, in h's labels, is stored in
-its place. One colouring is stored, so a deletion costs O(m) more work at
-most; the verdicts, and so the reports and graphs, are the ones one search
-per deletion gives.
+monochromatic copy of the target, and repairs it on a deletion before it
+searches the deletion in full. A restriction of a good colouring to a
+subgraph is good, since each colour class only loses edges. The stored
+colouring colours a graph with every edge of the next deletion h but one,
+uv, the edge whose deletion gave it and which was then kept. Restricted to
+h, with every edge of h at u or v left free (uv among them), it is the
+root of a search of h (``arrows`` with ``root``; ``_root``), which leaves
+only those edges open. A good completion of the root is a good colouring
+of h, so h does not arrow the target, and the completion becomes the
+stored colouring. When no completion is good, which says nothing about
+h, or the rooted search is undecided, h is searched in full, and when h
+does not arrow, the full search's good colouring of h, in h's labels, is
+stored in its place. Both searches are exact, so the verdicts, and so the
+reports and graphs, are the ones one full search per deletion gives.
+Only the edges at u and v are freed. Freeing every edge at a vertex of
+N[u] or N[v] settled more deletions of the k = 3 pendant gadget, but one
+of its rooted searches took 636 nodes, more than a full search there,
+since a rooted search runs without lex-leader pruning.
 
 The pass, the survey and ``distinguish`` read verdicts only, so they
 search the host relabelled in smallest-last order (Matula & Beck, JACM
@@ -91,7 +96,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from . import arrowing
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
 from .formats import graph6_encode
@@ -118,7 +122,7 @@ __all__ = [
     "enumerate_graphs",
 ]
 
-_ENUM_LIMIT = 8  # built-in generation bound
+_ENUM_LIMIT = 9  # built-in generation bound
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -390,24 +394,21 @@ def _search(g: Graph, p: TargetPattern, budget: Budget):
     )
 
 
-def _recoloured(good, h: Graph, deleted: tuple[int, int], check):
-    """A good colouring of ``h`` made from the stored one, or None.
+def _root(good, h: Graph):
+    """The root that repairs the stored colouring on ``h``.
 
     ``good`` is (red, blue, uv): the class adjacencies of a good colouring
     of a graph holding every edge of ``h`` but uv. The classes are
-    restricted to ``h`` and uv is given the first colour, red then blue,
-    that ``check``, the through-edge check of the target, allows. The
-    result, stored in the same shape with ``deleted``, the edge that ``h``
-    lacks, is good (see the module docstring)."""
+    restricted to ``h``, and every edge of ``h`` at u or v is left free,
+    so the root fixes the rest (see the module docstring)."""
     red, blue, (u, v) = good
-    red = [r & a for r, a in zip(red, h.adj)]
-    blue = [b & a for b, a in zip(blue, h.adj)]
+    keep = ~((1 << u) | (1 << v))
+    classes = []
     for cls in (red, blue):
-        if not check(cls, u, v):
-            cls[u] |= 1 << v
-            cls[v] |= 1 << u
-            return red, blue, deleted
-    return None
+        fixed = [c & a & keep for c, a in zip(cls, h.adj)]
+        fixed[u] = fixed[v] = 0
+        classes.append(fixed)
+    return tuple(classes)
 
 
 def _deletions(
@@ -415,9 +416,9 @@ def _deletions(
 ) -> Iterator[tuple[tuple[int, int], Optional[Graph]]]:
     """The deletion pass over ``g``, which arrows ``p`` (see the module
     docstring): each deleted edge e with the graph left after it, ended by
-    (e, None) at an undecided deletion. A deletion the last good colouring
-    settles is not searched. The searches and the orbits share ``budget``."""
-    check = arrowing._through_edge_checker(p)
+    (e, None) at an undecided deletion. A deletion that a search rooted at
+    the last good colouring settles gets no full search. The searches and
+    the orbits share ``budget``."""
     good = None  # the last good colouring of a deletion
     cur = g
     orbits = None  # edge orbits of Aut(cur), None until needed
@@ -426,7 +427,12 @@ def _deletions(
         if e in kept:
             continue
         smaller = cur.without_edge(*e)
-        found = None if good is None else _recoloured(good, smaller, e, check)
+        found = None
+        if good is not None:
+            verdict = arrows(smaller, p, p, budget, root=_root(good, smaller))
+            if verdict.outcome is Outcome.NOT_ARROW:
+                w = verdict.witness
+                found = (w.class_adj(Colour.RED), w.class_adj(Colour.BLUE), e)
         if found is None:
             outcome, classes = _search(smaller, p, budget)
             if outcome is Outcome.UNDECIDED:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's algorithms: subsets are enumerated
 directly, girth is computed by per-vertex BFS, arrowing and witnesses are
-decided by checking every one of the 2^m colourings against precomputed copy
+decided by checking every one of the 2^m colourings (of a root's completions,
+for a rooted search) against precomputed copy
 masks, search trees by a plain recursion that rescans every edge against the
 copy masks and every permutation at every node, chromatic numbers by trying
 every assignment of colours to vertices, automorphisms by trying every one of
@@ -162,6 +163,32 @@ def naive_witness(g: Graph, red, blue):
         return tuple(
             Colour.BLUE if (x >> (m - 1 - i)) & 1 else Colour.RED for i in range(m)
         )
+    return None
+
+
+def least_good_completion(g: Graph, red, blue, root):
+    """The lex-first colouring, edges in sorted order and red before blue,
+    that gives every edge in a class of ``root`` (a pair of red and blue
+    adjacencies) that class's colour and has no red copy of ``red`` and no
+    blue copy of ``blue``; None if every such completion has one. Every
+    completion is tried, the first free edge varying slowest."""
+    edges = g.edges()
+    m = len(edges)
+    red_root, blue_root = root
+    fixed_blue = sum(1 << i for i, (u, v) in enumerate(edges) if (blue_root[u] >> v) & 1)
+    fixed = fixed_blue | sum(1 << i for i, (u, v) in enumerate(edges) if (red_root[u] >> v) & 1)
+    free = [i for i in range(m) if not (fixed >> i) & 1]
+    red_masks = copy_edge_masks(g, red)
+    blue_masks = copy_edge_masks(g, blue)
+    full = (1 << m) - 1
+    for choice in product((0, 1), repeat=len(free)):  # 1: blue
+        blues = fixed_blue | sum(1 << i for i, b in zip(free, choice) if b)
+        reds = full & ~blues
+        if any(cm & reds == cm for cm in red_masks):
+            continue
+        if any(cm & blues == cm for cm in blue_masks):
+            continue
+        return tuple(Colour.BLUE if (blues >> i) & 1 else Colour.RED for i in range(m))
     return None
 
 

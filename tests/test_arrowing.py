@@ -39,6 +39,7 @@ from oracles import (
     automorphisms,
     brute_automorphism_count,
     copy_edge_masks,
+    least_good_completion,
     naive_arrows,
     naive_witness,
     preserves_adjacency,
@@ -589,6 +590,111 @@ class TestIncrementalPropagation:
             self.assert_matches_reference(Graph.complete(n), red, blue)
 
 
+def root_of(g: Graph, colours) -> tuple[list[int], list[int]]:
+    """The root that fixes edge i of ``g`` to ``colours[i]``, None for free."""
+    root = ([0] * g.n, [0] * g.n)
+    for (u, v), c in zip(g.edges(), colours):
+        if c is not None:
+            cls = root[c is Colour.BLUE]
+            cls[u] |= 1 << v
+            cls[v] |= 1 << u
+    return root
+
+
+ROOTED_PAIRS = [
+    (Clique(3), Clique(3)),
+    (CliquePendant(3), CliquePendant(3)),
+    (Clique(3), CliquePlusCliques(2, 1, 2)),
+    (CliquePlusCliques(3, 1, 2), CliquePlusCliques(3, 1, 2)),
+]
+
+
+class TestRootedSearch:
+    """A search from a root decides the colourings that extend it, and its
+    witness is the least good completion, as brute force over every
+    completion finds it."""
+
+    @staticmethod
+    def assert_matches_oracle(g, red, blue, root):
+        expected = least_good_completion(g, red, blue, root)
+        verdict = arrows(g, red, blue, root=root)
+        got = None if verdict.witness is None else verdict.witness.colours
+        assert verdict.outcome is (Outcome.ARROW if expected is None else Outcome.NOT_ARROW)
+        assert got == expected, (g.edges(), root)
+
+    @pytest.mark.parametrize("red, blue", ROOTED_PAIRS, ids=str)
+    def test_small_graphs(self, red, blue):
+        # the empty root, each one-edge root in each colour, and every root
+        # when m <= 6
+        for g in enumerate_graphs(5):
+            m = g.num_edges
+            if m <= 6:
+                roots = product((None, Colour.RED, Colour.BLUE), repeat=m)
+            else:
+                roots = [(None,) * m] + [
+                    tuple(c if i == e else None for i in range(m))
+                    for e in range(m)
+                    for c in (Colour.RED, Colour.BLUE)
+                ]
+            for colours in roots:
+                self.assert_matches_oracle(g, red, blue, root_of(g, colours))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_star_roots_on_complete_graphs(self, n):
+        # the least good K3/K3 colouring of K5 on the first five vertices,
+        # less the star at one of them; every edge at that vertex or a
+        # later one is free. K6 arrows (3, 3), so no completion is good
+        good = naive_witness(Graph.complete(5), Clique(3), Clique(3))
+        colour_of = dict(zip(Graph.complete(5).edges(), good))
+        g = Graph.complete(n)
+        for x in range(5):
+            colours = [None if x in e or e[1] >= 5 else colour_of[e] for e in g.edges()]
+            self.assert_matches_oracle(g, Clique(3), Clique(3), root_of(g, colours))
+
+    def test_empty_root_gives_the_canonical_witness(self):
+        g = Graph.complete(5)
+        plain = arrows(g, Clique(3), Clique(3))
+        rooted = arrows(g, Clique(3), Clique(3), root=root_of(g, [None] * 10))
+        assert rooted.witness == plain.witness
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ([0b010, 0b001, 0], [0b010, 0b001, 0]),  # edge (0, 1) in both classes
+            ([0b100, 0, 0b001], [0, 0, 0]),  # (0, 2) is not an edge
+            ([0b010, 0, 0], [0, 0, 0]),  # not symmetric
+            ([0, 0], [0, 0]),  # too few rows
+        ],
+    )
+    def test_invalid_root(self, bad):
+        with pytest.raises(InputError):
+            arrows(Graph.path(3), Clique(3), Clique(3), root=bad)
+
+    def test_root_class_with_a_copy_arrows(self):
+        g = Graph.complete(4)
+        red_triangle = root_of(g, [Colour.RED if e[1] < 3 else None for e in g.edges()])
+        verdict = arrows(g, Clique(3), Clique(3), root=red_triangle)
+        assert (verdict.outcome, verdict.nodes) == (Outcome.ARROW, 0)
+        blue_triangle = red_triangle[::-1]
+        verdict = arrows(g, Clique(3), Clique(4), root=blue_triangle)
+        assert verdict.outcome is Outcome.NOT_ARROW
+
+    def test_spent_budget(self):
+        g = Graph.complete(5)
+        verdict = arrows(g, Clique(3), Clique(3), Budget(nodes=0), root=root_of(g, [None] * 10))
+        assert (verdict.outcome, verdict.nodes) == (Outcome.UNDECIDED, 0)
+
+    def test_nodes_charged_to_the_budget(self):
+        g = Graph.complete(6)
+        budget = Budget(nodes=1000)
+        verdict = arrows(g, Clique(3), Clique(3), budget, root=root_of(g, [None] * 15))
+        assert verdict.outcome is Outcome.ARROW and verdict.nodes > 0
+        assert budget.nodes_left == 1000 - verdict.nodes
+        short = Budget(nodes=verdict.nodes - 1)
+        cut = arrows(g, Clique(3), Clique(3), short, root=root_of(g, [None] * 15))
+        assert cut.outcome is Outcome.UNDECIDED and short.nodes_left <= 0
+
+
 @pytest.fixture
 def check_count(monkeypatch):
     """The number of through-edge checks run since the fixture was made."""
@@ -667,27 +773,30 @@ class TestNodeCounts:
         assert check_count[0] <= 151131
 
     def test_pendant_gadget_minimalize_reuses_colourings(self, check_count, monkeypatch):
-        # a deletion settled by the last good colouring with one edge
-        # recoloured is not searched: 11 searches of 5,504 nodes and
-        # 151,131 checks without the reuse
-        nodes = []
+        # a deletion settled by a search rooted at the last good colouring
+        # gets no full search: 11 full searches of 5,504 nodes and 151,131
+        # checks without the reuse
+        full, rooted = [], []
         real = minimal.arrows
 
-        def spy(g, red, blue, opts=None):
-            verdict = real(g, red, blue, opts)
-            nodes.append(verdict.nodes)
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
+            (full if root is None else rooted).append(verdict.nodes)
             return verdict
 
         monkeypatch.setattr(minimal, "arrows", spy)
         g = minimalize(pendant_gadget_k3(), CliquePendant(3))
         assert graph6_encode(g) == "P~~nNe??G@_F?N?M_FG@x_G?"
-        assert len(nodes) <= 9
-        assert sum(nodes) <= 3146
-        assert check_count[0] <= 87772
-        nodes.clear()
-        # 8 searches without the reuse
+        assert len(full) <= 6
+        assert sum(full) <= 411
+        assert (len(rooted), sum(rooted)) == (9, 37)
+        assert check_count[0] <= 20033
+        full.clear()
+        rooted.clear()
+        # 8 full searches without the reuse
         assert is_minimal(g, CliquePendant(3)).is_minimal
-        assert len(nodes) <= 6
+        assert len(full) <= 4
+        assert (len(rooted), sum(rooted)) == (6, 23)
 
     def test_k13_witness_for_k3_k5(self):
         # the canonical witness is pinned byte for byte: no pruning rule may

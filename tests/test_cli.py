@@ -202,9 +202,9 @@ class TestMinimalCommand:
             budgets.append(real_options(args))
             return budgets[-1]
 
-        def spy(g, red, blue, opts=None):
+        def spy(g, red, blue, opts=None, *, root=None):
             seen.append(opts)
-            return real_arrows(g, red, blue, opts)
+            return real_arrows(g, red, blue, opts, root=root)
 
         monkeypatch.setattr(cli, "_options", options)
         monkeypatch.setattr(minimal, "arrows", spy)
@@ -245,14 +245,14 @@ class TestMinimalCommand:
 
     def test_max_nodes_caps_the_whole_command(self, files, capsys, monkeypatch):
         # K7: the report takes 26 of the pass's 106 nodes, at most 17 in one
-        # search
+        # search; rooted searches count too
         path = files / "K7.g6"
         path.write_text(graph6_encode(Graph.complete(7)) + "\n")
         nodes = []
         real = minimal.arrows
 
-        def spy(g, red, blue, opts=None):
-            verdict = real(g, red, blue, opts)
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
             nodes.append(verdict.nodes)
             return verdict
 
@@ -268,17 +268,18 @@ class TestMinimalCommand:
         assert sum(nodes) <= 100
 
     def test_report_and_minimalization_search_once(self, files, capsys, monkeypatch):
-        # the k = 3 pendant gadget: the report's 5 searches are the first 5
-        # of the pass's 9, and the minimalization does not make them again
+        # the k = 3 pendant gadget: the report's searches are the first of
+        # the pass's 6 full and 9 rooted searches, and the minimalization
+        # does not make them again
         g0 = gadgets.build_g0(3, Graph.cycle(5))
         path = files / "pendant.g6"
         path.write_text(graph6_encode(gadgets.build_pendant_gadget(3, [g0, g0]).graph) + "\n")
-        nodes = []
+        full, rooted = [], []
         real = minimal.arrows
 
-        def spy(g, red, blue, opts=None):
-            verdict = real(g, red, blue, opts)
-            nodes.append(verdict.nodes)
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
+            (full if root is None else rooted).append(verdict.nodes)
             return verdict
 
         monkeypatch.setattr(minimal, "arrows", spy)
@@ -289,7 +290,8 @@ class TestMinimalCommand:
             '"isolated_vertices":[],"minimalized_graph6":"P~~nNe??G@_F?N?M_FG@x_G?",'
             '"pattern":"K3.K2"}\n'
         )
-        assert len(nodes) == 9 and sum(nodes) == 538
+        assert len(full) == 6 and sum(full) == 411
+        assert len(rooted) == 9 and sum(rooted) == 37
 
 
 class TestSurveyCommand:
@@ -390,12 +392,12 @@ class TestNmaxRange:
         assert doc["complete"] and doc["graphs_checked"] == 0
 
     def test_distinguish_past_the_enumeration_limit(self, capsys):
-        code = main(["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "9"])
+        code = main(["distinguish", "--h1", "K3", "--h2", "K3.K2", "--nmax", "10"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "input-error"
-        assert err["message"] == "built-in enumeration is limited to 8 vertices, got n_max = 9"
+        assert err["message"] == "built-in enumeration is limited to 9 vertices, got n_max = 10"
 
 
 class TestBudgetThatNeverFires:

@@ -302,7 +302,7 @@ class TestEnumeration:
 
     def test_order_limit(self):
         with pytest.raises(InputError):
-            list(enumerate_graphs(9))
+            list(enumerate_graphs(10))
 
     def test_golden_canonical_forms(self):
         # sha256 digests of the representatives and keys of all 1,252 graphs
@@ -634,86 +634,89 @@ class TestOrbitSharing:
         assert arrowing_graphs == {Clique(3): 16, CliquePendant(3): 6}[p]
 
     def test_pendant_gadget_counts(self, monkeypatch):
-        seen = []
+        full, rooted = [], []
         real = minimal.arrows
 
-        def spy(g, red, blue, opts=None):
-            verdict = real(g, red, blue, opts)
-            seen.append(verdict.nodes)
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
+            (full if root is None else rooted).append(verdict.nodes)
             return verdict
 
         monkeypatch.setattr(minimal, "arrows", spy)
         out = minimalize(pendant_gadget(), CliquePendant(3))
         assert graph6_encode(out) == "P~~nNe??G@_F?N?M_FG@x_G?"
-        # one search per edge orbit; one per edge would be 51 calls. The
-        # searches run on smallest-last relabellings: 538 nodes, and 3,146
-        # on the gadget's own labelling
-        assert len(seen) <= 11
-        assert sum(seen) <= 560
+        # one full search per edge orbit at most; one per edge would be 51
+        # calls. The full searches run on smallest-last relabellings: 411
+        # nodes, and 3,146 on the gadget's own labelling; rooted searches
+        # settle 5 deletions
+        assert len(full) <= 6
+        assert sum(full) <= 411
+        assert len(rooted) == 9
 
 
 class TestColouringReuse:
-    """A deletion that the last good colouring, restricted to it and with
-    one edge recoloured, settles is not searched; the reports and graphs are
-    those of one search per orbit, and every colouring the reuse builds is
-    good."""
+    """A deletion that a search rooted at the last good colouring settles
+    gets no full search; the reports and graphs are those of one search per
+    orbit, and every colouring the reuse builds is a good completion of its
+    root."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The (graph, colouring) pairs the reuse builds, in order."""
+        """The (graph, root, witness) triples of the rooted searches that
+        settle a deletion, in order."""
         out = []
-        real = minimal._recoloured
+        real = minimal.arrows
 
-        def spy(good, h, deleted, check):
-            found = real(good, h, deleted, check)
-            if found is not None:
-                out.append((h, found))
-            return found
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
+            if root is not None and verdict.outcome is Outcome.NOT_ARROW:
+                out.append((g, root, verdict.witness))
+            return verdict
 
-        monkeypatch.setattr(minimal, "_recoloured", spy)
+        monkeypatch.setattr(minimal, "arrows", spy)
         return out
 
     @staticmethod
-    def assert_good(h, found, p):
-        red, blue, deleted = found
-        assert not h.has_edge(*deleted)
-        assert all(r & b == 0 for r, b in zip(red, blue))
-        assert [r | b for r, b in zip(red, blue)] == list(h.adj)
-        colours = tuple(Colour.RED if (red[u] >> v) & 1 else Colour.BLUE for u, v in h.edges())
-        c = EdgeColouring(h, colours)
-        assert find_mono(c, p, Colour.RED) is None
-        assert find_mono(c, p, Colour.BLUE) is None
+    def assert_good(h, root, witness, p):
+        assert witness.graph == h
+        assert find_mono(witness, p, Colour.RED) is None
+        assert find_mono(witness, p, Colour.BLUE) is None
+        for fixed, colour in zip(root, (Colour.RED, Colour.BLUE)):
+            cls = witness.class_adj(colour)
+            assert all(f & ~c == 0 for f, c in zip(fixed, cls))
 
     def assert_matches_reference(self, g, p, built) -> int:
-        """The number of colourings the reuse builds for ``g``."""
+        """The number of deletions of ``g`` that rooted searches settle."""
         before = len(built)
         rep = is_minimal(g, p)
         assert rep == per_orbit_is_minimal(g, p)
         if rep.is_ramsey:
             assert minimalize(g, p) == per_orbit_minimalize(g, p)
-        for h, found in built[before:]:
-            self.assert_good(h, found, p)
+        for h, root, witness in built[before:]:
+            self.assert_good(h, root, witness, p)
         return len(built) - before
 
-    @pytest.mark.parametrize("p", [Clique(3), CliquePendant(3)], ids=str)
+    @pytest.mark.parametrize("p", [Clique(3), CliquePendant(3), CliquePlusCliques(3, 1, 2)], ids=str)
     def test_matches_per_orbit_search(self, p, built):
-        # a graph that arrows K3, or K3·K2, needs chi >= R(3, 3) = 6: the 97
-        # graphs on 6 to 8 vertices that need 6 colours. On 6 vertices that
-        # is K6, with one edge orbit, so only the larger ones reuse colourings
+        # a graph that arrows K3, K3·K2 or K3 + K2 needs chi >= R(3, 3) = 6:
+        # the 97 graphs on 6 to 8 vertices that need 6 colours. On 6
+        # vertices that is K6, with one edge orbit, so only the larger ones
+        # reuse colourings
         hosts = [g for g in enumerate_graphs(8) if g.n >= 6 and not colourable(g, 5)]
         assert len(hosts) == 97
         cases_with_reuse = 0
         for g in hosts:
             cases_with_reuse += self.assert_matches_reference(g, p, built) > 0
-        # hosts with a reuse, and colourings built; the stored colourings
+        # hosts with a reuse, and deletions settled; the stored colourings
         # come from searches of smallest-last relabellings
-        assert (cases_with_reuse, len(built)) == {Clique(3): (1, 4), CliquePendant(3): (55, 109)}[p]
+        expected = {Clique(3): (3, 8), CliquePendant(3): (57, 133), CliquePlusCliques(3, 1, 2): (79, 172)}[p]
+        assert (cases_with_reuse, len(built)) == expected
 
     @pytest.mark.parametrize(
         "host, p, reuses",
         [
-            (pendant_gadget, CliquePendant(3), 2),
-            (lambda: build_g0(3, Graph.petersen()).graph, Clique(3), 1),
+            (pendant_gadget, CliquePendant(3), 6),
+            (lambda: build_g0(3, Graph.petersen()).graph, Clique(3), 4),
         ],
         ids=["pendant", "g0-petersen"],
     )
@@ -967,8 +970,8 @@ class TestSharedBudget:
         out = []
         real = minimal.arrows
 
-        def spy(g, red, blue, opts=None):
-            verdict = real(g, red, blue, opts)
+        def spy(g, red, blue, opts=None, *, root=None):
+            verdict = real(g, red, blue, opts, root=root)
             out.append((opts, verdict.nodes))
             return verdict
 

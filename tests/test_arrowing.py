@@ -483,8 +483,17 @@ class TestThroughEdgeChecker:
         ids=str,
     )
     def test_matches_copy_masks(self, p):
+        # the k = 3 closures: K3 and K3·K2 also on 7 vertices, where the
+        # pendant closure's branches for a degree of 2 or more are hit often,
+        # and K3 + fK_t also relabelled in reverse, so that the apex a copy
+        # needs is not always the first one the closure tries
         check = arrowing._through_edge_checker(p)
-        for g in enumerate_graphs(6):
+        graphs = list(enumerate_graphs(7 if p in (Clique(3), CliquePendant(3)) else 6))
+        if isinstance(p, CliquePlusCliques) and p.k == 3:
+            graphs += [
+                Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]) for g in graphs
+            ]
+        for g in graphs:
             has_copy = bool(copy_edge_masks(g, p))
             for u, v in g.edges():
                 without = g.without_edge(u, v)
@@ -733,10 +742,11 @@ class TestNodeCounts:
         assert verdict.outcome is Outcome.ARROW
         assert verdict.nodes <= 270
 
-    def test_ramsey_k3_2k3(self):
+    def test_ramsey_k3_2k3(self, check_count):
         rep = ramsey_number(Clique(3), CliquePlusCliques(3, 1, 3))
         assert rep.n == 8
         assert rep.nodes <= 144
+        assert check_count[0] <= 2110
 
     @pytest.mark.parametrize(
         "red, blue, n, nodes, witness_nodes, sha",

@@ -45,9 +45,9 @@ Budgets produce an explicit UNDECIDED outcome, never a guess. One
 ``Budget`` (a wall-clock deadline and a count of search nodes) is made by
 the caller and passed down unchanged, so it caps every search of a
 computation together. The clique, packing and embedding tests are the
-kernels of ``graphs``, but the through-edge checks of the k = 3 targets ask
-about cliques of at most 2 vertices on the masks themselves. Copies come
-from ``patterns.copies``, as in ``cnf``.
+kernels of ``graphs``, but the through-edge check of K3·K2 asks about
+cliques of at most 2 vertices on the masks themselves. Copies come from
+``patterns.copies``, as in ``cnf``.
 """
 from __future__ import annotations
 
@@ -127,13 +127,12 @@ def _through_edge_checker(p: TargetPattern):
     every copy through uv and find only such copies, so the check is exact
     on any class and needs no precondition. When t = k the copy is
     (f+1)K_k, whose cliques are interchangeable: "uv in a K_t" asks again
-    whether the rest holds fK_k, so that branch is skipped. For k = 3 with
-    no K_t branch, T = {w} for each apex w in C in turn.
+    whether the rest holds fK_k, so that branch is skipped.
 
-    The k = 3 targets have closures of their own that ask these questions
-    in a few mask operations: the general closures pay a kernel call or
-    more per check, even for a clique of 0, 1 or 2 vertices, and that call
-    is the cost. On the 20,033 checks of the k = 3 pendant gadget's
+    CliquePendant(3) has a closure of its own that asks these questions in
+    a few mask operations: the general closure pays a kernel call or more
+    per check, even for a clique of 0, 1 or 2 vertices, and that call is
+    the cost. On the 20,033 checks of the k = 3 pendant gadget's
     minimalization, which made 23,589 ``has_clique`` calls, a check costs
     about 350 ns instead of 470 ns with its call (2-core Xeon, CPython 3.11).
     """
@@ -141,8 +140,6 @@ def _through_edge_checker(p: TargetPattern):
         k = p.k
         if k == 1:
             return lambda adj, u, v: False
-        if k == 3:
-            return lambda adj, u, v: adj[u] & adj[v] != 0
 
         def check_clique(adj, u, v):
             return has_clique(adj, adj[u] & adj[v], k - 2)
@@ -199,21 +196,6 @@ def _through_edge_checker(p: TargetPattern):
         k, f, t = p.k, p.f, p.t
         in_k = k >= 2  # uv can lie in the K_k
         in_t = f >= 1 and t >= 2 and t != k  # in a K_t, unless that is the K_k case again
-        if k == 3 and not in_t:
-
-            def check_plus3(adj, u, v):
-                common = adj[u] & adj[v]
-                if not common:
-                    return False
-                rest = ((1 << len(adj)) - 1) & ~((1 << u) | (1 << v))
-                while common:  # T = {w}, one apex of C at a time
-                    w = common & -common
-                    if has_clique_then_packing(adj, 0, 0, rest & ~w, 0, f, t):
-                        return True
-                    common ^= w
-                return False
-
-            return check_plus3
 
         def check_plus(adj, u, v):
             avail = ((1 << len(adj)) - 1) & ~((1 << u) | (1 << v))

@@ -52,6 +52,7 @@ cliques of at most 2 vertices on the masks themselves. Copies come from
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -264,11 +265,16 @@ class Budget:
     fixed when the budget is made, and the number of search nodes left
     (None: no limit). A caller makes one and passes the same object to every
     search, and each search charges the nodes it explored, so the limits hold
-    for the computation as a whole."""
+    for the computation as a whole. A NaN ``seconds`` or ``nodes`` raises
+    ``InputError``: every comparison with a NaN is false, so it would
+    switch its limit off."""
 
     __slots__ = ("deadline", "nodes_left")
 
     def __init__(self, seconds: float | None = None, nodes: int | None = None):
+        for limit in (seconds, nodes):
+            if limit is not None and math.isnan(limit):
+                raise InputError("a Budget limit must not be NaN")
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.nodes_left = nodes
 
@@ -487,11 +493,14 @@ def _dfs_search(
 def _root_colours(g: Graph, edges: list[tuple[int, int]], root) -> list[int]:
     """The int colour of each of ``edges``, the edges of ``g``, under
     ``root``, a pair (red, blue) of class adjacencies, ``_FREE`` for an edge
-    in neither; an ``InputError`` unless the classes are disjoint symmetric
-    subgraphs of ``g``."""
-    red, blue = (list(a) for a in root)
-    if len(red) != g.n or len(blue) != g.n:
-        raise InputError(f"root classes need {g.n} adjacency rows")
+    in neither; an ``InputError`` unless ``root`` is a pair of ``g.n`` int
+    rows each and the classes are disjoint symmetric subgraphs of ``g``."""
+    try:
+        red, blue = (list(a) for a in root)
+    except (TypeError, ValueError):
+        raise InputError("a root is a pair (red, blue) of class adjacencies") from None
+    if len(red) != g.n or len(blue) != g.n or not all(isinstance(row, int) for row in red + blue):
+        raise InputError(f"root classes need {g.n} int adjacency rows")
     col = []
     rebuilt = ([0] * g.n, [0] * g.n)
     for u, v in edges:

@@ -9,16 +9,12 @@ its top refinement class, the one with the largest id from
 canonical augmentation, J. Algorithms 1998, with the top class in place of
 the canonically last orbit). The few duplicates left, from top classes of
 more than one vertex, are removed by the canonical form of ``symmetry``.
-An order is built on up to the usable CPUs: its parents are dealt out to
-shares in snake order (0, 1, ..., w-1, w-1, ..., 0, 0, 1, ...), so that
-the early parents, which cost the most, spread evenly, and each share but
-the caller's goes to a worker made with ``os.fork``, only in a
-single-threaded POSIX process and only for orders with enough parents to
-repay a fork. The keys of all shares are
-merged and sorted, so the order, and every output built on it, does not
-depend on the number of workers. Survey results only ever bound the
-smallest minimum degree from above within the searched order range; no
-claim is made beyond it.
+An order is built on up to the usable CPUs: ``forks.map_shares`` deals
+its parents out to shares and runs each share but the caller's in a forked
+worker. The keys of all shares are merged and sorted, so the order, and
+every output built on it, does not depend on the number of workers.
+Survey results only ever bound the smallest minimum degree from above
+within the searched order range; no claim is made beyond it.
 
 The survey and ``distinguish`` read only verdicts, and one scan,
 ``_candidates``, feeds them both. It counts each graph in range and drops,
@@ -89,15 +85,13 @@ not.
 from __future__ import annotations
 
 import json
-import marshal
-import os
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .arrowing import Budget, Outcome, arrows, find_pattern, ramsey_number
 from .errors import InputError, Undecided
+from .forks import map_shares
 from .formats import graph6_encode
 from .graphs import Graph, bits, clique_number, colourable, induced_subgraph, mask_of
 from .patterns import Clique, Colour, TargetPattern, pattern_graph, pattern_text
@@ -109,6 +103,10 @@ from .symmetry import (
     subset_orbit_reps,
 )
 
+# canonical_key, canonical_graph and enumerate_graphs stay bound here: the
+# benchmark's tracer (perfbench/tracing.py, Tracer.install) looks them up in
+# this module with getattr, and without them ``perfbench/run.py --trace 1``
+# raises AttributeError. ROADMAP 4(b) drops them with the benchmark change.
 __all__ = [
     "MinimalityReport",
     "is_minimal",
@@ -130,10 +128,6 @@ _ENUM_LIMIT = 9  # built-in generation bound
 
 # _orders[n]: the classes on n vertices, for every order built in full
 _orders: list[tuple[Graph, ...]] = [(), (Graph.empty(1),)]
-
-# a worker is forked per this many parents; at fewer, a fork and its pipe
-# cost more than the share saves
-_PARENTS_PER_WORKER = 16
 
 
 def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
@@ -159,10 +153,11 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     one vertex can still pass two children of one class; the key set
     removes them.
 
-    The parents are dealt out to ``_workers(len(parents))`` shares in
-    snake order (``_keys``). Every key comes from one parent alone, so the
-    union of the shares' key sets, sorted, is the same order for any number
-    of shares and any dealing.
+    ``forks.map_shares`` deals the parents out to shares, runs each share
+    but the caller's in a forked worker, and each share computes its key
+    set (``_share``). Every key comes from one parent alone, so the union of
+    the shares' key sets, sorted, is the same order for any number of
+    shares and any dealing.
 
     Each order is kept in ``_orders`` once it is built in full. ``budget``
     is checked before each parent, in every share; once it is spent the
@@ -173,20 +168,20 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     parents = _classes(n - 1, budget)
     if parents is None:
         return None
-    keys = _keys(parents, n, budget, _workers(len(parents)))
-    if keys is None:
+    shares = map_shares(lambda share, stopped: _share(share, n, stopped), parents, budget)
+    if shares is None:
         return None
-    _orders.append(tuple(Graph.from_bits(n, k) for k in sorted(keys)))
+    _orders.append(tuple(Graph.from_bits(n, k) for k in sorted(set().union(*shares))))
     return _orders[n]
 
 
-def _share(parents, n: int, budget: Budget | None, caller: int | None = None) -> set[int] | None:
+def _share(parents, n: int, stopped) -> set[int] | None:
     """The packed canonical keys of the children of ``parents`` that pass
-    the top-class test of ``_classes``; None once ``budget`` is spent, or
-    once the process ``caller`` is no longer this process's parent."""
+    the top-class test of ``_classes``; None once ``stopped()`` is true
+    before a parent."""
     keys: set[int] = set()
     for parent in parents:
-        if (budget is not None and budget.spent()) or (caller is not None and os.getppid() != caller):
+        if stopped():
             return None
         degrees = parent.degrees()
         top = max(degrees)
@@ -204,115 +199,6 @@ def _share(parents, n: int, budget: Budget | None, caller: int | None = None) ->
                 continue
             keys.add(canonical_key(child, colour)[1])
     return keys
-
-
-def _worker_count(parents: int, cpus: int) -> int:
-    """Shares for ``parents`` parents on ``cpus`` usable CPUs: one per
-    ``_PARENTS_PER_WORKER`` parents, at most one per CPU, at least one."""
-    return max(1, min(cpus, parents // _PARENTS_PER_WORKER))
-
-
-def _workers(parents: int) -> int:
-    """``_worker_count`` on this process's usable CPUs; 1 where ``os.fork``
-    is missing or more than one thread is alive, since a forked child holds
-    only the forking thread, and any lock another thread held stays taken."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return _worker_count(parents, cpus)
-
-
-def _dealt(parents, w: int, i: int) -> list:
-    """Share ``i`` of ``w``: the parents dealt out one at a time in snake
-    order, to shares 0, 1, ..., w-1, then w-1, ..., 0, and again. Parents
-    come ascending by key, and the earlier ones cost more to extend (at
-    order 7, the first quarter of the parents a quarter more than the
-    last); dealt out as ``parents[i::w]``, share 0 would get the first,
-    costliest parent of every round of w. Share sizes differ by at most
-    one."""
-    return [p for j, p in enumerate(parents) if j % (2 * w) in (i, 2 * w - 1 - i)]
-
-
-def _keys(parents, n: int, budget: Budget | None, w: int) -> set[int] | None:
-    """The union of ``_share`` over the ``w`` shares ``_dealt(parents, w,
-    i)``, None when any share is cut short.
-
-    Share 0 runs in this process, and each other share in a child made with
-    ``os.fork`` that sends its keys back over a pipe (``_work``). All
-    processes read one ``time.monotonic()`` clock, so the budget's deadline
-    holds for all of them. A child ends in ``os._exit``, so it never returns
-    into its caller's frames or flushes the stdio buffers it inherited, and
-    it stops at its next parent once this process is gone. Each child is
-    reaped before this returns or raises, killed first unless its whole pipe
-    was read; an exception in a child raises ``RuntimeError`` here."""
-    if w == 1:
-        return _share(parents, n, budget)
-    caller = os.getpid()
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for i in range(1, w):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    code = _work(_dealt(parents, w, i), n, budget, caller, wr)
-                finally:
-                    os._exit(code)
-            children[pid] = r
-            os.close(wr)
-        keys = _share(_dealt(parents, w, 0), n, budget)
-        if keys is None:
-            return None
-        for pid, r in list(children.items()):
-            # to EOF before the wait: a large list outgrows the pipe buffer
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(children.pop(pid))
-            sent = marshal.loads(b"".join(chunks)) if chunks else None
-            if code != 0:
-                raise RuntimeError(f"enumeration worker {pid} failed (exit {code}): {sent}")
-            if sent is None:
-                return None
-            keys.update(sent)
-        return keys
-    finally:
-        if children:
-            _stop(children)
-
-
-def _stop(children: dict[int, int]) -> None:
-    """Close the read end of each child's pipe, then kill and reap it."""
-    import signal  # needed only here: the command's start-up imports stay as they were
-
-    for pid, r in children.items():
-        os.close(r)
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped just before an interrupt
-
-
-def _work(share, n: int, budget: Budget | None, caller: int, wr: int) -> int:
-    """A forked child's task: ``_share`` of ``share`` written to the pipe end
-    ``wr`` as a ``marshal``led list of keys (None when cut short), and exit
-    status 0; or the traceback of its exception, and exit status 1."""
-    try:
-        keys = _share(share, n, budget, caller)
-        out, code = marshal.dumps(None if keys is None else list(keys)), 0
-    except BaseException:  # reported, not re-raised: a child must not unwind into its caller's frames
-        import traceback
-
-        out, code = marshal.dumps(traceback.format_exc()), 1
-    view = memoryview(out)
-    while view:
-        view = view[os.write(wr, view) :]
-    return code
 
 
 def enumerate_graphs(n_max: int, budget: Budget | None = None) -> Iterator[Graph | None]:

@@ -255,6 +255,12 @@ class TestArrows:
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
 
+    @pytest.mark.parametrize("limit", ["seconds", "nodes"])
+    def test_nan_limit_is_an_input_error(self, limit):
+        # a NaN limit compares false forever, so the search would never stop
+        with pytest.raises(InputError):
+            Budget(**{limit: float("nan")})
+
     def test_nodes_are_charged_to_the_budget(self):
         budget = Budget(nodes=10**9)
         first = arrows(Graph.complete(6), Clique(3), Clique(3), budget)
@@ -553,6 +559,33 @@ class TestWitnessDifferential:
             assert satisfiable is (arrows(g, red, blue).outcome is Outcome.NOT_ARROW), g.edges()
 
 
+# (red, blue, largest complete host); the hosts are every graph on at most
+# 6 vertices and the complete graphs up to the last entry
+TWIN_PAIRS = [
+    (Clique(3), Clique(3), 7),
+    (CliquePendant(3), CliquePendant(3), 7),
+    (Clique(3), CliquePlusCliques(3, 1, 3), 8),
+    (CliquePlusCliques(2, 1, 2), CliquePlusCliques(2, 1, 2), 7),
+    (Clique(4), Clique(3), 7),
+    (CliquePendant(3), Clique(3), 7),
+    (Clique(3), CliquePlusCliques(3, 1, 2), 7),  # uv in a K_t with t != k
+]
+
+
+class TestArbitraryTwin:
+    """A native target and its ``Arbitrary`` twin, the same graph checked by
+    extending embeddings through the new edge, both decide whether adding
+    an edge completes a copy. On one host the two searches are then the same
+    tree: the same outcome, witness and node count."""
+
+    @pytest.mark.parametrize("red, blue, n_max", TWIN_PAIRS, ids=str)
+    def test_matches_the_native_search(self, red, blue, n_max):
+        twins = Arbitrary(pattern_graph(red)), Arbitrary(pattern_graph(blue))
+        for g in [*enumerate_graphs(6), *(Graph.complete(n) for n in range(7, n_max + 1))]:
+            native, twin = arrows(g, red, blue), arrows(g, *twins)
+            assert (twin.outcome, twin.witness, twin.nodes) == (native.outcome, native.witness, native.nodes), g.edges()
+
+
 class TestIncrementalPropagation:
     """Propagation re-runs a colour's check on an edge only when that colour
     class grew; its edge cases match the reference search, which rescans
@@ -666,6 +699,10 @@ class TestRootedSearch:
             ([0b100, 0, 0b001], [0, 0, 0]),  # (0, 2) is not an edge
             ([0b010, 0, 0], [0, 0, 0]),  # not symmetric
             ([0, 0], [0, 0]),  # too few rows
+            ([0, 0, 0],),  # one class
+            ([0, 0, 0], [0, 0, 0], [0, 0, 0]),  # three classes
+            ([0, 0, 0], None),  # a class that is not a sequence of rows
+            ([0, 0, 0], ["0", "0", "0"]),  # rows that are not ints
         ],
     )
     def test_invalid_root(self, bad):

@@ -683,8 +683,9 @@ class TestStartupImports:
     """A command loads only the layers it calls: handlers import
     ``gadgets``, ``focusing``, ``cnf`` and ``fractions`` when they run."""
 
-    CLI_LAYERS = ["ramseykit", "ramseykit.arrowing", "ramseykit.cli", "ramseykit.errors", "ramseykit.formats",
-                  "ramseykit.graphs", "ramseykit.minimal", "ramseykit.patterns", "ramseykit.symmetry"]
+    CLI_LAYERS = ["ramseykit", "ramseykit.arrowing", "ramseykit.cli", "ramseykit.errors", "ramseykit.forks",
+                  "ramseykit.formats", "ramseykit.graphs", "ramseykit.minimal", "ramseykit.patterns",
+                  "ramseykit.symmetry"]
 
     def test_cli_import(self):
         loaded = _fresh_modules("import ramseykit.cli")

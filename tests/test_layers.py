@@ -2,9 +2,10 @@
 
 The search (``arrowing``) and what is built on it sit on top: the graph
 core, the formats, the patterns, the symmetry layer and the CNF bridge, an
-independent check of the search's verdicts, import none of it. No module
-imports another module's private name, except the two that tests patch
-through ``cli``.
+independent check of the search's verdicts, import none of it. ``forks``,
+which runs shares of a job in forked workers, imports no ramseykit module
+at all. No module imports another module's private name, except the two
+that tests patch through ``cli``.
 """
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ import ramseykit
 
 SRC = Path(ramseykit.__file__).parent
 
-LOWER = ["graphs", "formats", "patterns", "symmetry", "cnf"]
+LOWER = ["graphs", "formats", "patterns", "symmetry", "cnf", "forks"]
 UPPER = {"arrowing", "minimal", "gadgets", "focusing", "cli"}
 
 # (importing module, imported module, name)
@@ -61,3 +62,7 @@ def test_no_private_name_is_imported_across_modules():
 
 def test_cnf_imports_only_errors_graphs_and_patterns():
     assert {base for base, _ in imports("cnf")} == {"errors", "graphs", "patterns"}
+
+
+def test_forks_imports_no_ramseykit_module():
+    assert imports("forks") == []

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramseykit import arrowing, minimal, symmetry
+from ramseykit import arrowing, forks, minimal, symmetry
 from ramseykit.errors import InputError, Undecided
 from ramseykit.arrowing import Budget, Outcome, arrows, find_mono, ramsey_number
 from ramseykit.formats import graph6_decode, graph6_encode
@@ -145,9 +145,9 @@ def cold_orders() -> list:
 
 
 def pin_workers(monkeypatch, w: int) -> None:
-    """Make ``_classes`` split every order into ``w`` shares, whatever the
-    CPU count."""
-    monkeypatch.setattr(minimal, "_workers", lambda parents: w)
+    """Make ``forks.map_shares``, and so ``_classes``, split its items into
+    ``w`` shares, whatever the CPU count."""
+    monkeypatch.setattr(forks, "_workers", lambda items: w)
 
 
 def assert_no_children() -> None:
@@ -411,42 +411,40 @@ class TestEnumerationPool:
     def test_share_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch):
         # 300,000 keys marshal to about 1.5 MB, far past the 64 KB a pipe
         # holds: a caller that waits before it has read them all waits forever
-        def share(parents, n, budget, caller=None):
-            return set(range(parents[0], 300_000, 3))
-
-        monkeypatch.setattr(minimal, "_share", share)
-        assert minimal._keys([0, 1, 2], 8, None, 3) == set(range(300_000))
+        pin_workers(monkeypatch, 3)
+        shares = forks.map_shares(lambda share, stopped: set(range(share[0], 300_000, 3)), [0, 1, 2])
+        assert shares == [set(range(i, 300_000, 3)) for i in range(3)]
         assert_no_children()
 
     def test_busy_workers_are_killed_when_the_caller_stops(self, monkeypatch):
         caller = os.getpid()
 
-        def share(parents, n, budget, caller_pid=None):
+        def share(items, stopped):
             if os.getpid() != caller:
                 time.sleep(120)  # far longer than the test may wait
             return None
 
-        monkeypatch.setattr(minimal, "_share", share)
-        assert minimal._keys([0, 1, 2], 8, None, 3) is None
+        pin_workers(monkeypatch, 3)
+        assert forks.map_shares(share, [0, 1, 2]) is None
         assert_no_children()
 
     def test_shares_are_dealt_in_snake_order(self, monkeypatch):
-        # each share sends its parents back as one mask, and checks in its
+        # each share sends its items back as one mask, and checks in its
         # own process that they come in ascending order
-        def share(parents, n, budget, caller=None):
-            assert list(parents) == sorted(parents)
-            return {mask_of(parents)} if parents else set()
+        def share(items, stopped):
+            assert items == sorted(items)
+            return mask_of(items)
 
-        monkeypatch.setattr(minimal, "_share", share)
         for w in range(1, 5):
+            pin_workers(monkeypatch, w)
             snake = [*range(w), *range(w - 1, -1, -1)] * 41
             for count in range(41):
                 dealt = [0] * w
                 for j in range(count):
                     dealt[snake[j]] |= 1 << j
-                masks = minimal._keys(list(range(count)), 8, None, w)
-                assert masks == {m for m in dealt if m}, (w, count)
-                sizes = [m.bit_count() for m in masks] + [0] * (w - len(masks))
+                masks = forks.map_shares(share, list(range(count)))
+                assert masks == dealt, (w, count)
+                sizes = [m.bit_count() for m in masks]
                 assert max(sizes) - min(sizes) <= 1, (w, count)
         assert_no_children()
 
@@ -454,8 +452,10 @@ class TestEnumerationPool:
         # a worker forked by `caller` sees another parent process once the
         # caller has exited; this process is not its own parent
         parents = minimal._classes(4)
-        assert minimal._share(parents, 5, None, caller=os.getpid()) is None
-        assert minimal._share(parents, 5, None, caller=os.getppid()) == minimal._share(parents, 5, None)
+        gone, alive = forks._stopped(None, os.getpid()), forks._stopped(None, os.getppid())
+        assert gone() and not alive()
+        assert minimal._share(parents, 5, gone) is None
+        assert minimal._share(parents, 5, alive) == minimal._share(parents, 5, lambda: False)
 
     @pytest.mark.parametrize(
         "parents, cpus, w",
@@ -476,14 +476,14 @@ class TestEnumerationPool:
         ],
     )
     def test_worker_count_rule(self, parents, cpus, w):
-        assert minimal._worker_count(parents, cpus) == w
+        assert forks._worker_count(parents, cpus) == w
 
     def test_one_share_while_another_thread_runs(self):
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert minimal._workers(10**6) == 1
+            assert forks._workers(10**6) == 1
         finally:
             done.set()
             thread.join()

@@ -378,7 +378,7 @@ def _dfs_search(
     max_nodes = budget.nodes_left
     deadline = budget.deadline
     if root is None:
-        perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g, deadline)]
+        perms = [[(j, k) for j, k in enumerate(pi) if j != k] for pi in edge_perms(g, deadline, edges)]
     else:
         sym, perms = False, []
     if budget.spent():  # the generators may have stopped at the deadline

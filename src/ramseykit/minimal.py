@@ -32,6 +32,13 @@ The chi rule is tried first by edge count: chi(G) >= k needs C(k, 2)
 edges, since a colouring with k = chi(G) colours has an edge between every
 two colour classes, or two of them could merge. A graph with fewer than
 C(R(w, w), 2) edges is therefore dropped before any copy of H is sought.
+The survey builds no graph these edge rules drop. It counts those with
+fewer than F = max(2e(H) - 1, C(R(w, w), 2)) edges by edge number (Pólya's
+theorem, ``symmetry.graphs_by_edges``) and builds only the graphs with at
+most C(n_max, 2) - F non-edges, which hold all the others on every order.
+Deleting a vertex adds no non-edge, so the family is hereditary and
+``_classes`` builds it under a cap. ``distinguish``, which reports its
+graph's rank in the full enumeration, scans every graph.
 
 ``is_minimal`` and ``minimalize`` run one deletion pass (``_deletions``):
 it tries the edges of G in lexicographic order and deletes each one whose
@@ -99,6 +106,7 @@ from .symmetry import (
     canonical_graph,
     canonical_key,
     edge_orbits,
+    graphs_by_edges,
     refine,
     subset_orbit_reps,
 )
@@ -128,11 +136,13 @@ _ENUM_LIMIT = 9  # built-in generation bound
 
 # _orders[n]: the classes on n vertices, for every order built in full
 _orders: list[tuple[Graph, ...]] = [(), (Graph.empty(1),)]
+# _capped[cap, n]: those of them with at most cap non-edges, once built
+_capped: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
-def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
+def _classes(n: int, budget: Budget | None = None, cap: int | None = None) -> tuple[Graph, ...] | None:
     """Canonical representatives of the graphs on ``n`` vertices, ascending by
-    canonical key.
+    canonical key; with ``cap``, only those with at most ``cap`` non-edges.
 
     Each class on ``n - 1`` vertices (a parent) gains a vertex ``n - 1``
     joined to a subset S of its vertices, one S per orbit of Aut(parent) on
@@ -153,32 +163,45 @@ def _classes(n: int, budget: Budget | None = None) -> tuple[Graph, ...] | None:
     one vertex can still pass two children of one class; the key set
     removes them.
 
+    With ``cap``, X - x has no more non-edges than X, so the argument holds
+    inside the capped family: the parents are the capped order ``n - 1``,
+    and a child of S, ``n - 1 - |S|`` non-edges above its parent, is
+    skipped unbuilt when over the cap. Orders with C(n, 2) <= cap are full.
+
     ``forks.map_shares`` deals the parents out to shares, runs each share
     but the caller's in a forked worker, and each share computes its key
     set (``_share``). Every key comes from one parent alone, so the union of
     the shares' key sets, sorted, is the same order for any number of
     shares and any dealing.
 
-    Each order is kept in ``_orders`` once it is built in full. ``budget``
-    is checked before each parent, in every share; once it is spent the
-    order being built is dropped, and the result is None.
+    Each order built in full is kept, in ``_orders`` or ``_capped``.
+    ``budget`` is checked before each parent, in every share; once it is
+    spent the order being built is dropped, and the result is None.
     """
-    if n < len(_orders):
+    if cap is not None and n * (n - 1) // 2 <= cap:
+        cap = None
+    if cap is None and n < len(_orders):
         return _orders[n]
-    parents = _classes(n - 1, budget)
+    if (cap, n) in _capped:
+        return _capped[cap, n]
+    parents = _classes(n - 1, budget, cap)
     if parents is None:
         return None
-    shares = map_shares(lambda share, stopped: _share(share, n, stopped), parents, budget)
+    shares = map_shares(lambda share, stopped: _share(share, n, stopped, cap), parents, budget)
     if shares is None:
         return None
-    _orders.append(tuple(Graph.from_bits(n, k) for k in sorted(set().union(*shares))))
-    return _orders[n]
+    order = tuple(Graph.from_bits(n, k) for k in sorted(set().union(*shares)))
+    if cap is None:
+        _orders.append(order)
+    else:
+        _capped[cap, n] = order
+    return order
 
 
-def _share(parents, n: int, stopped) -> set[int] | None:
+def _share(parents, n: int, stopped, cap: int | None = None) -> set[int] | None:
     """The packed canonical keys of the children of ``parents`` that pass
-    the top-class test of ``_classes``; None once ``stopped()`` is true
-    before a parent."""
+    the top-class test of ``_classes``, and have at most ``cap`` non-edges
+    when it is given; None once ``stopped()`` is true before a parent."""
     keys: set[int] = set()
     for parent in parents:
         if stopped():
@@ -186,10 +209,13 @@ def _share(parents, n: int, stopped) -> set[int] | None:
         degrees = parent.degrees()
         top = max(degrees)
         top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
+        # the child of S has its parent's non-edges and n - 1 - |S| more
+        fewest = 0 if cap is None else (n - 1) * (n - 2) // 2 - parent.num_edges + n - 1 - cap
         for subset in subset_orbit_reps(parent):
             # the child's maximum degree beside the new vertex's: top + 1
             # when the subset meets a parent vertex of degree top
-            if top + (subset & top_mask != 0) > subset.bit_count():
+            size = subset.bit_count()
+            if size < fewest or top + (subset & top_mask != 0) > size:
                 continue
             adj = [row | (((subset >> v) & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
             adj.append(subset)
@@ -206,11 +232,19 @@ def enumerate_graphs(n_max: int, budget: Budget | None = None) -> Iterator[Graph
     representatives, ordered by vertex count and then canonical form, with
     a None in place of the first order that ``budget`` leaves unbuilt (never
     without a budget)."""
-    if n_max > _ENUM_LIMIT:
-        raise InputError(f"built-in enumeration is limited to {_ENUM_LIMIT} vertices, got n_max = {n_max}")
+    _require_order_range(n_max)
     for n in range(1, n_max + 1):
         order = _classes(n, budget)
         yield from (None,) if order is None else order
+
+
+def _require_order_range(n_max: int, enumerated: bool = True) -> None:
+    """Reject a negative ``n_max``, and one past ``_ENUM_LIMIT`` when the
+    built-in enumeration is to reach it."""
+    if n_max < 0:
+        raise InputError(f"n_max must be at least 0, got {n_max}")
+    if enumerated and n_max > _ENUM_LIMIT:
+        raise InputError(f"built-in enumeration is limited to {_ENUM_LIMIT} vertices, got n_max = {n_max}")
 
 
 # -- minimality ---------------------------------------------------------------
@@ -421,8 +455,9 @@ def _chromatic_edges(k: int) -> int:
 def _candidates(
     p: TargetPattern, n_max: int, graphs: Iterable[Graph] | None, budget: Budget, result
 ) -> Iterator[Graph]:
-    """The graphs of ``graphs`` (by default the built-in enumeration) on at
-    most ``n_max`` vertices that may arrow ``p``, in order.
+    """The graphs of ``graphs`` on at most ``n_max`` vertices that may arrow
+    ``p``, in order; by default those of the built-in enumeration, where the
+    graphs too sparse to keep are counted and not built (``_dense_graphs``).
 
     Each graph in range counts in ``result.graphs_checked``; the rules of
     the module docstring drop a counted graph without a search, and the
@@ -433,7 +468,9 @@ def _candidates(
     min_edges = 2 * pattern_graph(p).num_edges - 1
     chi_floor = _chromatic_floor(p, n_max, budget)
     chi_edges = _chromatic_edges(chi_floor)
-    for g in enumerate_graphs(n_max, budget) if graphs is None else graphs:
+    if graphs is None:
+        graphs = _dense_graphs(n_max, min_edges, chi_edges, budget, result)
+    for g in graphs:
         if g is None or budget.spent():
             result.complete = False
             return
@@ -451,6 +488,24 @@ def _candidates(
             result.dropped_chi += 1
         else:
             yield g
+
+
+def _dense_graphs(n_max: int, min_edges: int, chi_edges: int, budget: Budget, result) -> Iterator[Graph | None]:
+    """The graphs of ``enumerate_graphs(n_max, budget)`` with at least
+    F = max(min_edges, chi_edges) edges (see the module docstring), with a
+    None for an order the budget leaves unbuilt or finds spent. Entering an
+    order counts its graphs below F in ``result`` as ``_candidates`` would."""
+    floor = max(min_edges, chi_edges)
+    for n in range(1, n_max + 1):
+        if budget.spent():
+            yield None
+        counts = graphs_by_edges(n)
+        result.graphs_checked += sum(counts[:floor])
+        result.dropped_sparse += sum(counts[:min_edges])
+        result.dropped_chi_edges += sum(counts[min_edges:floor])
+        if n * (n - 1) // 2 >= floor:
+            order = _classes(n, budget, n_max * (n_max - 1) // 2 - floor)
+            yield from (None,) if order is None else (g for g in order if g.num_edges >= floor)
 
 
 # -- degree survey --------------------------------------------------------------
@@ -526,7 +581,7 @@ def degree_survey(
 
     The graphs are those of the scan of the module docstring, less those
     with an isolated vertex, which are never minimal. A target with an
-    isolated vertex raises ``InputError``.
+    isolated vertex, or a negative ``n_max``, raises ``InputError``.
     """
     _require_no_isolated(p)
     survey = DegreeSurvey(p, n_max, upper_bound=None if r_value is None else r_value - 1)
@@ -535,6 +590,7 @@ def degree_survey(
             f"r_value - 1 = {survey.upper_bound} is below the lower bound "
             f"2*delta(H) - 1 = {survey.lower_bound}, so r_value cannot be r(H)"
         )
+    _require_order_range(n_max, graphs is None)
     budget = opts or Budget()
     for g in _candidates(p, n_max, graphs, budget, survey):
         if 0 in g.degrees():
@@ -588,13 +644,15 @@ def distinguish(
     A returned graph refutes Ramsey-equivalence of the two patterns; absence
     within the searched range proves nothing. The search stops, incomplete,
     once the budget ``opts`` is spent. The graphs searched are those of the
-    scan of the module docstring for ``h1``.
+    scan of the module docstring for ``h1``. A negative ``n_max`` raises
+    ``InputError``.
     """
+    _require_order_range(n_max, enumerated=False)
     report = DistinguishReport()
     if h1 == h2:
         return report
     budget = opts or Budget()
-    for g in _candidates(h1, n_max, None, budget, report):
+    for g in _candidates(h1, n_max, enumerate_graphs(n_max, budget), budget, report):
         outcome, _ = _search(g, h1, budget)
         if outcome is Outcome.ARROW:
             outcome, _ = _search(g, h2, budget)

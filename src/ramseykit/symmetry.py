@@ -17,11 +17,12 @@ deletion per orbit, and its orbits on vertex subsets pick the extensions
 graph enumeration tries. Both orbit lists come from one walk.
 Enumeration canonicalises only the extensions whose new vertex lies in the
 top refinement class, which every graph has for some extension: class ids
-are isomorphism invariant.
+are isomorphism invariant. ``graphs_by_edges`` counts graphs by edges.
 """
 from __future__ import annotations
 
 import time
+from math import factorial, gcd, lcm, prod
 
 from .graphs import Graph, bits, mask_of
 
@@ -33,6 +34,7 @@ __all__ = [
     "edge_perms",
     "subset_orbit_reps",
     "edge_orbits",
+    "graphs_by_edges",
 ]
 
 
@@ -313,11 +315,13 @@ def generators(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]
     return out
 
 
-def edge_perms(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]]:
+def edge_perms(g: Graph, deadline: float | None = None, edges: list | None = None) -> list[tuple[int, ...]]:
     """The permutations of edge indices induced by ``generators(g,
     deadline)`` and their inverses, without the identity, sorted; ``pi[j]``
-    is the index in ``g.edges()`` of the image of edge j."""
-    edges = g.edges()
+    is the index in ``g.edges()`` of the image of edge j. A caller that
+    holds ``g.edges()`` passes it as ``edges``."""
+    if edges is None:
+        edges = g.edges()
     # a dict beats rank arithmetic per edge, and dies with the call
     idx = {e: i for i, e in enumerate(edges)}
     out: set[tuple[int, ...]] = set()
@@ -378,4 +382,35 @@ def edge_orbits(g: Graph, deadline: float | None = None) -> list[list[tuple[int,
     least edge. Once ``deadline`` passes (see ``generators``) they are the
     orbits of a subgroup, which split the group's orbits."""
     edges = g.edges()
-    return [[edges[j] for j in orbit] for orbit in _orbits(len(edges), edge_perms(g, deadline))]
+    return [[edges[j] for j in orbit] for orbit in _orbits(len(edges), edge_perms(g, deadline, edges))]
+
+
+def _partitions(n: int, most: int):
+    """The partitions of ``n`` into parts of at most ``most``, descending."""
+    if n == 0:
+        yield []
+    for a in range(min(n, most), 0, -1):
+        yield from ([a, *rest] for rest in _partitions(n - a, a))
+
+
+def graphs_by_edges(n: int) -> list[int]:
+    """``counts[m]``: the number of graphs on ``n`` vertices with ``m``
+    edges up to isomorphism, by Burnside's lemma over S_n acting on vertex
+    pairs (Harary & Palmer, *Graphical Enumeration*, 1973): the mean over
+    the permutations of the product of (1 + x^l) over their pair cycles, l
+    the length. A vertex cycle of length a gives floor((a - 1) / 2) pair
+    cycles of length a, and one of a / 2 when a is even; two of lengths a
+    and b give gcd(a, b) of length lcm(a, b). A cycle type with m_a cycles
+    of length a has n! / prod(a^m_a m_a!) permutations."""
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for parts in _partitions(n, n):
+        poly = [1]  # the product of (1 + x^l) so far
+        for i, a in enumerate(parts):
+            lengths = [a] * ((a - 1) // 2) + [a // 2] * (a % 2 == 0)
+            lengths += [lcm(a, b) for b in parts[i + 1 :] for _ in range(gcd(a, b))]
+            for length in lengths:
+                poly = [c + (poly[m - length] if m >= length else 0) for m, c in enumerate(poly + [0] * length)]
+        size = factorial(n) // prod(a ** parts.count(a) * factorial(parts.count(a)) for a in set(parts))
+        for m, c in enumerate(poly):
+            total[m] += size * c
+    return [c // factorial(n) for c in total]

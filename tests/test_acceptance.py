@@ -310,7 +310,8 @@ def test_criterion_10_minimality_and_survey():
     # budget flags honored: a zero budget flags the survey incomplete
     cut = degree_survey(CliquePendant(3), 8, opts=Budget(seconds=0))
     ok &= not cut.complete
-    # the command's output to 8 vertices, pinned: order 8 is built by now
+    # the command's output to 8 vertices, pinned: the capped order 8 that
+    # both surveys read (at most 13 non-edges) is built by now
     for pattern, sha in [
         ("K3.K2", "d2031673b9fe8214262ab69049848799a20f2b8a6c6f5a8ff237927bd7e6fd1f"),
         ("K3", "7e4638ac11adfb65d7b9a5d478d0c6b644d264f0b276fd2e23e214a0ca52e945"),

@@ -304,6 +304,29 @@ class TestArrows:
         assert verdict.outcome is Outcome.UNDECIDED
         assert verdict.nodes == 0
 
+    def test_edge_list_is_built_once(self, monkeypatch):
+        # arrows and edge_orbits each hand the edge list they hold to
+        # edge_perms, so the host's edges() runs once per call; the verdict,
+        # witness and node count are those of the edge list built anew
+        g = graph6_decode("G@lz~{")
+        expected = arrows(g, CliquePendant(3), CliquePendant(3))
+        orbits = symmetry.edge_orbits(g)
+        calls = []
+        real = Graph.edges
+
+        def spy(self):
+            if self is g:
+                calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Graph, "edges", spy)
+        verdict = arrows(g, CliquePendant(3), CliquePendant(3))
+        assert (verdict.outcome, verdict.witness, verdict.nodes) == (expected.outcome, expected.witness, expected.nodes)
+        assert len(calls) == 1
+        calls.clear()
+        assert symmetry.edge_orbits(g) == orbits
+        assert len(calls) == 1
+
     def test_a_backtrack_stops_at_the_deadline(self, monkeypatch):
         # a rigid cubic graph on 12 vertices: every backtrack of its
         # generators fails, in 80 steps together. A fake clock passes the
@@ -569,6 +592,9 @@ TWIN_PAIRS = [
     (Clique(4), Clique(3), 7),
     (CliquePendant(3), Clique(3), 7),
     (Clique(3), CliquePlusCliques(3, 1, 2), 7),  # uv in a K_t with t != k
+    (CliquePendant(4), Clique(3), 9),  # the general check_pendant, k != 3
+    (Clique(2), Clique(3), 7),
+    (CliquePlusCliques(3, 1, 3), CliquePlusCliques(3, 1, 3), 9),
 ]
 
 

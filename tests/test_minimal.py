@@ -31,6 +31,7 @@ from ramseykit.patterns import Arbitrary, Clique, CliquePendant, CliquePlusCliqu
 from ramseykit.symmetry import (
     _canonical_columns,
     edge_orbits,
+    graphs_by_edges,
     refine,
     subset_orbit_reps,
 )
@@ -282,7 +283,7 @@ class TestEnumeration:
             budget = CountingBudget(checks)
             monkeypatch.setattr(minimal, "_orders", cold_orders())
             result = minimal.DistinguishReport()
-            for _ in minimal._candidates(Clique(2), 5, None, budget, result):
+            for _ in minimal._candidates(Clique(2), 5, enumerate_graphs(5, budget), budget, result):
                 budget.spent()
             if result.complete:
                 break
@@ -304,6 +305,11 @@ class TestEnumeration:
         with pytest.raises(InputError):
             list(enumerate_graphs(10))
 
+    def test_negative_order_is_an_input_error(self):
+        with pytest.raises(InputError, match="at least 0"):
+            list(enumerate_graphs(-1))
+        assert list(enumerate_graphs(0)) == []
+
     def test_golden_canonical_forms(self):
         # sha256 digests of the representatives and keys of all 1,252 graphs
         # on at most 7 vertices; record order and graph6 text depend on both
@@ -317,6 +323,72 @@ class TestEnumeration:
         assert hashlib.sha256(keys.encode()).hexdigest() == (
             "931d1a1b2d484e9056fb669859fdcec61b941060929cdfd8d7e9561fd394161f"
         )
+
+
+class TestGraphCounts:
+    """``symmetry.graphs_by_edges``, the count of graphs by edge number from
+    Pólya's theorem, against OEIS and the enumeration."""
+
+    def test_totals(self):
+        # the number of graphs on n vertices (OEIS A000088), n = 1..10
+        expected = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+        assert [sum(graphs_by_edges(n)) for n in range(1, 11)] == expected
+
+    def test_histograms_match_the_enumeration(self):
+        for n in range(1, 8):
+            counts = [0] * (n * (n - 1) // 2 + 1)
+            for g in minimal._classes(n):
+                counts[g.num_edges] += 1
+            assert graphs_by_edges(n) == counts, n
+
+    def test_complement_symmetry(self):
+        # complementing is a bijection between the classes with m edges
+        # and those with C(n, 2) - m
+        for n in range(1, 11):
+            counts = graphs_by_edges(n)
+            assert counts == counts[::-1], n
+
+
+def non_edges(g: Graph) -> int:
+    return g.n * (g.n - 1) // 2 - g.num_edges
+
+
+@pytest.fixture(scope="module")
+def reference_orders() -> list:
+    """``unfiltered_classes(7)``, built once for the tests that read it."""
+    return unfiltered_classes(7)
+
+
+class TestCappedEnumeration:
+    """``_classes(n, budget, cap)`` builds only the graphs with at most
+    ``cap`` non-edges, a hereditary family, and keeps them apart from the
+    full orders."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        monkeypatch.setattr(minimal, "_capped", {})
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_capped_orders_are_the_filtered_orders(self, monkeypatch, reference_orders, w):
+        pin_workers(monkeypatch, w)
+        for cap in (0, 1, 3, 6, 10, 13, 20):
+            for n in range(1, 8):
+                expected = tuple(g for g in reference_orders[n] if non_edges(g) <= cap)
+                assert minimal._classes(n, cap=cap) == expected, (n, cap)
+
+    def test_each_cap_is_kept_apart(self):
+        order = minimal._classes(7, cap=6)
+        # C(4, 2) = 6: every graph on 4 vertices meets the cap, so orders 1
+        # to 4 are the full ones, and only 5 to 7 are capped
+        assert len(minimal._orders) == 5
+        assert sorted(minimal._capped) == [(6, 5), (6, 6), (6, 7)]
+        assert minimal._classes(7, cap=6) is order
+        assert minimal._classes(7, cap=21) is minimal._classes(7)
+
+    def test_spent_budget_keeps_no_capped_order(self):
+        assert minimal._classes(7, Budget(nodes=0), cap=6) is None
+        assert not minimal._capped and len(minimal._orders) == 2
 
 
 class OnlyInWorkers(Budget):
@@ -829,6 +901,13 @@ class TestDegreeSurvey:
         assert survey.graphs_checked == full.graphs_checked == 208
         assert len(searched) == 151
 
+    def test_negative_n_max_is_an_input_error(self):
+        for graphs in (None, []):
+            with pytest.raises(InputError, match="at least 0"):
+                degree_survey(Clique(3), -1, graphs=graphs)
+        survey = degree_survey(Clique(3), 0)
+        assert (survey.complete, survey.graphs_checked, survey.records) == (True, 0, [])
+
     @pytest.mark.parametrize("r_value", [-4, 3])
     def test_r_value_below_the_lower_bound_is_an_input_error(self, r_value):
         # s(K3) >= 2*delta(K3) - 1 = 3 and s(H) <= r(H) - 1, so r(K3) >= 4
@@ -845,6 +924,11 @@ class TestDistinguish:
         rep = distinguish(Clique(2), Clique(3), 2)
         assert rep.graph is not None
         assert rep.graph.num_edges == 1
+
+    def test_negative_n_max_is_an_input_error(self):
+        for h2 in (CliquePendant(3), Clique(3)):
+            with pytest.raises(InputError, match="at least 0"):
+                distinguish(Clique(3), h2, -2)
 
     def test_identical_patterns(self):
         rep = distinguish(Clique(3), Clique(3), 6)
@@ -930,6 +1014,50 @@ class TestScan:
         assert (scanned.dropped_isolated, survey.dropped_isolated) == (0, 1)
         assert (len(checked), len(survey.records)) == (7, 1)
         assert survey == replace(survey, dropped_isolated=0)
+
+    @pytest.mark.parametrize(
+        "name, n_max",
+        [(name, n_max) for name in SCAN_TARGETS for n_max in range(7)] + [("K3", 7), ("K3.K2", 7)],
+    )
+    def test_dense_scan_matches_the_full_scan(self, name, n_max):
+        # by default the scan counts the graphs below the edge floor and
+        # builds only the rest, yet yields and counts what the scan of the
+        # full enumeration, distinguish's, does
+        p = SCAN_TARGETS[name]
+        full, dense = minimal.DistinguishReport(), minimal.DistinguishReport()
+        budget = Budget()
+        kept = list(minimal._candidates(p, n_max, enumerate_graphs(n_max, budget), budget, full))
+        assert list(minimal._candidates(p, n_max, None, Budget(), dense)) == kept
+        counts = [
+            (r.complete, r.graphs_checked, r.dropped_sparse, r.dropped_chi_edges, r.dropped_no_copy, r.dropped_chi)
+            for r in (full, dense)
+        ]
+        assert counts[0] == counts[1]
+
+    def test_dense_scan_cut_by_the_budget(self, monkeypatch, reference_orders):
+        # spent at its k-th check, for every k until the scan completes: the
+        # graphs yielded are a prefix of the complete scan's, and no capped
+        # order is kept half built (K2 to 5 vertices: the floor is 1 edge,
+        # so order 5 is capped at 9 non-edges)
+        pin_workers(monkeypatch, 1)  # the budget counts the checks of this process only
+        p = Clique(2)
+        kept = list(minimal._candidates(p, 5, None, Budget(), minimal.DistinguishReport()))
+        for checks in range(1, 1000):
+            monkeypatch.setattr(minimal, "_orders", cold_orders())
+            monkeypatch.setattr(minimal, "_capped", {})
+            budget = CountingBudget(checks)
+            result = minimal.DistinguishReport()
+            got = []
+            for g in minimal._candidates(p, 5, None, budget, result):
+                got.append(g)
+                budget.spent()
+            assert got == kept[: len(got)], checks
+            if result.complete:
+                break
+            assert result.graphs_checked <= 52
+            assert all(order == tuple(g for g in reference_orders[n] if non_edges(g) <= cap)
+                       for (cap, n), order in minimal._capped.items())
+        assert (got, result.graphs_checked) == (kept, 52) and checks > 50
 
     def test_graphs_past_n_max_are_not_counted(self):
         result = minimal.DistinguishReport()

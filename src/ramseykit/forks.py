@@ -9,9 +9,10 @@ import marshal
 import os
 import sys
 
-# a worker is forked per this many items; at fewer, a fork and its pipe
-# cost more than the share saves
-_ITEMS_PER_WORKER = 16
+# a worker is forked per this many items: building one order alone on a
+# 2-core Xeon, a second worker lost time at up to 522 parents and won from
+# 670 on (order 8 under caps 10 and 11), so two workers start at 600
+_ITEMS_PER_WORKER = 300
 
 
 def map_shares(fn, items, budget=None) -> list | None:

@@ -37,8 +37,10 @@ fewer than F = max(2e(H) - 1, C(R(w, w), 2)) edges by edge number (Pólya's
 theorem, ``symmetry.graphs_by_edges``) and builds only the graphs with at
 most C(n_max, 2) - F non-edges, which hold all the others on every order.
 Deleting a vertex adds no non-edge, so the family is hereditary and
-``_classes`` builds it under a cap. ``distinguish``, which reports its
-graph's rank in the full enumeration, scans every graph.
+``_classes`` builds it under a cap; the full order on n vertices is the one
+under the cap C(n, 2), and one cache holds every order built, keyed by order
+and cap. ``distinguish``, which reports its graph's rank in the full
+enumeration, scans every graph.
 
 ``is_minimal`` and ``minimalize`` run one deletion pass (``_deletions``):
 it tries the edges of G in lexicographic order and deletes each one whose
@@ -134,15 +136,13 @@ _ENUM_LIMIT = 9  # built-in generation bound
 # -- enumeration ----------------------------------------------------------------
 
 
-# _orders[n]: the classes on n vertices, for every order built in full
-_orders: list[tuple[Graph, ...]] = [(), (Graph.empty(1),)]
-# _capped[cap, n]: those of them with at most cap non-edges, once built
-_capped: dict[tuple[int, int], tuple[Graph, ...]] = {}
+# _orders[n, cap]: every order built whole, under its clamped cap (_classes)
+_orders: dict[tuple[int, int], tuple[Graph, ...]] = {(0, 0): (), (1, 0): (Graph.empty(1),)}
 
 
 def _classes(n: int, budget: Budget | None = None, cap: int | None = None) -> tuple[Graph, ...] | None:
-    """Canonical representatives of the graphs on ``n`` vertices, ascending by
-    canonical key; with ``cap``, only those with at most ``cap`` non-edges.
+    """The graphs on ``n`` vertices with at most ``cap`` non-edges, canonical
+    representatives ascending by key; ``cap`` defaults to C(n, 2), all graphs.
 
     Each class on ``n - 1`` vertices (a parent) gains a vertex ``n - 1``
     joined to a subset S of its vertices, one S per orbit of Aut(parent) on
@@ -163,10 +163,10 @@ def _classes(n: int, budget: Budget | None = None, cap: int | None = None) -> tu
     one vertex can still pass two children of one class; the key set
     removes them.
 
-    With ``cap``, X - x has no more non-edges than X, so the argument holds
-    inside the capped family: the parents are the capped order ``n - 1``,
-    and a child of S, ``n - 1 - |S|`` non-edges above its parent, is
-    skipped unbuilt when over the cap. Orders with C(n, 2) <= cap are full.
+    X - x has no more non-edges than X, so the argument holds inside the
+    capped family: the parents are order ``n - 1`` under the same cap, and
+    a child of S, ``n - 1 - |S|`` non-edges above its parent, is skipped
+    unbuilt when over the cap. Under the cap C(n, 2) no child is skipped.
 
     ``forks.map_shares`` deals the parents out to shares, runs each share
     but the caller's in a forked worker, and each share computes its key
@@ -174,34 +174,28 @@ def _classes(n: int, budget: Budget | None = None, cap: int | None = None) -> tu
     the shares' key sets, sorted, is the same order for any number of
     shares and any dealing.
 
-    Each order built in full is kept, in ``_orders`` or ``_capped``.
-    ``budget`` is checked before each parent, in every share; once it is
-    spent the order being built is dropped, and the result is None.
+    Each order built whole is kept in ``_orders`` under ``(n, cap)``, the
+    cap clamped. ``budget`` is checked before each parent, in every share;
+    once it is spent the order being built is dropped, and the result is None.
     """
-    if cap is not None and n * (n - 1) // 2 <= cap:
-        cap = None
-    if cap is None and n < len(_orders):
-        return _orders[n]
-    if (cap, n) in _capped:
-        return _capped[cap, n]
+    full = n * (n - 1) // 2
+    cap = full if cap is None else min(cap, full)
+    if (n, cap) in _orders:
+        return _orders[n, cap]
     parents = _classes(n - 1, budget, cap)
     if parents is None:
         return None
     shares = map_shares(lambda share, stopped: _share(share, n, stopped, cap), parents, budget)
     if shares is None:
         return None
-    order = tuple(Graph.from_bits(n, k) for k in sorted(set().union(*shares)))
-    if cap is None:
-        _orders.append(order)
-    else:
-        _capped[cap, n] = order
+    order = _orders[n, cap] = tuple(Graph.from_bits(n, k) for k in sorted(set().union(*shares)))
     return order
 
 
-def _share(parents, n: int, stopped, cap: int | None = None) -> set[int] | None:
+def _share(parents, n: int, stopped, cap: int) -> set[int] | None:
     """The packed canonical keys of the children of ``parents`` that pass
-    the top-class test of ``_classes``, and have at most ``cap`` non-edges
-    when it is given; None once ``stopped()`` is true before a parent."""
+    the top-class test of ``_classes`` and have at most ``cap`` non-edges;
+    None once ``stopped()`` is true before a parent."""
     keys: set[int] = set()
     for parent in parents:
         if stopped():
@@ -210,7 +204,7 @@ def _share(parents, n: int, stopped, cap: int | None = None) -> set[int] | None:
         top = max(degrees)
         top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
         # the child of S has its parent's non-edges and n - 1 - |S| more
-        fewest = 0 if cap is None else (n - 1) * (n - 2) // 2 - parent.num_edges + n - 1 - cap
+        fewest = (n - 1) * (n - 2) // 2 - parent.num_edges + n - 1 - cap
         for subset in subset_orbit_reps(parent):
             # the child's maximum degree beside the new vertex's: top + 1
             # when the subset meets a parent vertex of degree top
@@ -229,13 +223,14 @@ def _share(parents, n: int, stopped, cap: int | None = None) -> set[int] | None:
 
 def enumerate_graphs(n_max: int, budget: Budget | None = None) -> Iterator[Graph | None]:
     """All non-isomorphic graphs with 1..n_max vertices, canonical
-    representatives, ordered by vertex count and then canonical form, with
-    a None in place of the first order that ``budget`` leaves unbuilt (never
-    without a budget)."""
+    representatives, by vertex count and then canonical form, ended by a
+    None for the first order that ``budget`` leaves unbuilt (never without a budget)."""
     _require_order_range(n_max)
     for n in range(1, n_max + 1):
-        order = _classes(n, budget)
-        yield from (None,) if order is None else order
+        if (order := _classes(n, budget)) is None:
+            yield None
+            return
+        yield from order
 
 
 def _require_order_range(n_max: int, enumerated: bool = True) -> None:
@@ -492,20 +487,23 @@ def _candidates(
 
 def _dense_graphs(n_max: int, min_edges: int, chi_edges: int, budget: Budget, result) -> Iterator[Graph | None]:
     """The graphs of ``enumerate_graphs(n_max, budget)`` with at least
-    F = max(min_edges, chi_edges) edges (see the module docstring), with a
-    None for an order the budget leaves unbuilt or finds spent. Entering an
-    order counts its graphs below F in ``result`` as ``_candidates`` would."""
+    F = max(min_edges, chi_edges) edges (see the module docstring), ended by a
+    None at the first order the budget leaves unbuilt or finds spent. Entering
+    an order counts its graphs below F in ``result`` as ``_candidates`` would."""
     floor = max(min_edges, chi_edges)
     for n in range(1, n_max + 1):
         if budget.spent():
             yield None
+            return
         counts = graphs_by_edges(n)
         result.graphs_checked += sum(counts[:floor])
         result.dropped_sparse += sum(counts[:min_edges])
         result.dropped_chi_edges += sum(counts[min_edges:floor])
-        if n * (n - 1) // 2 >= floor:
-            order = _classes(n, budget, n_max * (n_max - 1) // 2 - floor)
-            yield from (None,) if order is None else (g for g in order if g.num_edges >= floor)
+        order = _classes(n, budget, n_max * (n_max - 1) // 2 - floor) if n * (n - 1) // 2 >= floor else ()
+        if order is None:
+            yield None
+            return
+        yield from (g for g in order if g.num_edges >= floor)
 
 
 # -- degree survey --------------------------------------------------------------

@@ -589,12 +589,15 @@ TWIN_PAIRS = [
     (CliquePendant(3), CliquePendant(3), 7),
     (Clique(3), CliquePlusCliques(3, 1, 3), 8),
     (CliquePlusCliques(2, 1, 2), CliquePlusCliques(2, 1, 2), 7),
-    (Clique(4), Clique(3), 7),
+    (Clique(4), Clique(3), 9),  # R(3, 4) = 9
     (CliquePendant(3), Clique(3), 7),
     (Clique(3), CliquePlusCliques(3, 1, 2), 7),  # uv in a K_t with t != k
     (CliquePendant(4), Clique(3), 9),  # the general check_pendant, k != 3
     (Clique(2), Clique(3), 7),
     (CliquePlusCliques(3, 1, 3), CliquePlusCliques(3, 1, 3), 9),
+    (Clique(5), Clique(3), 10),
+    (CliquePlusCliques(3, 1, 2), CliquePlusCliques(3, 1, 2), 9),
+    (Clique(3), CliquePlusCliques(2, 2, 2), 9),  # 3K2
 ]
 
 

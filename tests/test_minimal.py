@@ -140,9 +140,19 @@ class TestRefinement:
                     assert symmetry._refine(nbrs, start) == reference_refine(nbrs, start), (h.edges(), v)
 
 
-def cold_orders() -> list:
+def cached(orders: list) -> dict:
+    """``minimal._orders`` holding just the full orders ``orders``, by order."""
+    return {(n, n * (n - 1) // 2): order for n, order in enumerate(orders)}
+
+
+def cold_orders() -> dict:
     """``minimal._orders`` as before any order beyond 1 is built."""
-    return [(), (Graph.empty(1),)]
+    return cached([(), (Graph.empty(1),)])
+
+
+def full_orders() -> list:
+    """The orders ``minimal._orders`` holds, by order; each must be full."""
+    return [minimal._orders[n, n * (n - 1) // 2] for n in range(len(minimal._orders))]
 
 
 def pin_workers(monkeypatch, w: int) -> None:
@@ -289,10 +299,20 @@ class TestEnumeration:
                 break
             assert not keys_after, checks
             assert len(minimal._orders) == budget.orders_when_spent, checks
-            assert minimal._orders == unfiltered_classes(len(minimal._orders) - 1)
-            assert result.graphs_checked <= sum(len(order) for order in minimal._orders)
+            assert full_orders() == unfiltered_classes(len(minimal._orders) - 1)
+            assert result.graphs_checked <= sum(len(order) for order in minimal._orders.values())
         assert result.complete and checks > 50 and result.graphs_checked == 52
         assert minimal._classes(5) == unfiltered_classes(5)[5]
+
+    def test_enumeration_ends_at_its_first_unbuilt_order(self, monkeypatch):
+        # the budget is spent before order 2 is built: K1 comes from the
+        # seeded cache, and no later order is tried
+        calls = []
+        real = minimal.map_shares
+        monkeypatch.setattr(minimal, "map_shares", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        assert list(enumerate_graphs(6, Budget(nodes=0))) == [Graph.empty(1), None]
+        assert len(calls) == 1 and len(minimal._orders) == 2
 
     def test_no_duplicates(self):
         seen = set()
@@ -361,13 +381,12 @@ def reference_orders() -> list:
 
 class TestCappedEnumeration:
     """``_classes(n, budget, cap)`` builds only the graphs with at most
-    ``cap`` non-edges, a hereditary family, and keeps them apart from the
-    full orders."""
+    ``cap`` non-edges, a hereditary family, and keeps each under its key
+    ``(n, cap)``, the cap clamped to C(n, 2), where it is the full order."""
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
         monkeypatch.setattr(minimal, "_orders", cold_orders())
-        monkeypatch.setattr(minimal, "_capped", {})
 
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_capped_orders_are_the_filtered_orders(self, monkeypatch, reference_orders, w):
@@ -380,15 +399,15 @@ class TestCappedEnumeration:
     def test_each_cap_is_kept_apart(self):
         order = minimal._classes(7, cap=6)
         # C(4, 2) = 6: every graph on 4 vertices meets the cap, so orders 1
-        # to 4 are the full ones, and only 5 to 7 are capped
-        assert len(minimal._orders) == 5
-        assert sorted(minimal._capped) == [(6, 5), (6, 6), (6, 7)]
+        # to 4 are the full ones, each under its C(n, 2), and only 5 to 7 are
+        # capped
+        assert sorted(minimal._orders) == [(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 6), (6, 6), (7, 6)]
         assert minimal._classes(7, cap=6) is order
-        assert minimal._classes(7, cap=21) is minimal._classes(7)
+        assert minimal._classes(7, cap=21) is minimal._classes(7) is minimal._classes(7, cap=22)
 
     def test_spent_budget_keeps_no_capped_order(self):
         assert minimal._classes(7, Budget(nodes=0), cap=6) is None
-        assert not minimal._capped and len(minimal._orders) == 2
+        assert sorted(minimal._orders) == [(0, 0), (1, 0)]
 
 
 class OnlyInWorkers(Budget):
@@ -414,21 +433,21 @@ class TestEnumerationPool:
         monkeypatch.setattr(minimal, "_orders", cold_orders())
         pin_workers(monkeypatch, 1)
         minimal._classes(7)
-        return minimal._orders
+        return full_orders()
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_orders_do_not_depend_on_the_worker_count(self, monkeypatch, serial, w):
         monkeypatch.setattr(minimal, "_orders", cold_orders())
         pin_workers(monkeypatch, w)
         assert minimal._classes(7) == serial[7]
-        assert minimal._orders == serial
+        assert full_orders() == serial
         assert_no_children()
 
     def test_budget_spent_in_a_worker_keeps_no_order(self, monkeypatch, serial):
-        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        monkeypatch.setattr(minimal, "_orders", cached(serial[:6]))
         pin_workers(monkeypatch, 2)
         assert minimal._classes(6, Budget()) == serial[6]
-        del minimal._orders[6]
+        del minimal._orders[6, 15]
         assert minimal._classes(6, OnlyInWorkers()) is None
         assert len(minimal._orders) == 6
         assert_no_children()
@@ -439,7 +458,7 @@ class TestEnumerationPool:
             def spent(self) -> bool:
                 return not super().spent()
 
-        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        monkeypatch.setattr(minimal, "_orders", cached(serial[:6]))
         pin_workers(monkeypatch, 3)
         assert minimal._classes(6, OnlyInCaller()) is None
         assert len(minimal._orders) == 6
@@ -455,7 +474,7 @@ class TestEnumerationPool:
                 raise raised
             return real(g)
 
-        monkeypatch.setattr(minimal, "_orders", serial[:6])
+        monkeypatch.setattr(minimal, "_orders", cached(serial[:6]))
         monkeypatch.setattr(minimal, "refine", refine_failing_in_workers)
         pin_workers(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=type(raised).__name__):
@@ -472,7 +491,7 @@ class TestEnumerationPool:
                 raise KeyboardInterrupt
             return real(g)
 
-        monkeypatch.setattr(minimal, "_orders", serial[:7])
+        monkeypatch.setattr(minimal, "_orders", cached(serial[:7]))
         monkeypatch.setattr(minimal, "refine", refine_interrupted_in_caller)
         pin_workers(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
@@ -526,8 +545,8 @@ class TestEnumerationPool:
         parents = minimal._classes(4)
         gone, alive = forks._stopped(None, os.getpid()), forks._stopped(None, os.getppid())
         assert gone() and not alive()
-        assert minimal._share(parents, 5, gone) is None
-        assert minimal._share(parents, 5, alive) == minimal._share(parents, 5, lambda: False)
+        assert minimal._share(parents, 5, gone, 10) is None
+        assert minimal._share(parents, 5, alive, 10) == minimal._share(parents, 5, lambda: False, 10)
 
     @pytest.mark.parametrize(
         "parents, cpus, w",
@@ -537,14 +556,24 @@ class TestEnumerationPool:
             (11, 2, 1),  # order 5: a fork costs more than the share saves
             (15, 64, 1),
             (16, 64, 1),
-            (32, 64, 2),
+            (32, 64, 1),
             (34, 1, 1),
-            (34, 2, 2),  # order 6
+            (34, 2, 1),  # order 6
+            (54, 2, 1),  # order 7 capped at 6 non-edges (survey-k3k2-n7)
             (156, 1, 1),
-            (156, 2, 2),  # order 7
-            (156, 64, 9),
+            (156, 2, 1),  # order 7
+            (156, 64, 1),
+            (299, 64, 1),
+            (300, 64, 1),
+            (599, 2, 1),
+            (600, 2, 2),  # two workers from 600 parents on two CPUs
+            (600, 64, 2),
+            (898, 2, 2),  # order 8 capped at 13 (survey --nmax 8)
+            (1044, 1, 1),
             (1044, 2, 2),  # order 8
-            (1044, 64, 64),
+            (1044, 64, 3),
+            (12246, 2, 2),  # order 9 capped at 21 (survey --nmax 9)
+            (12246, 64, 40),
         ],
     )
     def test_worker_count_rule(self, parents, cpus, w):
@@ -1044,7 +1073,6 @@ class TestScan:
         kept = list(minimal._candidates(p, 5, None, Budget(), minimal.DistinguishReport()))
         for checks in range(1, 1000):
             monkeypatch.setattr(minimal, "_orders", cold_orders())
-            monkeypatch.setattr(minimal, "_capped", {})
             budget = CountingBudget(checks)
             result = minimal.DistinguishReport()
             got = []
@@ -1056,8 +1084,18 @@ class TestScan:
                 break
             assert result.graphs_checked <= 52
             assert all(order == tuple(g for g in reference_orders[n] if non_edges(g) <= cap)
-                       for (cap, n), order in minimal._capped.items())
+                       for (n, cap), order in minimal._orders.items())
         assert (got, result.graphs_checked) == (kept, 52) and checks > 50
+
+    def test_dense_scan_ends_at_its_first_unbuilt_order(self, monkeypatch):
+        # a None for an order the budget finds spent, or leaves unbuilt (the
+        # third check is the first in order 2's build), and nothing after it
+        pin_workers(monkeypatch, 1)  # the budget counts the checks of this process only
+        monkeypatch.setattr(minimal, "_orders", cold_orders())
+        result = minimal.DistinguishReport()
+        assert list(minimal._dense_graphs(6, 0, 0, Budget(nodes=0), result)) == [None]
+        assert list(minimal._dense_graphs(6, 0, 0, CountingBudget(3), result)) == [Graph.empty(1), None]
+        assert len(minimal._orders) == 2
 
     def test_graphs_past_n_max_are_not_counted(self):
         result = minimal.DistinguishReport()
